@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .homology import HomologyModule, Subspace
-from .linalg import joint_orbit_count, permutation_orbit_count, reduce_rows, rref, zeros
+from .linalg import cycle_labels, joint_orbit_count, permutation_orbit_count, reduce_rows, rref, zeros
 from .maps import DartMap
 
 
@@ -123,17 +123,6 @@ def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
     return VoltageAssignment(dart_map=dm, p=p, c=c, beta=beta, monodromy=rhs)
 
 
-def _cycle_labels(perm: np.ndarray) -> np.ndarray:
-    labels = np.arange(perm.shape[0], dtype=np.int64)
-    nxt = perm.astype(np.int64)
-    steps = 1
-    while steps < perm.shape[0]:
-        labels = np.minimum(labels, labels[nxt])
-        nxt = nxt[nxt]
-        steps *= 2
-    return labels
-
-
 def k_encoding(p: int, c: int):
     """Row i of the returned table is the vector whose digit expansion against
     powers = (1, p, ..., p^(c-1)) equals i."""
@@ -179,7 +168,7 @@ def euler_verify(va: VoltageAssignment, budget: int = 10**6):
 
     v_count = permutation_orbit_count(sigma_big)
     e_count = permutation_orbit_count(alpha_big)
-    face_labels = _cycle_labels(phi_big)
+    face_labels = cycle_labels(phi_big)
     uniq, lengths = np.unique(face_labels, return_counts=True)
     f_count = int(uniq.size)
 

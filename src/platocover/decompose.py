@@ -22,6 +22,7 @@ import numpy as np
 
 from . import chartab
 from .chartab import CharacterTable, dihedral_generators, match_classes, table_for_group
+from .errors import verify
 from .gf import coset_orbits, factor_xn_minus_1, poly_mul, sqrt_mod_p
 from .homology import HomologyModule, Subspace
 from .linalg import as_matrix, identity, inverse, left_kernel, mat_mul, poly_at_matrix, zeros
@@ -45,11 +46,11 @@ class IsotypicComponent:
         return "+".join(self.labels)
 
 
-def spin(module: HomologyModule, vectors) -> Subspace:
-    """The smallest G-invariant subspace containing the given row vectors."""
+def spin(module: HomologyModule, vectors, gens) -> Subspace:
+    """The smallest subspace containing the given row vectors and invariant
+    under the given generator matrices."""
     p = module.p
     space = Subspace(as_matrix(vectors, p, width=module.dim), p, module.dim)
-    gens = [module.matrices[module.group.gen_x], module.matrices[module.group.gen_z]]
     while True:
         grown = space
         for A in gens:
@@ -247,15 +248,17 @@ def decompose_module(module: HomologyModule) -> list[IsotypicComponent]:
 
 
 def _verify_decomposition(components: list[IsotypicComponent], module: HomologyModule) -> None:
+    """Check that Q is the direct sum of the components.  The lattice checks
+    its blocks one component at a time and relies on this for every sum, so
+    it raises VerificationError rather than asserting."""
     total = Subspace.zero(module.p, module.dim)
-    dim_sum = 0
     for comp in components:
-        assert comp.subspace.dim == comp.irreducible_dim * comp.multiplicity
+        verify(comp.subspace.dim == comp.irreducible_dim * comp.multiplicity,
+               f"{comp.label}: dimension is not irreducible dimension times multiplicity")
         before = total.dim
         total = total.add(comp.subspace)
-        assert total.dim == before + comp.subspace.dim, "components overlap"
-        dim_sum += comp.subspace.dim
-    assert dim_sum == module.dim and total.dim == module.dim
+        verify(total.dim == before + comp.subspace.dim, "components overlap")
+    verify(total.dim == module.dim, "the components do not span Q")
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +380,7 @@ def _find_seed_idempotent(comp, module, group, table, matching) -> Subspace:
     if comp.irreducible_dim == 1:
         # scalar action on the whole isotypic: any vector spans a copy
         return Subspace(comp.subspace.basis[:1], p, module.dim)
+    gen_mats = [module.matrices[group.gen_x], module.matrices[group.gen_z]]
 
     # a branch class carrying the character with multiplicity one embeds its
     # own isotypic part as a single irreducible
@@ -416,7 +420,7 @@ def _find_seed_idempotent(comp, module, group, table, matching) -> Subspace:
                 projected = mat_mul(total.reshape(1, -1), comp.projector, p)
                 if not projected.any():
                     continue
-                w = spin(module, projected)
+                w = spin(module, projected, gen_mats)
                 if w.dim == comp.irreducible_dim:
                     return w
 
@@ -427,7 +431,7 @@ def _find_seed_idempotent(comp, module, group, table, matching) -> Subspace:
         projected = mat_mul(v, comp.projector, p)
         if not projected.any():
             continue
-        w = spin(module, projected)
+        w = spin(module, projected, gen_mats)
         if w.dim == comp.irreducible_dim:
             return w
     raise AssertionError(f"no irreducible seed found for {comp.labels}")
@@ -500,7 +504,7 @@ def _find_seed_dihedral(comp, module, group, n, factor_of) -> Subspace:
     v = kernel[0]
     if len(gammas) == 2:
         # paired orbits: v generates one e-dimensional half, the flip the other
-        w = _spin_under(v, [A], module)
+        w = spin(module, v, [A])
         w = w.add(w.image(B))
     else:
         # self-paired: symmetrize so the flip preserves the a-span
@@ -509,19 +513,7 @@ def _find_seed_dihedral(comp, module, group, n, factor_of) -> Subspace:
         if not sym.any():
             sym = (v - vb) % p
         assert sym.any()
-        w = _spin_under(sym, [A], module)
+        w = spin(module, sym, [A])
         assert w.image(B) == w
     assert w.dim == comp.irreducible_dim
     return w
-
-
-def _spin_under(vector, mats, module) -> Subspace:
-    p = module.p
-    space = Subspace(vector, p, module.dim)
-    while True:
-        grown = space
-        for m in mats:
-            grown = grown.add(grown.image(m))
-        if grown.dim == space.dim:
-            return space
-        space = grown

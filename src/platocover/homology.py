@@ -28,24 +28,24 @@ class Subspace:
 
     __slots__ = ("p", "ambient", "basis", "pivots")
 
-    def __init__(self, basis: np.ndarray, p: int, ambient: int, _reduced: bool = False):
+    def __init__(self, basis: np.ndarray, p: int, ambient: int, _pivots=None):
+        """Row space of basis; a caller passing _pivots vouches that basis
+        is already in RREF with those pivot columns."""
         self.p = p
         self.ambient = ambient
-        if not _reduced:
-            basis, pivots = rref(as_matrix(basis, p, width=ambient), p)
-        else:
-            pivots = tuple(int(np.argmax(row != 0)) for row in basis)
+        if _pivots is None:
+            basis, _pivots = rref(as_matrix(basis, p, width=ambient), p)
         self.basis = basis
-        self.pivots = pivots
+        self.pivots = _pivots
         assert self.basis.shape[1] == ambient
 
     @staticmethod
     def zero(p: int, ambient: int) -> "Subspace":
-        return Subspace(np.zeros((0, ambient), dtype=dtype_for(p)), p, ambient, _reduced=True)
+        return Subspace(np.zeros((0, ambient), dtype=dtype_for(p)), p, ambient, _pivots=[])
 
     @staticmethod
     def full(p: int, ambient: int) -> "Subspace":
-        return Subspace(np.eye(ambient, dtype=dtype_for(p)), p, ambient, _reduced=True)
+        return Subspace(np.eye(ambient, dtype=dtype_for(p)), p, ambient, _pivots=list(range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -72,9 +72,28 @@ class Subspace:
         return not residue.any()
 
     def add(self, other: "Subspace") -> "Subspace":
+        """The sum, merged from the two RREF bases: only the part of other
+        outside self is row reduced, and self's rows are cleared on its new
+        pivot columns.  RREF is canonical, so this equals the RREF of the
+        stacked bases."""
         assert self.ambient == other.ambient
-        stacked = np.vstack([self.basis, other.basis])
-        return Subspace(stacked, self.p, self.ambient)
+        if other.dim == 0:
+            return self
+        if self.dim == 0:
+            return other
+        p = self.p
+        residue = reduce_rows(self.basis, self.pivots, other.basis, p)
+        fresh, fresh_pivots = rref(residue, p)
+        if not fresh_pivots:
+            return self
+        old = self.basis
+        coeff = old[:, fresh_pivots]
+        if coeff.any():
+            old = (old - np.dot(coeff, fresh)) % p
+        pivots = list(self.pivots) + fresh_pivots
+        order = np.argsort(pivots)
+        basis = np.vstack([old, fresh])[order]
+        return Subspace(basis, p, self.ambient, _pivots=[pivots[i] for i in order])
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Left-kernel construction: pairs (a, b) with a·U + b·W = 0 give

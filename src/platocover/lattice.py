@@ -5,6 +5,12 @@ field E = F_{p^s} correspond to E-subspaces of E^m; the full lattice is the
 set of direct sums of one choice per component.  Each submodule L yields a
 covering descriptor: codimension, effective branch set, map type, genus,
 the character of Q/L, and regularity under the reflection.
+
+Everything but L itself is fixed by the choices, so the checks and flags are
+tabulated once per choice: each block's dimension and invariance, which
+branch classes it swallows, and which choice the reflection maps it onto.
+Each L is then built by one RREF merge of a block onto a shared partial sum,
+and its descriptor is assembled from the tables.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decompose import IsotypicComponent, decompose_module
+from .errors import verify
 from .homology import HomologyModule, Subspace, build_homology
-from .linalg import mat_mul, zeros
+from .linalg import inverse, mat_mul, reduce_rows, zeros
 from .maps import MapFamily, build_group, build_map, parse_family
 
 # enumerating E-subspaces of E^m touches all q = p^s field elements; every
@@ -40,12 +47,16 @@ def subspace_count(m: int, q: int) -> int:
     return sum(gaussian_binomial(m, k, q) for k in range(m + 1))
 
 
-@dataclass
+@dataclass(eq=False)
 class ComponentChoice:
     component: IsotypicComponent
     k: int
     rows: tuple  # RREF rows over E, each a tuple of coordinate vectors
     lam: str | None  # projective label for a line in a multiplicity-2 component
+    ident: int  # position in the concatenated menus of all components
+    block: Subspace = field(repr=False)
+    swallowed: tuple[str, ...] = ()  # branch classes whose punctures all project into block
+    mirror: int | None = None  # ident of the choice whose block is block's reflection
 
     @property
     def label(self) -> str:
@@ -65,8 +76,13 @@ class CoveringDescriptor:
     character: dict[str, int]
     regular: bool
     choices: tuple[ComponentChoice, ...]
-    mate_key: tuple | None = None
+    mate_key: tuple | None = None  # ident of the mirrored combination, for chirals
     mate_index: int | None = None
+
+    @property
+    def ident(self) -> tuple:
+        """The choice idents of the combination, in component order."""
+        return tuple(ch.ident for ch in self.choices)
 
     @property
     def type_string(self) -> str:
@@ -152,96 +168,139 @@ def _lambda_label(rows, s: int) -> str | None:
     return "(" + ",".join(map(str, lam)) + ")"
 
 
-def component_choices(comp: IsotypicComponent, module: HomologyModule) -> list[ComponentChoice]:
+def _choice_block(comp: IsotypicComponent, rows, module: HomologyModule) -> Subspace:
+    """The submodule picked inside one component by RREF rows over E."""
     p = module.p
-    out = []
-    for k, rows in e_subspaces(comp.multiplicity, comp.endo_degree, p):
-        lam = _lambda_label(rows, comp.endo_degree) if comp.multiplicity == 2 else None
-        out.append(ComponentChoice(comp, k, rows, lam))
-    return out
-
-
-def _choice_matrix(choice: ComponentChoice, module: HomologyModule) -> np.ndarray | None:
-    """Stacked basis rows of the submodule picked inside one component."""
-    if choice.k == 0:
-        return None
-    comp = choice.component
-    p = module.p
+    if not rows:
+        return Subspace.zero(p, module.dim)
     blocks = []
-    for row in choice.rows:
+    for row in rows:
         psi = zeros(comp.hom_basis[0].shape, p)
         for coords, x in zip(row, comp.hom_basis):
             if any(coords):
                 psi = (psi + mat_mul(_coord_matrix(coords, comp.commutant, p), x, p)) % p
         blocks.append(psi)
-    return np.vstack(blocks)
+    return Subspace(np.vstack(blocks), p, module.dim)
+
+
+def component_menus(
+    components: list[IsotypicComponent], module: HomologyModule
+) -> list[list[ComponentChoice]]:
+    """Every choice of every component with its block, checks and flags.
+
+    Everything a covering descriptor needs beyond L is fixed per choice, so
+    it is worked out here once per choice rather than once per submodule.
+    """
+    menus = []
+    idents = itertools.count()
+    for comp in components:
+        menu = []
+        for k, rows in e_subspaces(comp.multiplicity, comp.endo_degree, module.p):
+            lam = _lambda_label(rows, comp.endo_degree) if comp.multiplicity == 2 else None
+            block = _choice_block(comp, rows, module)
+            verify(block.dim == k * comp.irreducible_dim,
+                   f"{comp.label}: a choice of E-rank {k} has dimension {block.dim}")
+            verify(module.invariant_under_group(block), f"{comp.label}: a choice is not invariant")
+            menu.append(ComponentChoice(comp, k, rows, lam, next(idents), block))
+        verify(len({ch.block.key() for ch in menu}) == len(menu),
+               f"{comp.label}: two choices give the same submodule")
+        verify(menu[-1].k == comp.multiplicity and menu[-1].block == comp.subspace,
+               f"{comp.label}: the full choice does not rebuild the component")
+        menus.append(menu)
+    _mark_swallowed(menus, components, module)
+    _pair_mirrors(menus, components, module)
+    return menus
+
+
+def _mark_swallowed(menus, components, module: HomologyModule) -> None:
+    """Record on each choice the branch classes whose punctures all project
+    into its block.  Q is the direct sum of the components, so a puncture lies
+    in L = sum of blocks exactly when each of its projections lies in its
+    block; the projections come from one inverse of the stacked component
+    bases."""
+    p = module.p
+    stacked = np.vstack([comp.subspace.basis for comp in components])
+    coords = mat_mul(module.projection_matrix(), inverse(stacked, p), p)
+    rows_of = {
+        bc: [i for i, (cls, _) in enumerate(module.punctures) if cls == bc]
+        for bc in module.branch_classes
+    }
+    start = 0
+    for comp, menu in zip(components, menus):
+        stop = start + comp.subspace.dim
+        projected = mat_mul(coords[:, start:stop], comp.subspace.basis, p)
+        start = stop
+        for bc, rows in rows_of.items():
+            for ch in menu:
+                residue = reduce_rows(ch.block.basis, ch.block.pivots, projected[rows], p)
+                inside = {not row.any() for row in residue}
+                verify(len(inside) == 1, "branch effectiveness must be constant on an orbit")
+                if inside.pop():
+                    ch.swallowed += (bc,)
+
+
+def _pair_mirrors(menus, components, module: HomologyModule) -> None:
+    """Point each choice at the choice its block is mapped onto by the
+    reflection, which permutes the components.  All zero blocks are equal, so
+    a zero choice goes to the zero choice of its component's mirror."""
+    R = module.reflection_matrix
+    comp_of = {comp.subspace.key(): j for j, comp in enumerate(components)}
+    for comp, menu in zip(components, menus):
+        j = comp_of.get(comp.subspace.image(R).key())
+        verify(j is not None, f"the reflection maps {comp.label} onto no component")
+        targets = {ch.block.key(): ch.ident for ch in menus[j] if ch.k}
+        for ch in menu:
+            if ch.k == 0:
+                ch.mirror = menus[j][0].ident
+                continue
+            ch.mirror = targets.get(ch.block.image(R).key())
+            verify(ch.mirror is not None,
+                   f"the reflection maps a choice of {comp.label} onto no choice "
+                   f"of {components[j].label}")
 
 
 def enumerate_submodules(
     components: list[IsotypicComponent], module: HomologyModule
 ) -> list[tuple[Subspace, tuple[ComponentChoice, ...]]]:
-    """Every G-invariant submodule of Q, with its per-component coordinates."""
-    p = module.p
-    menu = [component_choices(comp, module) for comp in components]
-    blocks_of = [
-        [_choice_matrix(ch, module) for ch in choices] for choices in menu
+    """Every G-invariant submodule of Q, with its per-component coordinates.
+
+    Every block is checked invariant, of the right dimension and distinct
+    within its component, and the components form a direct sum, so every sum
+    of blocks is a distinct submodule of the expected dimension.  The sums are
+    built as a prefix product: each partial sum is merged with each block of
+    the next component once.
+    """
+    menus = component_menus(components, module)
+    # components with the larger blocks go first, so the merges repeated most
+    # often, into the last component, reduce the fewest rows
+    order = sorted(
+        range(len(menus)),
+        key=lambda i: -sum(ch.block.dim for ch in menus[i]) / len(menus[i]),
+    )
+    partial = [(Subspace.zero(module.p, module.dim), ())]
+    for i in order:
+        partial = [(L.add(ch.block), picks + (ch,)) for L, picks in partial for ch in menus[i]]
+    position = {i: n for n, i in enumerate(order)}
+    return [
+        (L, tuple(picks[position[i]] for i in range(len(menus)))) for L, picks in partial
     ]
-
-    # the full choice in every component must rebuild the component exactly
-    for comp, choices, blocks in zip(components, menu, blocks_of):
-        full = Subspace(blocks[-1], p, module.dim)
-        assert choices[-1].k == comp.multiplicity
-        assert full == comp.subspace, comp.labels
-
-    out = []
-    seen = set()
-    for picks in itertools.product(*(range(len(ch)) for ch in menu)):
-        combo = tuple(menu[i][j] for i, j in enumerate(picks))
-        blocks = [b for i, j in enumerate(picks) if (b := blocks_of[i][j]) is not None]
-        if blocks:
-            L = Subspace(np.vstack(blocks), p, module.dim)
-        else:
-            L = Subspace.zero(p, module.dim)
-        expected_dim = sum(ch.k * ch.component.irreducible_dim for ch in combo)
-        assert L.dim == expected_dim
-        assert module.invariant_under_group(L)
-        key = L.key()
-        assert key not in seen, "submodule enumerated twice"
-        seen.add(key)
-        out.append((L, combo))
-    assert len(out) == _expected_count(components, p)
-    return out
-
-
-def _expected_count(components: list[IsotypicComponent], p: int) -> int:
-    total = 1
-    for comp in components:
-        total *= subspace_count(comp.multiplicity, p**comp.endo_degree)
-    return total
 
 
 def describe_covering(
     L: Subspace,
     module: HomologyModule,
-    choices: tuple[ComponentChoice, ...] = (),
+    choices: tuple[ComponentChoice, ...],
 ) -> CoveringDescriptor:
+    """The descriptor of the covering given by L = the sum of the choices'
+    blocks, assembled from the per-choice tables."""
     group = module.group
     p = module.p
     assert L.dim < module.dim, "the full module is not a proper submodule"
 
-    effective = []
-    B = 0
-    for bc in module.branch_classes:
-        rows = [
-            module.puncture_class(i)
-            for i, (cls, _) in enumerate(module.punctures)
-            if cls == bc
-        ]
-        inside = [L.contains(r) for r in rows]
-        assert len(set(inside)) == 1, "branch effectiveness must be constant on an orbit"
-        if not inside[0]:
-            effective.append(bc)
-            B += len(rows)
+    effective = tuple(
+        bc for bc in module.branch_classes if not all(bc in ch.swallowed for ch in choices)
+    )
+    B = sum(len(group.class_perms(bc)[0]) for bc in effective)
 
     c = module.dim - L.dim
     genus = 1 - p**c + (p - 1) * p ** (c - 1) * B // 2
@@ -260,8 +319,9 @@ def describe_covering(
         if rem:
             character[ch.component.label] = rem
 
-    mirrored = L.image(module.reflection_matrix)
-    regular = mirrored == L
+    ident = tuple(ch.ident for ch in choices)
+    mirrored = tuple(sorted(ch.mirror for ch in choices))
+    regular = mirrored == ident
 
     return CoveringDescriptor(
         family=dm.family,
@@ -269,13 +329,13 @@ def describe_covering(
         p=p,
         L=L,
         c=c,
-        effective_branch=tuple(effective),
+        effective_branch=effective,
         cover_type=cover_type,
         genus=genus,
         character=character,
         regular=regular,
         choices=choices,
-        mate_key=None if regular else mirrored.key(),
+        mate_key=None if regular else mirrored,
     )
 
 
@@ -328,14 +388,16 @@ def census(fam: MapFamily | str, branch_classes, p: int) -> Census:
         coverings.append(describe_covering(L, module, combo))
     coverings.sort(key=lambda d: d.sort_key())
 
-    index_of = {d.L.key(): i for i, d in enumerate(coverings)}
+    index_of = {d.ident: i for i, d in enumerate(coverings)}
     for i, d in enumerate(coverings):
         if d.regular:
             continue
-        j = index_of[d.mate_key]
+        j = index_of.get(d.mate_key)
+        verify(j is not None and j != i and coverings[j].mate_key == d.ident,
+               "chirality must be an involution")
         mate = coverings[j]
-        assert j != i and mate.mate_key == d.L.key(), "chirality must be an involution"
-        assert (mate.c, mate.genus, mate.cover_type) == (d.c, d.genus, d.cover_type)
+        verify((mate.c, mate.genus, mate.cover_type) == (d.c, d.genus, d.cover_type),
+               "a chiral pair must share codimension, genus and type")
         d.mate_index = j
 
     return Census(

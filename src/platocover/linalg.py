@@ -139,8 +139,8 @@ def poly_at_matrix(coeffs, mat: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def permutation_orbit_count(perm: np.ndarray) -> int:
-    """Number of cycles of a permutation array, by min-label doubling."""
+def cycle_labels(perm: np.ndarray) -> np.ndarray:
+    """The least point of each point's cycle, by min-label doubling."""
     labels = np.arange(perm.shape[0], dtype=np.int64)
     nxt = perm.astype(np.int64)
     steps = 1
@@ -148,6 +148,12 @@ def permutation_orbit_count(perm: np.ndarray) -> int:
         labels = np.minimum(labels, labels[nxt])
         nxt = nxt[nxt]
         steps *= 2
+    return labels
+
+
+def permutation_orbit_count(perm: np.ndarray) -> int:
+    """Number of cycles of a permutation array."""
+    labels = cycle_labels(perm)
     return int(np.count_nonzero(labels == np.arange(perm.shape[0])))
 
 

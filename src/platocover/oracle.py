@@ -58,11 +58,8 @@ def brute_force_submodules(module: HomologyModule, budget: int = 10**7) -> list[
     group = module.group
     digits = _all_digits(size, dim, p)
     scalar = np.eye(dim, dtype=np.int64) * primitive_root(p)
-    perms = [
-        _linear_permutation(digits, module.matrices[group.gen_x], p),
-        _linear_permutation(digits, module.matrices[group.gen_z], p),
-        _linear_permutation(digits, scalar, p),
-    ]
+    gens = [module.matrices[group.gen_x], module.matrices[group.gen_z]]
+    perms = [_linear_permutation(digits, m, p) for m in (*gens, scalar)]
     reps = np.unique(_orbit_labels(perms))
 
     found: dict[tuple, Subspace] = {}
@@ -71,7 +68,7 @@ def brute_force_submodules(module: HomologyModule, budget: int = 10**7) -> list[
     for r in reps:
         if r == 0:
             continue
-        space = spin(module, digits[r].astype(np.int64))
+        space = spin(module, digits[r].astype(np.int64), gens)
         found.setdefault(space.key(), space)
 
     # close under sums

@@ -1,6 +1,10 @@
 """Command-line behavior: output formats, exit codes, fixture suite."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -128,3 +132,38 @@ def test_fixture_suite_passes(capsys):
     assert code == 0
     assert "19/19 fixtures match" in out
     assert "MISMATCH" not in out
+
+
+# composes the reflection with a swap of two punctures, which then no longer
+# normalizes the rotation group, so the census's mirror lookup must fail
+CORRUPT_REFLECTION = """
+import sys
+from platocover import cli
+from platocover.homology import HomologyModule
+
+reflect = HomologyModule._reflection_permutation
+
+def swapped(self):
+    perm = reflect(self)
+    perm[0], perm[1] = perm[1], perm[0]
+    return perm
+
+HomologyModule._reflection_permutation = swapped
+print("asserts", "on" if __debug__ else "off", file=sys.stderr)
+sys.exit(cli.main(["classify", "--map", "cube", "--prime", "5"]))
+"""
+
+
+@pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
+def test_corrupted_reflection_exits_1(flags, asserts):
+    # the check raises VerificationError itself, so it also holds under -O
+    root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", CORRUPT_REFLECTION],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert f"asserts {asserts}" in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert "internal verification failure" in proc.stderr
+    assert "reflection" in proc.stderr

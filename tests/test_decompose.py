@@ -2,12 +2,16 @@
 
 from fractions import Fraction
 
+import pytest
+
 from platocover.chartab import CharacterTable, QuadValue, table_for_group
 from platocover.decompose import (
     decompose_dihedral,
     decompose_idempotent,
     decompose_module,
+    _verify_decomposition,
 )
+from platocover.errors import VerificationError
 from platocover.homology import Subspace, build_homology, named_submodules
 from platocover.linalg import mat_mul
 from platocover.maps import build_group, build_map, family
@@ -239,3 +243,12 @@ def test_dispatch_picks_backend():
     mod, group = module_for("cube", ["faces"], 7)
     table = table_for_group(group)
     assert profile(decompose_module(mod)) == profile(decompose_idempotent(mod, group, table))
+
+
+def test_overlapping_components_raise_verification_error():
+    # the lattice relies on this check for every sum of blocks, so it must
+    # raise explicitly rather than assert
+    mod, _ = module_for("octahedron", ["faces"], 5)
+    comps = decompose_module(mod)
+    with pytest.raises(VerificationError, match="overlap"):
+        _verify_decomposition(comps + comps[:1], mod)

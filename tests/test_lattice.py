@@ -2,6 +2,8 @@
 
 from collections import Counter
 
+import pytest
+
 from platocover.decompose import decompose_module
 from platocover.homology import build_homology, named_submodules
 from platocover.lattice import (
@@ -285,3 +287,34 @@ def test_mixed_dodecahedral_count_and_asymptotic_ratio():
         ratios[p] = (sizes.pop() - 1) / (2 * p**4)
     assert 1 < ratios[13] < ratios[7] < 2.5
     assert 1 < ratios[19] < ratios[11] < 3
+
+
+@pytest.mark.parametrize(
+    "name, branch, p, total, chiral",
+    [
+        ("tetrahedron", ("vertices", "edges"), 7, 79, 40),  # idempotent backend
+        ("hosohedron:6", ("vertices", "faces"), 5, 31, 0),  # dihedral backend
+    ],
+)
+def test_factored_descriptors_match_direct_reference(name, branch, p, total, chiral):
+    # the branch set, regularity and mate come from per-choice tables; redo
+    # them from L itself
+    c = census(name, branch, p)
+    mod = c.module
+    assert (c.total, c.chiral_count) == (total, chiral)
+    for d in c.coverings:
+        effective = tuple(
+            bc
+            for bc in d.branch_classes
+            if not all(
+                d.L.contains(mod.puncture_class(i))
+                for i, (cls, _) in enumerate(mod.punctures)
+                if cls == bc
+            )
+        )
+        assert d.effective_branch == effective
+        mirrored = d.L.image(mod.reflection_matrix)
+        assert d.regular == (mirrored == d.L)
+        if not d.regular:
+            assert c.coverings[d.mate_index].L == mirrored
+    assert any(d.effective_branch != d.branch_classes for d in c.coverings)
