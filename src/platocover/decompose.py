@@ -12,6 +12,15 @@ Every component is then equipped with a seed irreducible W, its endomorphism
 field E = F_{p^s} (a basis of commuting matrices on W), and an E-basis of
 the equivariant maps W -> Q.  These are the ingredients the submodule
 lattice is enumerated from.
+
+E is the span of the class sums of G restricted to W: the centre of F_pG
+maps onto the centre of End_E(W), which is E (Wedderburn).  The span is
+checked to be a commutative ring of units commuting with the generators,
+and to be all of End_G(W) by the double centralizer count
+dim span{R_g} * s = d^2, which fails for a reducible W.
+
+The consistency checks raise VerificationError, so they hold under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .chartab import CharacterTable, dihedral_generators, match_classes, table_f
 from .errors import verify
 from .gf import coset_orbits, factor_xn_minus_1, poly_mul, sqrt_mod_p
 from .homology import HomologyModule, Subspace
-from .linalg import as_matrix, identity, inverse, left_kernel, mat_mul, poly_at_matrix, zeros
+from .linalg import as_matrix, identity, left_kernel, mat_mul, poly_at_matrix, rref, zeros
 from .maps import GroupData, stabilizer_H
 
 
@@ -128,17 +137,19 @@ def decompose_idempotent(
         comp_space = Subspace(e, p, module.dim)
         mult = expected.get(table.row_names[rows[0]], 0)
         assert all(expected.get(table.row_names[i], 0) == mult for i in rows)
-        assert comp_space.dim == degree * mult, (labels, comp_space.dim, degree, mult)
+        verify(comp_space.dim == degree * mult,
+               f"{'+'.join(labels)}: dimension {comp_space.dim} is not {degree} times {mult}")
         if mult == 0:
             continue
 
-        assert mat_mul(e, e, p).tolist() == e.tolist(), "idempotent is not idempotent"
-        assert module.invariant_under_group(comp_space)
+        verify(mat_mul(e, e, p).tolist() == e.tolist(), f"{'+'.join(labels)}: e is not idempotent")
+        verify(module.invariant_under_group(comp_space), f"{'+'.join(labels)}: not invariant")
         # trace of g on the isotypic equals multiplicity times character value
         for cid, cls in enumerate(group.classes):
             tr = int(np.trace(mat_mul(module.matrices[cls.rep], e, p))) % p
             chi_g = values[col_of[cid]]
-            assert tr == mult * chi_g % p, (labels, cid)
+            verify(tr == mult * chi_g % p, f"{'+'.join(labels)}: trace on class {cid} "
+                   "is not the multiplicity times the character")
 
         components.append(
             IsotypicComponent(
@@ -154,10 +165,11 @@ def decompose_idempotent(
     total = zeros((module.dim, module.dim), p)
     for e in idempotents:
         total = (total + e) % p
-    assert total.tolist() == identity(module.dim, p).tolist(), "idempotents do not sum to 1"
+    verify(total.tolist() == identity(module.dim, p).tolist(), "the idempotents do not sum to 1")
     for i in range(len(idempotents)):
         for j in range(i + 1, len(idempotents)):
-            assert not mat_mul(idempotents[i], idempotents[j], p).any()
+            verify(not mat_mul(idempotents[i], idempotents[j], p).any(),
+                   "two idempotents are not orthogonal")
 
     for comp in components:
         _endo_and_hom(comp, module, group, table, matching)
@@ -231,7 +243,7 @@ def decompose_dihedral(module: HomologyModule, group: GroupData, n: int) -> list
     for comp in components:
         for lab in comp.labels:
             seen[lab] = seen.get(lab, 0) + comp.multiplicity
-    assert seen == expected, (seen, expected)
+    verify(seen == expected, f"kernel multiplicities {seen} differ from the character's {expected}")
 
     for comp in components:
         _endo_and_hom_dihedral(comp, module, group, n, factor_of)
@@ -270,37 +282,47 @@ def _restrictions(space: Subspace, module: HomologyModule, elements) -> list[np.
     for g in elements:
         moved = mat_mul(space.basis, module.matrices[g], module.p)
         r = moved[:, list(space.pivots)]
-        assert mat_mul(r, space.basis, module.p).tolist() == moved.tolist()
+        verify(mat_mul(r, space.basis, module.p).tolist() == moved.tolist(),
+               "the seed is not invariant")
         out.append(r)
     return out
 
 
-def _commutant(restrictions, p: int) -> list[np.ndarray]:
-    """Basis of {T : T R_g = R_g T for all g}, with the identity first."""
-    d = restrictions[0].shape[0]
-    blocks = []
-    for r in restrictions:
-        m = np.kron(identity(d, p), r.T) - np.kron(r, identity(d, p))
-        blocks.append(m % p)
-    system = np.vstack(blocks)
-    sols = left_kernel(system.T, p)
-    ident_vec = identity(d, p).reshape(-1)
-    stacked = np.vstack([ident_vec.reshape(1, -1), sols])
-    space = Subspace(stacked, p, d * d)
-    assert space.dim == sols.shape[0], "identity must lie in the commutant"
-    basis = [identity(d, p)]
-    tracker = Subspace(ident_vec, p, d * d)
-    for row in sols:
-        if tracker.contains(row):
-            continue
-        tracker = tracker.add(Subspace(row, p, d * d))
-        basis.append(row.reshape(d, d))
-    assert len(basis) == sols.shape[0]
+def _endo_field(seed: Subspace, module: HomologyModule, group: GroupData) -> list[np.ndarray]:
+    """Basis of E = End_G(W) for the irreducible seed W, identity first.
+
+    The centre of F_pG maps onto the centre of its image End_E(W), which is
+    E, so E is spanned by the class sums restricted to W.  That span is
+    checked to be a field (commutative, nonzero basis elements invertible)
+    and all of the commutant: with A = span{R_g}, the double centralizer
+    theorem gives dim A * s = d^2 exactly when W is irreducible, which also
+    rejects a reducible seed such as U+U."""
+    p = module.p
+    d = seed.dim
+    _restrictions(seed, module, (group.gen_x, group.gen_z))
+    # invariant under the generators, so under G: R_g is the pivot columns of B A_g
+    cols = list(seed.pivots)
+    restr = [mat_mul(seed.basis, a[:, cols], p) for a in module.matrices]
+    sums = [identity(d, p)] + [sum(restr[g] for g in cls.members) % p for cls in group.classes]
+    _, independent = rref(np.vstack([t.reshape(1, -1) for t in sums]).T, p)
+    basis = [sums[i] for i in independent]
+    s = len(basis)
+
+    verify(independent[0] == 0, "the identity must come first in the endomorphism basis")
     for t in basis:
         for u in basis:
-            assert mat_mul(t, u, p).tolist() == mat_mul(u, t, p).tolist(), "endo ring not commutative"
-    for t in basis[1:]:
-        inverse(t, p)  # raises if singular: nonzero endomorphisms are units
+            verify(mat_mul(t, u, p).tolist() == mat_mul(u, t, p).tolist(),
+                   "the endomorphism ring is not commutative")
+    verify(all(rref(t, p)[1] == list(range(d)) for t in basis[1:]),
+           "a nonzero endomorphism is not invertible")
+    for g in (group.gen_x, group.gen_z):
+        r = restr[g]
+        verify(all(mat_mul(t, r, p).tolist() == mat_mul(r, t, p).tolist() for t in basis),
+               "a class sum does not commute with the group")
+    image = Subspace(np.vstack([r.reshape(1, -1) for r in restr]), p, d * d)
+    verify(image.dim * s == d * d,
+           f"the seed is not irreducible: rank {image.dim} of the group image, "
+           f"field degree {s}, dimension {d}")
     return basis
 
 
@@ -332,7 +354,8 @@ def _e_basis_of_hom(sols, commutant, comp, module) -> list[np.ndarray]:
         basis.append(x)
         images = [mat_mul(t, x, p).reshape(-1) for t in commutant]
         tracker = tracker.add(Subspace(as_matrix(images, p), p, d * N))
-    assert len(basis) * len(commutant) == sols.shape[0]
+    verify(len(basis) * len(commutant) == sols.shape[0],
+           f"{comp.label}: the hom space is not free over the endomorphism field")
     return basis
 
 
@@ -340,17 +363,20 @@ def _finish_component(comp, module, group, seed: Subspace) -> None:
     p = module.p
     gens = [group.gen_x, group.gen_z]
     comp.seed = seed
+    verify(comp.subspace.contains_space(seed), f"{comp.label}: the seed leaves the component")
     restr = _restrictions(seed, module, gens)
-    comp.commutant = _commutant(restr, p)
+    comp.commutant = _endo_field(seed, module, group)
     comp.endo_degree = len(comp.commutant)
 
     if comp.multiplicity == 1 and seed == comp.subspace:
         comp.hom_basis = [seed.basis]
     else:
         sols = _hom_space(restr, module, gens)
-        assert sols.shape[0] == comp.multiplicity * comp.endo_degree
+        verify(sols.shape[0] == comp.multiplicity * comp.endo_degree,
+               f"{comp.label}: the hom space has the wrong dimension")
         comp.hom_basis = _e_basis_of_hom(sols, comp.commutant, comp, module)
-        assert len(comp.hom_basis) == comp.multiplicity
+        verify(len(comp.hom_basis) == comp.multiplicity,
+               f"{comp.label}: the hom basis has the wrong length")
 
     if comp.multiplicity == 2 and module.central_matrix is not None:
         x1 = comp.hom_basis[0]
@@ -362,10 +388,10 @@ def _finish_component(comp, module, group, seed: Subspace) -> None:
 
     for x in comp.hom_basis:
         for r, g in zip(restr, gens):
-            lhs = mat_mul(r, x, p)
-            rhs = mat_mul(x, module.matrices[g], p)
-            assert lhs.tolist() == rhs.tolist()
-        assert comp.subspace.contains_space(Subspace(x, p, module.dim))
+            verify(mat_mul(r, x, p).tolist() == mat_mul(x, module.matrices[g], p).tolist(),
+                   f"{comp.label}: a hom basis map is not equivariant")
+        verify(comp.subspace.contains_space(Subspace(x, p, module.dim)),
+               f"{comp.label}: a hom basis map leaves the component")
 
 
 def _endo_and_hom(comp, module, group, table, matching) -> None:
@@ -468,14 +494,13 @@ def _endo_and_hom_dihedral(comp, module, group, n, factor_of) -> None:
     # endo degree: e for a pair of Frobenius orbits, e/2 for a self-paired
     # one, 1 for the eigenvalue components
     if comp.irreducible_dim == 1:
-        assert comp.endo_degree == 1
+        expected = 1
     else:
         gammas = [g for g in factor_of if set(g) <= set(_delta_of(comp, n))]
         e = len(gammas[0])
-        if len(gammas) == 2:
-            assert comp.endo_degree == e
-        else:
-            assert comp.endo_degree == e // 2
+        expected = e if len(gammas) == 2 else e // 2
+    verify(comp.endo_degree == expected,
+           f"{comp.label}: endomorphism degree {comp.endo_degree}, expected {expected}")
 
 
 def _delta_of(comp, n: int):
@@ -515,5 +540,5 @@ def _find_seed_dihedral(comp, module, group, n, factor_of) -> Subspace:
         assert sym.any()
         w = spin(module, sym, [A])
         assert w.image(B) == w
-    assert w.dim == comp.irreducible_dim
+    verify(w.dim == comp.irreducible_dim, f"{comp.label}: the seed has the wrong dimension")
     return w

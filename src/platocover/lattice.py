@@ -129,7 +129,9 @@ def e_subspaces(m: int, s: int, p: int):
         # only the zero subspace and the full line; no field enumeration,
         # which matters when E is large
         return [(0, ()), (1, ((one,),))]
-    assert q <= _FIELD_CAP, "endomorphism field too large to enumerate"
+    if q > _FIELD_CAP:
+        raise ValueError(f"endomorphism field of {p}^{s} = {q} elements exceeds the "
+                         f"enumeration cap of {_FIELD_CAP}")
     elements = _field_elements(s, p)
     out = [(0, ())]
     for k in range(1, m + 1):

@@ -157,14 +157,19 @@ def permutation_orbit_count(perm: np.ndarray) -> int:
     return int(np.count_nonzero(labels == np.arange(perm.shape[0])))
 
 
+def orbit_labels(perms) -> np.ndarray:
+    """The least point of each point's orbit under the group generated by
+    the given permutation arrays."""
+    labels = np.arange(perms[0].shape[0], dtype=np.int64)
+    while True:
+        relabeled = labels
+        for perm in perms:
+            relabeled = np.minimum(relabeled, relabeled[perm])
+        if np.array_equal(relabeled, labels):
+            return labels
+        labels = relabeled
+
+
 def joint_orbit_count(perm_a: np.ndarray, perm_b: np.ndarray) -> int:
     """Number of orbits of the group generated by two permutations."""
-    labels = np.arange(perm_a.shape[0], dtype=np.int64)
-    a = perm_a.astype(np.int64)
-    b = perm_b.astype(np.int64)
-    while True:
-        relabeled = np.minimum(labels, labels[a])
-        relabeled = np.minimum(relabeled, relabeled[b])
-        if np.array_equal(relabeled, labels):
-            return int(np.unique(labels).size)
-        labels = relabeled
+    return int(np.unique(orbit_labels([perm_a, perm_b])).size)

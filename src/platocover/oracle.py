@@ -15,6 +15,7 @@ import numpy as np
 from .decompose import spin
 from .gf import primitive_root
 from .homology import HomologyModule, Subspace
+from .linalg import orbit_labels
 
 _CHUNK = 1 << 18
 
@@ -38,17 +39,6 @@ def _linear_permutation(digits: np.ndarray, matrix: np.ndarray, p: int) -> np.nd
     return out
 
 
-def _orbit_labels(perms: list[np.ndarray]) -> np.ndarray:
-    labels = np.arange(perms[0].shape[0], dtype=np.int64)
-    while True:
-        relabeled = labels
-        for perm in perms:
-            relabeled = np.minimum(relabeled, relabeled[perm])
-        if np.array_equal(relabeled, labels):
-            return labels
-        labels = relabeled
-
-
 def brute_force_submodules(module: HomologyModule, budget: int = 10**7) -> list[Subspace]:
     p, dim = module.p, module.dim
     size = p**dim
@@ -60,7 +50,7 @@ def brute_force_submodules(module: HomologyModule, budget: int = 10**7) -> list[
     scalar = np.eye(dim, dtype=np.int64) * primitive_root(p)
     gens = [module.matrices[group.gen_x], module.matrices[group.gen_z]]
     perms = [_linear_permutation(digits, m, p) for m in (*gens, scalar)]
-    reps = np.unique(_orbit_labels(perms))
+    reps = np.unique(orbit_labels(perms))
 
     found: dict[tuple, Subspace] = {}
     zero = Subspace.zero(p, dim)

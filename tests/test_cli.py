@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from platocover import cli
 from platocover.lattice import census
+from platocover.linalg import dtype_for
 
 
 def run(argv, capsys):
@@ -167,3 +169,32 @@ def test_corrupted_reflection_exits_1(flags, asserts):
     assert proc.returncode == 1, proc.stderr
     assert "internal verification failure" in proc.stderr
     assert "reflection" in proc.stderr
+
+
+def test_exact_object_dtype_census(capsys):
+    # p^2 overflows int64 here, so every matrix holds Python ints
+    p = 2**31 - 1
+    assert dtype_for(p) is object
+    code, out, _ = run(["cyclotomic", "--n", "7", "--prime", str(p)], capsys)
+    assert code == 0
+    assert out.strip().endswith("nu = 3, coverings = 7")
+    for family, total in [("tetrahedron", 1), ("hosohedron:7", 7)]:
+        code, out, _ = run(["classify", "--map", family, "--prime", str(p)], capsys)
+        assert code == 0
+        assert out.strip().splitlines()[-1].startswith(f"{total} coverings, {total} regular")
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_field_over_enumeration_cap_exits_2(flags):
+    # chi4 has multiplicity 2 over F_p, so its menu would list p + 3 choices
+    root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    argv = ["classify", "--map", "icosahedron", "--branch", "faces", "--prime", "1000003"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "platocover.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2, proc.stderr
+    assert "1000003^1" in proc.stderr and "16384" in proc.stderr

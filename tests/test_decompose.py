@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from platocover.chartab import CharacterTable, QuadValue, table_for_group
@@ -9,11 +10,13 @@ from platocover.decompose import (
     decompose_dihedral,
     decompose_idempotent,
     decompose_module,
+    _endo_field,
+    _restrictions,
     _verify_decomposition,
 )
 from platocover.errors import VerificationError
 from platocover.homology import Subspace, build_homology, named_submodules
-from platocover.linalg import mat_mul
+from platocover.linalg import identity, left_kernel, mat_mul
 from platocover.maps import build_group, build_map, family
 
 
@@ -252,3 +255,42 @@ def test_overlapping_components_raise_verification_error():
     comps = decompose_module(mod)
     with pytest.raises(VerificationError, match="overlap"):
         _verify_decomposition(comps + comps[:1], mod)
+
+
+def _kronecker_commutant(restrictions, p):
+    """Reference: every T with T R = R T for the given R, by solving the
+    d^2-unknown linear system (I kron R^T - R kron I) vec(T) = 0."""
+    d = restrictions[0].shape[0]
+    blocks = [(np.kron(identity(d, p), r.T) - np.kron(r, identity(d, p))) % p
+              for r in restrictions]
+    return Subspace(left_kernel(np.vstack(blocks).T, p), p, d * d)
+
+
+@pytest.mark.parametrize("tag, param, branch, p, merged", [
+    ("icosahedron", None, ["faces"], 7, "chi2+chi3"),
+    ("hosohedron", 5, ["vertices", "edges", "faces"], 3, "xi1+xi2"),
+    ("hosohedron", 13, ["faces"], 5, "xi1+xi5"),
+    ("dodecahedron", None, ["vertices", "faces"], 7, "chi2+chi3"),
+])
+def test_endo_field_spans_the_whole_commutant(tag, param, branch, p, merged):
+    mod, group = module_for(tag, branch, p, param)
+    comps = by_label(decompose_module(mod))
+    assert comps[merged].endo_degree == 2
+    for c in comps.values():
+        d = c.seed.dim
+        basis = _endo_field(c.seed, mod, group)
+        assert basis[0].tolist() == identity(d, p).tolist()
+        span = Subspace(np.vstack([t.reshape(1, -1) for t in basis]), p, d * d)
+        assert span.dim == len(basis) == c.endo_degree
+        gens = _restrictions(c.seed, mod, [group.gen_x, group.gen_z])
+        assert span == _kronecker_commutant(gens, p), c.label
+
+
+def test_reducible_seed_raises_verification_error():
+    # the component U+U is invariant, and its class sums still form the
+    # field F_49, so only the double centralizer count rejects it
+    mod, group = module_for("dodecahedron", ["vertices", "faces"], 7)
+    c = by_label(decompose_module(mod))["chi2+chi3"]
+    assert c.multiplicity == 2 and c.endo_degree == 2
+    with pytest.raises(VerificationError, match="not irreducible"):
+        _endo_field(c.subspace, mod, group)
