@@ -46,9 +46,10 @@ def main() -> None:
         payload = census_payload(cen)
         got = (payload["summary"]["total"], payload["summary"]["regular"],
                payload["summary"]["chiral"])
-        assert got == counts, (name, got, counts)
-        if dims is not None:
-            assert payload["summary"]["dims"] == dims, (name, payload["summary"]["dims"])
+        if got != counts:
+            sys.exit(f"{name}: (total, regular, chiral) is {got}, expected {counts}")
+        if dims is not None and payload["summary"]["dims"] != dims:
+            sys.exit(f"{name}: dims are {payload['summary']['dims']}, expected {dims}")
         fixture = {"args": {"map": map_name, "branch": branch, "prime": p},
                    "expected": payload}
         path = OUT / f"{name}.json"

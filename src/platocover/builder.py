@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import verify
 from .homology import HomologyModule, Subspace
 from .linalg import cycle_labels, joint_orbit_count, permutation_orbit_count, reduce_rows, rref, zeros
 from .maps import DartMap
@@ -105,7 +106,7 @@ def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
     # one is forced because the monodromies sum to zero
     aug = np.concatenate([rows, rhs], axis=1)
     reduced, pivots = rref(aug, p)
-    assert pivots == list(range(len(cotree))), "voltage system must be uniquely solvable"
+    verify(pivots == list(range(len(cotree))), "voltage system must be uniquely solvable")
     solution = reduced[:, len(cotree):]
 
     beta = zeros((dm.n_darts, c), p)
@@ -118,7 +119,7 @@ def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
         total = zeros((c,), p)
         for d in _face_boundary(dm, f):
             total = (total + beta[d]) % p
-        assert total.tolist() == rhs[f].tolist(), f
+        verify(total.tolist() == rhs[f].tolist(), f"voltages around face {f} miss its monodromy")
 
     return VoltageAssignment(dart_map=dm, p=p, c=c, beta=beta, monodromy=rhs)
 
@@ -155,7 +156,7 @@ def derived_permutations(va: VoltageAssignment):
 
 def euler_verify(va: VoltageAssignment, budget: int = 10**6):
     """(V', E', F', genus) of the derived map, with the covering counts and
-    branching orders asserted along the way."""
+    branching orders verified along the way."""
     dm = va.dart_map
     p, c = va.p, va.c
     size = p**c
@@ -172,12 +173,12 @@ def euler_verify(va: VoltageAssignment, budget: int = 10**6):
     uniq, lengths = np.unique(face_labels, return_counts=True)
     f_count = int(uniq.size)
 
-    assert v_count == dm.V * size
-    assert e_count == dm.E * size
-    assert f_count * p == dm.F * size, "face fibres must merge in groups of p"
-    assert all(int(n) == dm.n * p for n in lengths), "every derived face has length n*p"
-    assert joint_orbit_count(sigma_big, alpha_big) == 1, "derived map must be connected"
+    verify(v_count == dm.V * size, f"derived map has {v_count} vertices, not {dm.V * size}")
+    verify(e_count == dm.E * size, f"derived map has {e_count} edges, not {dm.E * size}")
+    verify(f_count * p == dm.F * size, "face fibres must merge in groups of p")
+    verify(all(int(n) == dm.n * p for n in lengths), "every derived face has length n*p")
+    verify(joint_orbit_count(sigma_big, alpha_big) == 1, "derived map must be connected")
 
     euler = v_count - e_count + f_count
-    assert euler % 2 == 0 and euler <= 2
+    verify(euler % 2 == 0 and euler <= 2, f"derived map has Euler characteristic {euler}")
     return v_count, e_count, f_count, (2 - euler) // 2

@@ -155,9 +155,6 @@ class CharacterTable:
         assert deg is not None and deg > 0
         return deg
 
-    def row_index(self, name: str) -> int:
-        return self.row_names.index(name)
-
 
 _OMEGA = QuadValue(Fraction(-1, 2), Fraction(1, 2), -3)
 _OMEGA_BAR = _OMEGA.galois()

@@ -9,6 +9,7 @@ import sys
 from importlib import resources
 
 from .builder import euler_verify, solve_voltages
+from .errors import verify
 from .gf import coset_orbits, factor_xn_minus_1, is_prime, poly_str
 from .homology import Subspace
 from .lattice import Census, census
@@ -131,7 +132,7 @@ def _euler_cross_check(cen: Census, budget: int = 10**6) -> str:
             continue
         va = solve_voltages(cen.module, d.L)
         _, _, _, genus = euler_verify(va, budget=budget)
-        assert genus == d.genus, f"euler genus {genus} != census genus {d.genus}"
+        verify(genus == d.genus, f"euler genus {genus} != census genus {d.genus}")
         checked += 1
     return f"euler cross-check: {checked} verified, {skipped} skipped (dart budget)"
 
@@ -142,7 +143,7 @@ def _oracle_cross_check(cen: Census) -> str:
     expected.add(Subspace.full(cen.p, cen.module.dim).key())
     expected.add(Subspace.zero(cen.p, cen.module.dim).key())
     got = {s.key() for s in spaces}
-    assert got == expected, "brute force disagrees with the lattice enumeration"
+    verify(got == expected, "brute force disagrees with the lattice enumeration")
     return f"oracle cross-check: {len(spaces)} submodules confirmed"
 
 

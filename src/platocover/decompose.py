@@ -1,6 +1,6 @@
 """Isotypic decomposition of the homology module.
 
-Two backends produce the same component data.  For A4, S4 and A5 the central
+Two backends split Q into labelled components.  For A4, S4 and A5 the central
 idempotents of the group algebra are reduced mod p, with algebraically
 conjugate character pairs merged into one rational idempotent when the
 relevant square root is missing from F_p.  For dihedral groups the module is
@@ -8,10 +8,23 @@ split as kernels of the factors of x^n - 1 evaluated at the rotation
 generator, with the two one-dimensional eigenvalue orbits refined by the
 flip generator.
 
-Every component is then equipped with a seed irreducible W, its endomorphism
-field E = F_{p^s} (a basis of commuting matrices on W), and an E-basis of
-the equivariant maps W -> Q.  These are the ingredients the submodule
-lattice is enumerated from.
+Both backends end in one shared tail.  It checks that Q is the direct sum of
+the components, stores on each component the projection of every puncture
+class (``comp.punctures``, from one inverse of the stacked component bases;
+the lattice reads them to tell which branch classes a block swallows), and
+equips each component with a seed irreducible W, its endomorphism field
+E = F_{p^s} (a basis of commuting matrices on W), and an E-basis of the
+equivariant maps W -> Q.  These are the ingredients the submodule lattice is
+enumerated from.
+
+The seed search is the same for every group.  Q is a quotient of the
+permutation modules on the branch points, so the projection of a puncture
+with stabilizer H spins to a quotient of Ind_H^G 1, which is a single
+irreducible copy whenever the character has multiplicity one there.  The
+search spins the projection of the first puncture of each branch class, then
+the projected sums over the blocks of each minimal block system (the
+punctures of a coarser permutation module), and takes the first spin of the
+irreducible dimension.
 
 E is the span of the class sums of G restricted to W: the centre of F_pG
 maps onto the centre of End_E(W), which is E (Wedderburn).  The span is
@@ -31,11 +44,11 @@ import numpy as np
 
 from . import chartab
 from .chartab import CharacterTable, dihedral_generators, match_classes, table_for_group
-from .errors import verify
+from .errors import VerificationError, verify
 from .gf import coset_orbits, factor_xn_minus_1, poly_mul, sqrt_mod_p
 from .homology import HomologyModule, Subspace
-from .linalg import as_matrix, identity, left_kernel, mat_mul, poly_at_matrix, rref, zeros
-from .maps import GroupData, stabilizer_H
+from .linalg import as_matrix, identity, inverse, left_kernel, mat_mul, poly_at_matrix, rref, zeros
+from .maps import GroupData
 
 
 @dataclass
@@ -44,11 +57,13 @@ class IsotypicComponent:
     subspace: Subspace
     irreducible_dim: int
     multiplicity: int
-    endo_degree: int = 0
+    endo_degree: int = 0  # set by a backend that knows it in advance, then checked
     seed: Subspace | None = None
     hom_basis: list = field(default_factory=list)
     commutant: list = field(default_factory=list)
     projector: np.ndarray | None = None
+    # row i is the projection of puncture class i into the component
+    punctures: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def label(self) -> str:
@@ -171,10 +186,7 @@ def decompose_idempotent(
             verify(not mat_mul(idempotents[i], idempotents[j], p).any(),
                    "two idempotents are not orthogonal")
 
-    for comp in components:
-        _endo_and_hom(comp, module, group, table, matching)
-    _verify_decomposition(components, module)
-    return components
+    return _finish_decomposition(components, module)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +232,7 @@ def decompose_dihedral(module: HomologyModule, group: GroupData, n: int) -> list
                         subspace=part,
                         irreducible_dim=1,
                         multiplicity=part.dim,
+                        endo_degree=1,
                     )
                 )
         else:
@@ -227,12 +240,16 @@ def decompose_dihedral(module: HomologyModule, group: GroupData, n: int) -> list
             labels = tuple(f"xi{k}" for k in ks)
             d = delta.size
             assert space.dim % d == 0
+            # E is F_{p^e} for a pair of Frobenius orbits of size e, and
+            # F_{p^(e/2)} for a self-paired one
+            e = len(gammas[0])
             components.append(
                 IsotypicComponent(
                     labels=labels,
                     subspace=space,
                     irreducible_dim=d,
                     multiplicity=space.dim // d,
+                    endo_degree=e if len(gammas) == 2 else e // 2,
                 )
             )
 
@@ -245,10 +262,7 @@ def decompose_dihedral(module: HomologyModule, group: GroupData, n: int) -> list
             seen[lab] = seen.get(lab, 0) + comp.multiplicity
     verify(seen == expected, f"kernel multiplicities {seen} differ from the character's {expected}")
 
-    for comp in components:
-        _endo_and_hom_dihedral(comp, module, group, n, factor_of)
-    _verify_decomposition(components, module)
-    return components
+    return _finish_decomposition(components, module)
 
 
 def decompose_module(module: HomologyModule) -> list[IsotypicComponent]:
@@ -273,23 +287,45 @@ def _verify_decomposition(components: list[IsotypicComponent], module: HomologyM
     verify(total.dim == module.dim, "the components do not span Q")
 
 
+def _finish_decomposition(
+    components: list[IsotypicComponent], module: HomologyModule
+) -> list[IsotypicComponent]:
+    """The tail both backends share once Q is split into labelled components:
+    check the direct sum, store each component's puncture projections, and
+    equip each component with its seed, endomorphism field and hom basis."""
+    _verify_decomposition(components, module)
+    p = module.p
+    stacked = np.vstack([comp.subspace.basis for comp in components])
+    coords = mat_mul(module.projection_matrix(), inverse(stacked, p), p)
+    start = 0
+    for comp in components:
+        stop = start + comp.subspace.dim
+        comp.punctures = mat_mul(coords[:, start:stop], comp.subspace.basis, p)
+        start = stop
+        _finish_component(comp, module, _find_seed(comp, module))
+    return components
+
+
 # ---------------------------------------------------------------------------
 # seeds, endomorphism fields, hom spaces
 
-def _restrictions(space: Subspace, module: HomologyModule, elements) -> list[np.ndarray]:
-    """Matrices R_g with B A_g = R_g B for the subspace basis B."""
-    out = []
-    for g in elements:
-        moved = mat_mul(space.basis, module.matrices[g], module.p)
-        r = moved[:, list(space.pivots)]
-        verify(mat_mul(r, space.basis, module.p).tolist() == moved.tolist(),
+def _restrictions(space: Subspace, module: HomologyModule) -> list[np.ndarray]:
+    """Matrices R_g with B A_g = R_g B for the subspace basis B, one per group
+    element.  B is in RREF, so R_g is the pivot columns of B A_g once the
+    space is checked invariant under the generators, hence under G."""
+    p = module.p
+    cols = list(space.pivots)
+    restr = [mat_mul(space.basis, a[:, cols], p) for a in module.matrices]
+    for g in (module.group.gen_x, module.group.gen_z):
+        moved = mat_mul(space.basis, module.matrices[g], p)
+        verify(mat_mul(restr[g], space.basis, p).tolist() == moved.tolist(),
                "the seed is not invariant")
-        out.append(r)
-    return out
+    return restr
 
 
-def _endo_field(seed: Subspace, module: HomologyModule, group: GroupData) -> list[np.ndarray]:
-    """Basis of E = End_G(W) for the irreducible seed W, identity first.
+def _endo_field(restr, group: GroupData, p: int) -> list[np.ndarray]:
+    """Basis of E = End_G(W) for the irreducible seed W, identity first, from
+    the restrictions R_g of every group element to W.
 
     The centre of F_pG maps onto the centre of its image End_E(W), which is
     E, so E is spanned by the class sums restricted to W.  That span is
@@ -297,12 +333,7 @@ def _endo_field(seed: Subspace, module: HomologyModule, group: GroupData) -> lis
     and all of the commutant: with A = span{R_g}, the double centralizer
     theorem gives dim A * s = d^2 exactly when W is irreducible, which also
     rejects a reducible seed such as U+U."""
-    p = module.p
-    d = seed.dim
-    _restrictions(seed, module, (group.gen_x, group.gen_z))
-    # invariant under the generators, so under G: R_g is the pivot columns of B A_g
-    cols = list(seed.pivots)
-    restr = [mat_mul(seed.basis, a[:, cols], p) for a in module.matrices]
+    d = restr[0].shape[0]
     sums = [identity(d, p)] + [sum(restr[g] for g in cls.members) % p for cls in group.classes]
     _, independent = rref(np.vstack([t.reshape(1, -1) for t in sums]).T, p)
     basis = [sums[i] for i in independent]
@@ -359,19 +390,23 @@ def _e_basis_of_hom(sols, commutant, comp, module) -> list[np.ndarray]:
     return basis
 
 
-def _finish_component(comp, module, group, seed: Subspace) -> None:
+def _finish_component(comp: IsotypicComponent, module: HomologyModule, seed: Subspace) -> None:
     p = module.p
+    group = module.group
     gens = [group.gen_x, group.gen_z]
     comp.seed = seed
     verify(comp.subspace.contains_space(seed), f"{comp.label}: the seed leaves the component")
-    restr = _restrictions(seed, module, gens)
-    comp.commutant = _endo_field(seed, module, group)
+    restr = _restrictions(seed, module)
+    comp.commutant = _endo_field(restr, group, p)
+    verify(comp.endo_degree in (0, len(comp.commutant)),
+           f"{comp.label}: endomorphism degree {len(comp.commutant)}, expected {comp.endo_degree}")
     comp.endo_degree = len(comp.commutant)
+    gen_restr = [restr[g] for g in gens]
 
     if comp.multiplicity == 1 and seed == comp.subspace:
         comp.hom_basis = [seed.basis]
     else:
-        sols = _hom_space(restr, module, gens)
+        sols = _hom_space(gen_restr, module, gens)
         verify(sols.shape[0] == comp.multiplicity * comp.endo_degree,
                f"{comp.label}: the hom space has the wrong dimension")
         comp.hom_basis = _e_basis_of_hom(sols, comp.commutant, comp, module)
@@ -387,80 +422,52 @@ def _finish_component(comp, module, group, seed: Subspace) -> None:
             comp.hom_basis = [x1, partner]
 
     for x in comp.hom_basis:
-        for r, g in zip(restr, gens):
+        for r, g in zip(gen_restr, gens):
             verify(mat_mul(r, x, p).tolist() == mat_mul(x, module.matrices[g], p).tolist(),
                    f"{comp.label}: a hom basis map is not equivariant")
         verify(comp.subspace.contains_space(Subspace(x, p, module.dim)),
                f"{comp.label}: a hom basis map leaves the component")
 
 
-def _endo_and_hom(comp, module, group, table, matching) -> None:
-    seed = _find_seed_idempotent(comp, module, group, table, matching)
-    _finish_component(comp, module, group, seed)
-
-
-def _find_seed_idempotent(comp, module, group, table, matching) -> Subspace:
+def _find_seed(comp: IsotypicComponent, module: HomologyModule) -> Subspace:
+    """An irreducible copy inside the component: the first candidate from
+    _seed_vectors that spins to the irreducible dimension."""
     p = module.p
     if comp.multiplicity == 1:
         return comp.subspace
     if comp.irreducible_dim == 1:
         # scalar action on the whole isotypic: any vector spans a copy
         return Subspace(comp.subspace.basis[:1], p, module.dim)
-    gen_mats = [module.matrices[group.gen_x], module.matrices[group.gen_z]]
-
-    # a branch class carrying the character with multiplicity one embeds its
-    # own isotypic part as a single irreducible
-    for bc in module.branch_classes:
-        H = stabilizer_H(group, bc)
-        mults = {
-            table.row_names[r]: chartab.multiplicity_by_H_average(table, r, H, group, matching)
-            for r in range(len(table.rows))
-        }
-        if all(mults.get(lab, 0) == 1 for lab in comp.labels):
-            rows = [
-                module.puncture_class(i)
-                for i, (cls, _) in enumerate(module.punctures)
-                if cls == bc
-            ]
-            block_image = Subspace(as_matrix(rows, p), p, module.dim)
-            w = comp.subspace.intersect(block_image)
+    group = module.group
+    gens = [module.matrices[group.gen_x], module.matrices[group.gen_z]]
+    for v in _seed_vectors(comp, module):
+        if v.any():
+            w = spin(module, v, gens)
             if w.dim == comp.irreducible_dim:
                 return w
+    raise VerificationError(f"{comp.label}: no puncture projection spins to an irreducible copy")
 
-    # sums over a block system project into one irreducible
-    for bc in module.branch_classes:
-        count = len(group.class_perms(bc)[0])
-        offset = module.punctures.index((bc, 0))
-        gens = [group.class_perms(bc)[group.gen_x], group.class_perms(bc)[group.gen_z]]
+
+def _seed_vectors(comp: IsotypicComponent, module: HomologyModule):
+    """The projection of the first puncture of each branch class, then the
+    projected sums over the blocks of each minimal block system."""
+    group = module.group
+    offsets = [module.punctures.index((bc, 0)) for bc in module.branch_classes]
+    for offset in offsets:
+        yield comp.punctures[offset]
+    for bc, offset in zip(module.branch_classes, offsets):
+        perms = group.class_perms(bc)
+        count = len(perms[0])
+        gens = [perms[group.gen_x], perms[group.gen_z]]
         seen = set()
         for other in range(1, count):
             blocks = _minimal_blocks(gens, count, 0, other)
-            key = tuple(sorted(map(tuple, blocks)))
+            key = tuple(sorted(blocks))
             if key in seen or len(blocks) == 1:
                 continue
             seen.add(key)
             for block in blocks:
-                total = zeros((module.dim,), p)
-                for i in block:
-                    total = (total + module.puncture_class(offset + i)) % p
-                projected = mat_mul(total.reshape(1, -1), comp.projector, p)
-                if not projected.any():
-                    continue
-                w = spin(module, projected, gen_mats)
-                if w.dim == comp.irreducible_dim:
-                    return w
-
-    # last resort: projections of standard basis vectors
-    for i in range(module.dim):
-        v = zeros((1, module.dim), p)
-        v[0, i] = 1
-        projected = mat_mul(v, comp.projector, p)
-        if not projected.any():
-            continue
-        w = spin(module, projected, gen_mats)
-        if w.dim == comp.irreducible_dim:
-            return w
-    raise AssertionError(f"no irreducible seed found for {comp.labels}")
+                yield comp.punctures[[offset + i for i in block]].sum(axis=0) % module.p
 
 
 def _minimal_blocks(gens, count: int, i: int, j: int) -> list[tuple[int, ...]]:
@@ -486,59 +493,3 @@ def _minimal_blocks(gens, count: int, i: int, j: int) -> list[tuple[int, ...]]:
     for x in range(count):
         classes.setdefault(find(x), []).append(x)
     return [tuple(sorted(v)) for v in classes.values()]
-
-
-def _endo_and_hom_dihedral(comp, module, group, n, factor_of) -> None:
-    seed = _find_seed_dihedral(comp, module, group, n, factor_of)
-    _finish_component(comp, module, group, seed)
-    # endo degree: e for a pair of Frobenius orbits, e/2 for a self-paired
-    # one, 1 for the eigenvalue components
-    if comp.irreducible_dim == 1:
-        expected = 1
-    else:
-        gammas = [g for g in factor_of if set(g) <= set(_delta_of(comp, n))]
-        e = len(gammas[0])
-        expected = e if len(gammas) == 2 else e // 2
-    verify(comp.endo_degree == expected,
-           f"{comp.label}: endomorphism degree {comp.endo_degree}, expected {expected}")
-
-
-def _delta_of(comp, n: int):
-    ks = [int(lab[2:]) for lab in comp.labels if lab.startswith("xi")]
-    members = set()
-    for k in ks:
-        members.add(k)
-        members.add((n - k) % n)
-    return tuple(sorted(members))
-
-
-def _find_seed_dihedral(comp, module, group, n, factor_of) -> Subspace:
-    p = module.p
-    if comp.multiplicity == 1:
-        return comp.subspace
-    if comp.irreducible_dim == 1:
-        return Subspace(comp.subspace.basis[:1], p, module.dim)
-
-    a_elem, b_elem = dihedral_generators(group)
-    A = module.matrices[a_elem]
-    B = module.matrices[b_elem]
-    delta = _delta_of(comp, n)
-    gammas = sorted(g for g in factor_of if set(g) <= set(delta))
-    gamma = gammas[0]
-    kernel = left_kernel(poly_at_matrix(factor_of[gamma], A, p), p)
-    v = kernel[0]
-    if len(gammas) == 2:
-        # paired orbits: v generates one e-dimensional half, the flip the other
-        w = spin(module, v, [A])
-        w = w.add(w.image(B))
-    else:
-        # self-paired: symmetrize so the flip preserves the a-span
-        vb = mat_mul(v.reshape(1, -1), B, p)[0]
-        sym = (v + vb) % p
-        if not sym.any():
-            sym = (v - vb) % p
-        assert sym.any()
-        w = spin(module, sym, [A])
-        assert w.image(B) == w
-    verify(w.dim == comp.irreducible_dim, f"{comp.label}: the seed has the wrong dimension")
-    return w

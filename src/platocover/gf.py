@@ -80,14 +80,6 @@ def poly_trim(c):
     return c
 
 
-def poly_add(a, b, p=None):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    if p is not None:
-        out = [x % p for x in out]
-    return poly_trim(out)
-
-
 def poly_sub(a, b, p=None):
     n = max(len(a), len(b))
     out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
@@ -352,14 +344,8 @@ class ExtField:
     def one(self) -> tuple[int, ...]:
         return self.element([1])
 
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
     def sub(self, a, b):
         return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
         prod = poly_mod(poly_mul(list(a), list(b), self.p), self.defining, self.p)

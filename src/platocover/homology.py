@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EvenPrimeUnsupported, ModularCaseUnsupported
+from .errors import EvenPrimeUnsupported, ModularCaseUnsupported, verify
 from .gf import is_prime
 from .linalg import as_matrix, dtype_for, left_kernel, mat_mul, reduce_rows, rref, zeros
 from .maps import GroupData
@@ -230,16 +230,17 @@ class HomologyModule:
         dm = g.map
         x, z = self.matrices[g.gen_x], self.matrices[g.gen_z]
         ident = np.eye(self.dim, dtype=self.dtype)
-        assert self._power(x, dm.m).tolist() == ident.tolist()
-        assert self._power(z, dm.n).tolist() == ident.tolist()
+        verify(self._power(x, dm.m).tolist() == ident.tolist(), f"x^{dm.m} does not act as 1 on Q")
+        verify(self._power(z, dm.n).tolist() == ident.tolist(), f"z^{dm.n} does not act as 1 on Q")
         xz = mat_mul(x, z, self.p)
-        assert mat_mul(xz, xz, self.p).tolist() == ident.tolist()
+        verify(mat_mul(xz, xz, self.p).tolist() == ident.tolist(), "(xz)^2 does not act as 1 on Q")
         for gen in (g.gen_x, g.gen_z):
             tau = self.puncture_permutation(gen)
             A = self.matrices[gen]
             for i in range(self.N):
                 img = mat_mul(self.puncture_class(i).reshape(1, -1), A, self.p)[0]
-                assert img.tolist() == self.puncture_class(tau[i]).tolist()
+                verify(img.tolist() == self.puncture_class(tau[i]).tolist(),
+                       f"a generator matrix does not move puncture {i} to {tau[i]}")
 
     def _power(self, A: np.ndarray, k: int) -> np.ndarray:
         out = np.eye(self.dim, dtype=self.dtype)

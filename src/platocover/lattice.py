@@ -23,7 +23,7 @@ import numpy as np
 from .decompose import IsotypicComponent, decompose_module
 from .errors import verify
 from .homology import HomologyModule, Subspace, build_homology
-from .linalg import inverse, mat_mul, reduce_rows, zeros
+from .linalg import mat_mul, reduce_rows, zeros
 from .maps import MapFamily, build_group, build_map, parse_family
 
 # enumerating E-subspaces of E^m touches all q = p^s field elements; every
@@ -57,10 +57,6 @@ class ComponentChoice:
     block: Subspace = field(repr=False)
     swallowed: tuple[str, ...] = ()  # branch classes whose punctures all project into block
     mirror: int | None = None  # ident of the choice whose block is block's reflection
-
-    @property
-    def label(self) -> str:
-        return self.component.label
 
 
 @dataclass
@@ -217,24 +213,17 @@ def component_menus(
 def _mark_swallowed(menus, components, module: HomologyModule) -> None:
     """Record on each choice the branch classes whose punctures all project
     into its block.  Q is the direct sum of the components, so a puncture lies
-    in L = sum of blocks exactly when each of its projections lies in its
-    block; the projections come from one inverse of the stacked component
-    bases."""
+    in L = sum of blocks exactly when each of its projections, stored on the
+    component by decompose, lies in its block."""
     p = module.p
-    stacked = np.vstack([comp.subspace.basis for comp in components])
-    coords = mat_mul(module.projection_matrix(), inverse(stacked, p), p)
     rows_of = {
         bc: [i for i, (cls, _) in enumerate(module.punctures) if cls == bc]
         for bc in module.branch_classes
     }
-    start = 0
     for comp, menu in zip(components, menus):
-        stop = start + comp.subspace.dim
-        projected = mat_mul(coords[:, start:stop], comp.subspace.basis, p)
-        start = stop
         for bc, rows in rows_of.items():
             for ch in menu:
-                residue = reduce_rows(ch.block.basis, ch.block.pivots, projected[rows], p)
+                residue = reduce_rows(ch.block.basis, ch.block.pivots, comp.punctures[rows], p)
                 inside = {not row.any() for row in residue}
                 verify(len(inside) == 1, "branch effectiveness must be constant on an orbit")
                 if inside.pop():
@@ -365,14 +354,6 @@ class Census:
     @property
     def dimension_multiset(self) -> list[int]:
         return sorted(d.c for d in self.coverings)
-
-    def summary(self) -> dict:
-        return {
-            "total": self.total,
-            "regular": self.regular_count,
-            "chiral": self.chiral_count,
-            "dimensions": self.dimension_multiset,
-        }
 
 
 def census(fam: MapFamily | str, branch_classes, p: int) -> Census:

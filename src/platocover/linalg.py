@@ -98,10 +98,6 @@ def reduce_rows(basis: np.ndarray, pivots, mat, p: int) -> np.ndarray:
     return (m - np.dot(coeff, basis)) % p
 
 
-def row_space_contains(basis: np.ndarray, pivots, mat, p: int) -> bool:
-    return not reduce_rows(basis, pivots, mat, p).any()
-
-
 def left_kernel(mat, p: int) -> np.ndarray:
     """RREF basis of {v : v @ mat == 0}."""
     a = np.array(mat, dtype=dtype_for(p)) % p

@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .decompose import spin
+from .errors import verify
 from .gf import primitive_root
 from .homology import HomologyModule, Subspace
 from .linalg import orbit_labels
@@ -75,5 +76,6 @@ def brute_force_submodules(module: HomologyModule, budget: int = 10**7) -> list[
         frontier = fresh
 
     out = sorted(found.values(), key=lambda s: (s.dim, s.key()))
-    assert all(module.invariant_under_group(s) for s in out)
+    verify(all(module.invariant_under_group(s) for s in out),
+           "a brute-force submodule is not invariant")
     return out

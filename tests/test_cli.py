@@ -136,6 +136,24 @@ def test_fixture_suite_passes(capsys):
     assert "MISMATCH" not in out
 
 
+def test_fixture_mismatch_exits_1_with_a_diff(capsys, monkeypatch):
+    payload = cli.census_payload
+
+    def altered(cen):
+        out = payload(cen)
+        if (out["family"], out["p"]) == ("cube", 5):
+            out["coverings"][0]["genus"] += 1
+        return out
+
+    monkeypatch.setattr(cli, "census_payload", altered)
+    code, out, _ = run(["classify", "--fixtures"], capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert [line for line in lines if "MISMATCH" in line] == ["fixture cube_faces_p5.json: MISMATCH"]
+    assert sum(line.startswith("  field coverings: expected") for line in lines) == 1
+    assert "18/19 fixtures match" in out
+
+
 # composes the reflection with a swap of two punctures, which then no longer
 # normalizes the rotation group, so the census's mirror lookup must fail
 CORRUPT_REFLECTION = """
@@ -154,6 +172,50 @@ HomologyModule._reflection_permutation = swapped
 print("asserts", "on" if __debug__ else "off", file=sys.stderr)
 sys.exit(cli.main(["classify", "--map", "cube", "--prime", "5"]))
 """
+
+
+# makes one cross-check disagree with the census: the Euler recount reports
+# the genus plus one, or the brute force loses the zero submodule
+BREAK_CROSS_CHECK = """
+import sys
+from platocover import cli
+
+if sys.argv[1] == "--verify-euler":
+    euler_verify = cli.euler_verify
+
+    def wrong_genus(va, budget):
+        v, e, f, genus = euler_verify(va, budget=budget)
+        return v, e, f, genus + 1
+
+    cli.euler_verify = wrong_genus
+else:
+    brute_force = cli.brute_force_submodules
+    cli.brute_force_submodules = lambda module: brute_force(module)[1:]
+print("asserts", "on" if __debug__ else "off", file=sys.stderr)
+sys.exit(cli.main(["classify", "--map", "cube", "--prime", "5", sys.argv[1]]))
+"""
+
+
+CROSS_CHECK_FAILURES = {
+    "--verify-euler": "euler genus 37 != census genus 36",
+    "--oracle": "brute force disagrees with the lattice enumeration",
+}
+
+
+@pytest.mark.parametrize("check", sorted(CROSS_CHECK_FAILURES))
+@pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
+def test_failed_cross_check_exits_1(flags, asserts, check):
+    # the verdicts raise VerificationError, so they also hold under -O
+    root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", BREAK_CROSS_CHECK, check],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert f"asserts {asserts}" in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert "internal verification failure" in proc.stderr
+    assert CROSS_CHECK_FAILURES[check] in proc.stderr
 
 
 @pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])

@@ -192,12 +192,17 @@ def test_components_are_independent_and_fill():
 
 
 def test_seeds_are_irreducible_copies():
-    mod, _ = module_for("dodecahedron", ["vertices", "faces"], 11)
-    for c in decompose_module(mod):
-        assert c.seed.dim == c.irreducible_dim
-        assert c.subspace.contains_space(c.seed)
-        assert mod.invariant_under_group(c.seed)
-        assert len(c.hom_basis) == c.multiplicity
+    # hosohedron:7 edges+faces at p = 11 has xi1+xi2+xi3 with d = 6, m = 2, s = 3
+    for tag, branch, p, param in [
+        ("dodecahedron", ["vertices", "faces"], 11, None),
+        ("hosohedron", ["edges", "faces"], 11, 7),
+    ]:
+        mod, _ = module_for(tag, branch, p, param)
+        for c in decompose_module(mod):
+            assert c.seed.dim == c.irreducible_dim
+            assert c.subspace.contains_space(c.seed)
+            assert mod.invariant_under_group(c.seed)
+            assert len(c.hom_basis) == c.multiplicity
 
 
 def test_adapted_hom_basis_uses_central_element():
@@ -278,11 +283,12 @@ def test_endo_field_spans_the_whole_commutant(tag, param, branch, p, merged):
     assert comps[merged].endo_degree == 2
     for c in comps.values():
         d = c.seed.dim
-        basis = _endo_field(c.seed, mod, group)
+        restr = _restrictions(c.seed, mod)
+        basis = _endo_field(restr, group, p)
         assert basis[0].tolist() == identity(d, p).tolist()
         span = Subspace(np.vstack([t.reshape(1, -1) for t in basis]), p, d * d)
         assert span.dim == len(basis) == c.endo_degree
-        gens = _restrictions(c.seed, mod, [group.gen_x, group.gen_z])
+        gens = [restr[group.gen_x], restr[group.gen_z]]
         assert span == _kronecker_commutant(gens, p), c.label
 
 
@@ -293,4 +299,4 @@ def test_reducible_seed_raises_verification_error():
     c = by_label(decompose_module(mod))["chi2+chi3"]
     assert c.multiplicity == 2 and c.endo_degree == 2
     with pytest.raises(VerificationError, match="not irreducible"):
-        _endo_field(c.subspace, mod, group)
+        _endo_field(_restrictions(c.subspace, mod), group, mod.p)

@@ -47,6 +47,8 @@ def test_hosohedron4_count():
         ("tetrahedron", ("edges",), 5),
         ("tetrahedron", ("vertices", "faces"), 5),
         ("dihedron:5", ("faces",), 7),
+        # xi1 has d = 2 and m = 2 over paired Frobenius orbits {1} and {2}
+        ("hosohedron:3", ("edges", "faces"), 7),
     ],
 )
 def test_matches_structured_enumeration(name, branch, p):
