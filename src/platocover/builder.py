@@ -149,7 +149,14 @@ def derived_permutations(va: VoltageAssignment):
 
     sigma_big = (sigma[:, None] * size + ks[None, :]).ravel()
     beta = np.asarray(va.beta, dtype=np.int64)
-    shifted = ((k_vectors[None, :, :] + beta[:, None, :]) % p) @ powers
+    # the index of k + beta(d), one coordinate at a time, so that only
+    # (darts, p^c) arrays are ever built
+    shifted = np.zeros((len(alpha), size), dtype=np.int64)
+    for j in range(c):
+        digit = k_vectors[None, :, j] + beta[:, j, None]
+        digit %= p
+        digit *= powers[j]
+        shifted += digit
     alpha_big = (alpha[:, None] * size + shifted).ravel()
     return sigma_big, alpha_big
 

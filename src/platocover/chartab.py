@@ -5,6 +5,13 @@ entries; dihedral tables are generated with entries in the cyclotomic ring
 Z[x]/(x^n - 1).  All arithmetic is exact: orthogonality and multiplicity
 checks never touch floating point.
 
+Over F_p, p not dividing |G|, the irreducible characters are the sums over
+the orbits of the p-power map chi -> (g -> chi(g^p)) (``p_power_orbits``):
+the conjugate pairs of A4 (p = 2 mod 3) and A5 (p = +-2 mod 5), and for D_n
+the xi_k with k in one orbit of <p, -1> on Z_n.  Values reduce mod p with
+sqrt(d) sent to its even root and zeta_n to the w of ``gf.root_of_unity``,
+the same w that labels the factors of x^n - 1.
+
 Class-matching conventions.  The two algebraically conjugate classes of A4
 (3-cycles) and A5 (5-cycles) cannot be told apart by size and element order;
 the class containing the designated generator (z when its order matches the
@@ -16,10 +23,12 @@ rotation a and flip b.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gf import cyclotomic_polynomial, poly_divmod, sqrt_mod_p
+from .errors import verify
+from .gf import cyclotomic_polynomial, poly_divmod, root_of_unity, sqrt_mod_p
 from .maps import GroupData, stabilizer_H
 
 
@@ -97,7 +106,7 @@ class CycValue:
 
     def __add__(self, other: "CycValue") -> "CycValue":
         assert self.n == other.n
-        return CycValue(self.n, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        return CycValue(self.n, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "CycValue") -> "CycValue":
         assert self.n == other.n
@@ -126,6 +135,19 @@ class CycValue:
             return None
         return rem[0] if rem else 0
 
+    def mod_p(self, p: int):
+        """Image in F_p with zeta sent to the root w of gf.root_of_unity, or
+        None when the image lies outside the prime field."""
+        field, powers = root_of_unity(self.n, p)
+        image = [0] * field.e
+        for c, w in zip(self.coeffs, powers):
+            if c:
+                for i, x in enumerate(w):
+                    image[i] += c * x
+        if any(x % p for x in image[1:]):
+            return None
+        return image[0] % p
+
 
 def _alpha(j: int, k: int, n: int) -> CycValue:
     return CycValue.zeta_power(j * k, n) + CycValue.zeta_power(-j * k, n)
@@ -140,8 +162,6 @@ class CharacterTable:
     col_orders: list[int]
     row_names: list[str]
     rows: list[list]
-    # pairs of row indices that merge over F_p unless d is a QR mod p
-    galois_pairs: list[tuple[int, int, int]]
     param: int = 0
     col_spec: list | None = None  # dihedral only: ("rot", k) / ("refl", parity)
 
@@ -181,7 +201,6 @@ def table_A4() -> CharacterTable:
             [_q(1, d), _q(1, d), _OMEGA_BAR, _OMEGA],
             [_q(3, d), _q(-1, d), _q(0, d), _q(0, d)],
         ],
-        galois_pairs=[(1, 2, -3)],
     )
 
 
@@ -200,7 +219,6 @@ def table_S4() -> CharacterTable:
             [_q(3), _q(1), _q(-1), _q(0), _q(-1)],
             [_q(3), _q(-1), _q(-1), _q(0), _q(1)],
         ],
-        galois_pairs=[],
     )
 
 
@@ -220,7 +238,6 @@ def table_A5() -> CharacterTable:
             [_q(4, d), _q(0, d), _q(1, d), _q(-1, d), _q(-1, d)],
             [_q(5, d), _q(1, d), _q(-1, d), _q(0, d), _q(0, d)],
         ],
-        galois_pairs=[(1, 2, 5)],
     )
 
 
@@ -269,18 +286,20 @@ def dihedral_table(n: int) -> CharacterTable:
                 row.append(refl_values[tag[1]])
         return row
 
+    # rows in the order of the least exponent k of the eigenvalues zeta^k of
+    # the rotation: chi1, chi2 (k = 0), xi1, xi2, ..., chi3, chi4 (k = n/2)
     row_names.append("chi1")
     rows.append(build_row(lambda j: cint(1), [cint(1), cint(1)]))
     row_names.append("chi2")
     rows.append(build_row(lambda j: cint(1), [cint(-1), cint(-1)]))
+    for k in range(1, (n + 1) // 2 if n % 2 else half):
+        row_names.append(f"xi{k}")
+        rows.append(build_row(lambda j, k=k: _alpha(j, k, n), [cint(0), cint(0)]))
     if n % 2 == 0:
         row_names.append("chi3")
         rows.append(build_row(lambda j: cint((-1) ** j), [cint(1), cint(-1)]))
         row_names.append("chi4")
         rows.append(build_row(lambda j: cint((-1) ** j), [cint(-1), cint(1)]))
-    for k in range(1, (n + 1) // 2 if n % 2 else half):
-        row_names.append(f"xi{k}")
-        rows.append(build_row(lambda j, k=k: _alpha(j, k, n), [cint(0), cint(0)]))
 
     return CharacterTable(
         name=f"D{n}",
@@ -290,7 +309,6 @@ def dihedral_table(n: int) -> CharacterTable:
         col_orders=orders,
         row_names=row_names,
         rows=rows,
-        galois_pairs=[],
         param=n,
         col_spec=spec,
     )
@@ -370,6 +388,31 @@ def match_classes(table: CharacterTable, group: GroupData) -> list[int]:
 
 def column_of_class(matching: list[int]) -> dict[int, int]:
     return {cid: col for col, cid in enumerate(matching)}
+
+
+def p_power_orbits(table: CharacterTable, group: GroupData, matching: list[int], p: int):
+    """Orbits of the rows under the p-power map chi -> (g -> chi(g^p)), each
+    a sorted tuple of row indices, in order of their first row.
+
+    For p not dividing |G| an orbit sums to the character of one irreducible
+    F_pG-module, and the orbit's length is the degree of its endomorphism
+    field over F_p (all Schur indices here are 1)."""
+    col_of = column_of_class(matching)
+    image_col = [col_of[group.class_of[group.power(group.classes[cid].rep, p)]] for cid in matching]
+    row_of = {tuple(row): r for r, row in enumerate(table.rows)}
+    image = [row_of.get(tuple(row[col] for col in image_col)) for row in table.rows]
+    verify(None not in image and len(set(image)) == len(image),
+           f"the {p}-power map does not permute the rows of {table.name}")
+    orbits, seen = [], set()
+    for r in range(len(table.rows)):
+        orbit = []
+        while r not in seen:
+            seen.add(r)
+            orbit.append(r)
+            r = image[r]
+        if orbit:
+            orbits.append(tuple(sorted(orbit)))
+    return orbits
 
 
 def verify_orthogonality(table: CharacterTable) -> None:

@@ -1,21 +1,23 @@
 """Isotypic decomposition of the homology module.
 
-Two backends split Q into labelled components.  For A4, S4 and A5 the central
-idempotents of the group algebra are reduced mod p, with algebraically
-conjugate character pairs merged into one rational idempotent when the
-relevant square root is missing from F_p.  For dihedral groups the module is
-split as kernels of the factors of x^n - 1 evaluated at the rotation
-generator, with the two one-dimensional eigenvalue orbits refined by the
-flip generator.
+One backend serves every rotation group.  The rows of the character table
+merge into the orbits of the p-power map chi -> (g -> chi(g^p))
+(``chartab.p_power_orbits``): the conjugate pairs of A4 and A5 where F_p
+lacks the square root, and for D_n the coset orbits of the exponents of the
+rotation's eigenvalues.  Each orbit sums to an F_p-valued irreducible
+character, whose central idempotent mod p projects Q onto its isotypic
+component.  Each idempotent is checked to be idempotent, with an invariant
+image of the predicted dimension and class traces, and the idempotents to be
+orthogonal and to sum to 1.  The orbit length is the degree s of the
+endomorphism field E = F_{p^s}, which the field found below must match.
 
-Both backends end in one shared tail.  It checks that Q is the direct sum of
-the components, stores on each component the projection of every puncture
+The components then go through one tail.  It checks that Q is the direct sum
+of the components, stores on each component the projection of every puncture
 class (``comp.punctures``, from one inverse of the stacked component bases;
 the lattice reads them to tell which branch classes a block swallows), and
-equips each component with a seed irreducible W, its endomorphism field
-E = F_{p^s} (a basis of commuting matrices on W), and an E-basis of the
-equivariant maps W -> Q.  These are the ingredients the submodule lattice is
-enumerated from.
+equips each component with a seed irreducible W, its endomorphism field E (a
+basis of commuting matrices on W), and an E-basis of the equivariant maps
+W -> Q.  These are the ingredients the submodule lattice is enumerated from.
 
 The seed search is the same for every group.  Q is a quotient of the
 permutation modules on the branch points, so the projection of a puncture
@@ -43,11 +45,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import chartab
-from .chartab import CharacterTable, dihedral_generators, match_classes, table_for_group
+from .chartab import CharacterTable, match_classes, table_for_group
 from .errors import VerificationError, verify
-from .gf import coset_orbits, factor_xn_minus_1, poly_mul, sqrt_mod_p
 from .homology import HomologyModule, Subspace
-from .linalg import as_matrix, identity, inverse, left_kernel, mat_mul, poly_at_matrix, rref, zeros
+from .linalg import as_matrix, identity, inverse, left_kernel, mat_mul, rref, zeros
 from .maps import GroupData
 
 
@@ -57,7 +58,7 @@ class IsotypicComponent:
     subspace: Subspace
     irreducible_dim: int
     multiplicity: int
-    endo_degree: int = 0  # set by a backend that knows it in advance, then checked
+    endo_degree: int  # the number of merged characters, checked against the field found
     seed: Subspace | None = None
     hom_basis: list = field(default_factory=list)
     commutant: list = field(default_factory=list)
@@ -85,19 +86,13 @@ def spin(module: HomologyModule, vectors, gens) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# idempotent backend
+# central idempotents
 
 def _class_values_mod_p(table: CharacterTable, rows, p: int):
-    """Values of the (possibly merged) character per table column, in F_p;
-    None when an irrational value does not reduce."""
-    out = []
-    for col in range(table.n_cols):
-        total = None
-        for r in rows:
-            v = table.rows[r][col]
-            total = v if total is None else total + v
-        out.append(total.mod_p(p))
-    return out
+    """Values of the summed characters per table column, in F_p; None when a
+    value does not reduce into the prime field."""
+    first, rest = table.rows[rows[0]], [table.rows[r] for r in rows[1:]]
+    return [sum((row[col] for row in rest), first[col]).mod_p(p) for col in range(table.n_cols)]
 
 
 def _idempotent_matrix(module: HomologyModule, values_by_class, degree: int) -> np.ndarray:
@@ -120,156 +115,63 @@ def decompose_idempotent(
     col_of = chartab.column_of_class(matching)
     expected = chartab.homology_character(group, table, matching, list(module.branch_classes))
 
-    merged_partner = {}
-    for i, j, d in table.galois_pairs:
-        if sqrt_mod_p(d % p, p) is None:
-            merged_partner[i] = j
-            merged_partner[j] = i
-
     components: list[IsotypicComponent] = []
-    idempotents: list[np.ndarray] = []
-    done = set()
-    for r, name in enumerate(table.row_names):
-        if r in done:
-            continue
-        if r in merged_partner:
-            rows = (r, merged_partner[r])
-            done.update(rows)
-        else:
-            rows = (r,)
-            done.add(r)
+    for rows in chartab.p_power_orbits(table, group, matching, p):
         labels = tuple(table.row_names[i] for i in rows)
-        assert len({table.degree(i) for i in rows}) == 1
-        degree = sum(table.degree(i) for i in rows)
+        label = "+".join(labels)
         values = _class_values_mod_p(table, rows, p)
-        assert all(v is not None for v in values), "merged values must be rational"
-        by_class = [0] * len(group.classes)
-        for col, cid in enumerate(matching):
-            by_class[cid] = values[col]
-        # the scale is the individual degree even for a merged pair: the
-        # merged idempotent is the sum of the two ordinary ones
-        e = _idempotent_matrix(module, by_class, table.degree(rows[0]))
+        verify(None not in values, f"{label}: the summed character is not F_p-valued")
+        mults = {expected.get(table.row_names[i], 0) for i in rows}
+        verify(len(mults) == 1,
+               f"{label}: the merged characters have multiplicities {sorted(mults)}")
+        mult = mults.pop()
+        # the p-power map fixes the identity class, so the merged characters
+        # share one degree; the idempotent of the orbit is the sum of theirs
+        degree = table.degree(rows[0])
+        by_class = [values[col_of[cid]] for cid in range(len(group.classes))]
+        e = _idempotent_matrix(module, by_class, degree)
         comp_space = Subspace(e, p, module.dim)
-        mult = expected.get(table.row_names[rows[0]], 0)
-        assert all(expected.get(table.row_names[i], 0) == mult for i in rows)
-        verify(comp_space.dim == degree * mult,
-               f"{'+'.join(labels)}: dimension {comp_space.dim} is not {degree} times {mult}")
+        dim = degree * len(rows)
+        verify(comp_space.dim == dim * mult,
+               f"{label}: dimension {comp_space.dim} is not {dim} times {mult}")
         if mult == 0:
             continue
 
-        verify(mat_mul(e, e, p).tolist() == e.tolist(), f"{'+'.join(labels)}: e is not idempotent")
-        verify(module.invariant_under_group(comp_space), f"{'+'.join(labels)}: not invariant")
-        # trace of g on the isotypic equals multiplicity times character value
+        verify(mat_mul(e, e, p).tolist() == e.tolist(), f"{label}: e is not idempotent")
+        verify(module.invariant_under_group(comp_space), f"{label}: not invariant")
+        # trace of g on the isotypic equals multiplicity times character
+        # value; tr(A_g e) summed elementwise, as a matrix product per class
+        # costs far more, and reduced first so the int64 sum cannot overflow
         for cid, cls in enumerate(group.classes):
-            tr = int(np.trace(mat_mul(module.matrices[cls.rep], e, p))) % p
-            chi_g = values[col_of[cid]]
-            verify(tr == mult * chi_g % p, f"{'+'.join(labels)}: trace on class {cid} "
-                   "is not the multiplicity times the character")
+            tr = int((module.matrices[cls.rep] * e.T % p).sum()) % p
+            verify(tr == mult * values[col_of[cid]] % p,
+                   f"{label}: trace on class {cid} is not the multiplicity times the character")
 
         components.append(
             IsotypicComponent(
                 labels=labels,
                 subspace=comp_space,
-                irreducible_dim=degree,
+                irreducible_dim=dim,
                 multiplicity=mult,
+                endo_degree=len(rows),
                 projector=e,
             )
         )
-        idempotents.append(e)
 
     total = zeros((module.dim, module.dim), p)
-    for e in idempotents:
-        total = (total + e) % p
-    verify(total.tolist() == identity(module.dim, p).tolist(), "the idempotents do not sum to 1")
-    for i in range(len(idempotents)):
-        for j in range(i + 1, len(idempotents)):
-            verify(not mat_mul(idempotents[i], idempotents[j], p).any(),
-                   "two idempotents are not orthogonal")
-
-    return _finish_decomposition(components, module)
-
-
-# ---------------------------------------------------------------------------
-# dihedral backend
-
-def decompose_dihedral(module: HomologyModule, group: GroupData, n: int) -> list[IsotypicComponent]:
-    p = module.p
-    a_elem, b_elem = dihedral_generators(group)
-    A = module.matrices[a_elem]
-    B = module.matrices[b_elem]
-    factor_of = {orbit.members: f for orbit, f in factor_xn_minus_1(n, p)}
-
-    components: list[IsotypicComponent] = []
-    for delta in coset_orbits(n, p):
-        f_delta = [1]
-        gammas = [g for g in factor_of if set(g) <= set(delta.members)]
-        gammas.sort()
-        assert sum(len(g) for g in gammas) == delta.size
-        for g in gammas:
-            f_delta = poly_mul(f_delta, factor_of[g], p)
-        kernel = left_kernel(poly_at_matrix(f_delta, A, p), p)
-        space = Subspace(kernel, p, module.dim)
-        if space.dim == 0:
-            continue
-
-        if delta.members in ((0,), (n // 2,) if n % 2 == 0 else ()):
-            # one-dimensional eigenvalue orbits: refine by the flip
-            a_sign = "+" if delta.members == (0,) else "-"
-            for b_sign, b_eig in (("+", 1), ("-", p - 1)):
-                eig = Subspace(left_kernel((B - b_eig * identity(module.dim, p)) % p, p), p, module.dim)
-                part = space.intersect(eig)
-                if part.dim == 0:
-                    continue
-                label = {
-                    ("+", "+"): "chi1",
-                    ("+", "-"): "chi2",
-                    ("-", "+"): "chi3",
-                    ("-", "-"): "chi4",
-                }[(a_sign, b_sign)]
-                components.append(
-                    IsotypicComponent(
-                        labels=(label,),
-                        subspace=part,
-                        irreducible_dim=1,
-                        multiplicity=part.dim,
-                        endo_degree=1,
-                    )
-                )
-        else:
-            ks = sorted({min(r, n - r) for r in delta.members})
-            labels = tuple(f"xi{k}" for k in ks)
-            d = delta.size
-            assert space.dim % d == 0
-            # E is F_{p^e} for a pair of Frobenius orbits of size e, and
-            # F_{p^(e/2)} for a self-paired one
-            e = len(gammas[0])
-            components.append(
-                IsotypicComponent(
-                    labels=labels,
-                    subspace=space,
-                    irreducible_dim=d,
-                    multiplicity=space.dim // d,
-                    endo_degree=e if len(gammas) == 2 else e // 2,
-                )
-            )
-
-    table = chartab.dihedral_table(n)
-    matching = match_classes(table, group)
-    expected = chartab.homology_character(group, table, matching, list(module.branch_classes))
-    seen = {}
     for comp in components:
-        for lab in comp.labels:
-            seen[lab] = seen.get(lab, 0) + comp.multiplicity
-    verify(seen == expected, f"kernel multiplicities {seen} differ from the character's {expected}")
+        total = (total + comp.projector) % p
+    verify(total.tolist() == identity(module.dim, p).tolist(), "the idempotents do not sum to 1")
+    for i, a in enumerate(components):
+        for b in components[i + 1:]:
+            verify(not mat_mul(a.projector, b.projector, p).any(),
+                   "two idempotents are not orthogonal")
 
     return _finish_decomposition(components, module)
 
 
 def decompose_module(module: HomologyModule) -> list[IsotypicComponent]:
     group = module.group
-    tag = group.map.family.tag
-    if tag in ("dihedron", "hosohedron"):
-        return decompose_dihedral(module, group, group.map.family.param)
     return decompose_idempotent(module, group, table_for_group(group))
 
 
@@ -290,9 +192,9 @@ def _verify_decomposition(components: list[IsotypicComponent], module: HomologyM
 def _finish_decomposition(
     components: list[IsotypicComponent], module: HomologyModule
 ) -> list[IsotypicComponent]:
-    """The tail both backends share once Q is split into labelled components:
-    check the direct sum, store each component's puncture projections, and
-    equip each component with its seed, endomorphism field and hom basis."""
+    """The tail once Q is split into labelled components: check the direct
+    sum, store each component's puncture projections, and equip each
+    component with its seed, endomorphism field and hom basis."""
     _verify_decomposition(components, module)
     p = module.p
     stacked = np.vstack([comp.subspace.basis for comp in components])
@@ -398,9 +300,8 @@ def _finish_component(comp: IsotypicComponent, module: HomologyModule, seed: Sub
     verify(comp.subspace.contains_space(seed), f"{comp.label}: the seed leaves the component")
     restr = _restrictions(seed, module)
     comp.commutant = _endo_field(restr, group, p)
-    verify(comp.endo_degree in (0, len(comp.commutant)),
+    verify(comp.endo_degree == len(comp.commutant),
            f"{comp.label}: endomorphism degree {len(comp.commutant)}, expected {comp.endo_degree}")
-    comp.endo_degree = len(comp.commutant)
     gen_restr = [restr[g] for g in gens]
 
     if comp.multiplicity == 1 and seed == comp.subspace:

@@ -2,9 +2,11 @@
 
 Polynomials are little-endian coefficient lists.  Integer polynomials use
 plain Python ints; polynomials over F_p keep coefficients in [0, p).  The
-extension field machinery is only used to split x^n - 1 into its irreducible
-factors over F_p, so it stays deliberately small: residue arithmetic modulo a
-deterministically chosen irreducible, plus a primitive element search.
+extension field machinery only fixes a primitive n-th root of unity w, which
+splits x^n - 1 into its irreducible factors over F_p and reduces cyclotomic
+character values mod p, so it stays deliberately small: residue arithmetic
+modulo a deterministically chosen irreducible, plus a primitive element
+search.
 """
 
 from __future__ import annotations
@@ -401,23 +403,35 @@ class ExtField:
         return w
 
 
+@lru_cache(maxsize=None)
+def root_of_unity(n: int, p: int) -> tuple[ExtField, tuple[tuple[int, ...], ...]]:
+    """The field F_{p^e'}, e' = ord_n(p), and the powers w^0, ..., w^(n-1) of
+    its fixed primitive n-th root of unity w.  The factors of x^n - 1 and the
+    reduction of cyclotomic character values mod p both use this one w, so
+    the labels of the census and of the cyclotomic report agree."""
+    assert is_prime(p) and math.gcd(n, p) == 1
+    field = ExtField(p, multiplicative_order(p, n))
+    w = field.nth_root_of_unity(n)
+    powers = [field.one()]
+    for _ in range(n - 1):
+        powers.append(field.mul(powers[-1], w))
+    return field, tuple(powers)
+
+
 def factor_xn_minus_1(n: int, p: int) -> list[tuple[CosetOrbit, list[int]]]:
     """Irreducible factors of x^n - 1 over F_p, one per Frobenius orbit.
 
     Each factor is built as the product of (x - w^i) over its orbit of
-    exponents, with w a fixed primitive n-th root of unity in F_{p^e'},
-    e' = ord_n(p); the coefficients are checked to land in the prime field.
+    exponents, with w the root of unity fixed by root_of_unity; the
+    coefficients are checked to land in the prime field.
     """
-    assert is_prime(p) and math.gcd(n, p) == 1
-    eprime = multiplicative_order(p, n)
-    field = ExtField(p, eprime)
-    w = field.nth_root_of_unity(n)
+    field, w_powers = root_of_unity(n, p)
     out = []
     for orbit in frobenius_orbits(n, p):
         # polynomial over the extension field, little-endian
         poly = [field.one()]
         for i in orbit.members:
-            root = field.pow(w, i)
+            root = w_powers[i]
             shifted = [field.zero()] + poly
             poly = [
                 field.sub(shifted[j], field.mul(root, poly[j]) if j < len(poly) else field.zero())

@@ -156,9 +156,9 @@ class HomologyModule:
             offset += count
 
         self.matrices = [self._matrix(self.puncture_permutation(g)) for g in range(group.order)]
-        self.reflection_matrix = self._matrix(self._reflection_permutation())
+        self.reflection_matrix = self._matrix(self._stacked(group.reflection_class_perm))
         if group.central_reversing is not None:
-            self.central_matrix = self._matrix(self._central_permutation())
+            self.central_matrix = self._matrix(self._stacked(lambda bc: group.central_reversing[bc]))
         else:
             self.central_matrix = None
 
@@ -167,24 +167,15 @@ class HomologyModule:
     # -- puncture bookkeeping -------------------------------------------------
 
     def puncture_permutation(self, g: int) -> list[int]:
-        out = []
-        for bc in self.branch_classes:
-            base = self._block_offsets[bc]
-            out.extend(base + t for t in self.group.class_perms(bc)[g])
-        return out
+        return self._stacked(lambda bc: self.group.class_perms(bc)[g])
 
-    def _reflection_permutation(self) -> list[int]:
+    def _stacked(self, perm_of_class) -> list[int]:
+        """The permutation of all punctures made of perm_of_class(bc) on each
+        branch class's block."""
         out = []
         for bc in self.branch_classes:
             base = self._block_offsets[bc]
-            out.extend(base + t for t in self.group.reflection_class_perm(bc))
-        return out
-
-    def _central_permutation(self) -> list[int]:
-        out = []
-        for bc in self.branch_classes:
-            base = self._block_offsets[bc]
-            out.extend(base + t for t in self.group.central_reversing[bc])
+            out.extend(base + t for t in perm_of_class(bc))
         return out
 
     def _matrix(self, tau) -> np.ndarray:

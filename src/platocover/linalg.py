@@ -124,25 +124,17 @@ def inverse(mat: np.ndarray, p: int) -> np.ndarray:
     return r[:, n:]
 
 
-def poly_at_matrix(coeffs, mat: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate sum_i coeffs[i] * x^i at a square matrix by Horner's rule."""
-    n = mat.shape[0]
-    out = zeros((n, n), p)
-    idx = np.arange(n)
-    for c in reversed(list(coeffs)):
-        out = np.dot(out, mat) % p
-        out[idx, idx] = (out[idx, idx] + int(c)) % p
-    return out
-
-
 def cycle_labels(perm: np.ndarray) -> np.ndarray:
-    """The least point of each point's cycle, by min-label doubling."""
+    """The least point of each point's cycle, by min-label doubling into
+    buffers made once, here and in orbit_labels: on a million darts, fresh
+    arrays per step re-fault megabytes of pages each time."""
     labels = np.arange(perm.shape[0], dtype=np.int64)
     nxt = perm.astype(np.int64)
+    buf = np.empty_like(nxt)
     steps = 1
     while steps < perm.shape[0]:
-        labels = np.minimum(labels, labels[nxt])
-        nxt = nxt[nxt]
+        np.minimum(labels, np.take(labels, nxt, out=buf, mode="clip"), out=labels)
+        nxt, buf = np.take(nxt, nxt, out=buf, mode="clip"), nxt
         steps *= 2
     return labels
 
@@ -157,13 +149,14 @@ def orbit_labels(perms) -> np.ndarray:
     """The least point of each point's orbit under the group generated by
     the given permutation arrays."""
     labels = np.arange(perms[0].shape[0], dtype=np.int64)
+    relabeled = labels.copy()
+    buf = np.empty_like(labels)
     while True:
-        relabeled = labels
         for perm in perms:
-            relabeled = np.minimum(relabeled, relabeled[perm])
+            np.minimum(relabeled, np.take(relabeled, perm, out=buf, mode="clip"), out=relabeled)
         if np.array_equal(relabeled, labels):
             return labels
-        labels = relabeled
+        labels[:] = relabeled
 
 
 def joint_orbit_count(perm_a: np.ndarray, perm_b: np.ndarray) -> int:

@@ -66,20 +66,19 @@ class MapFamily:
 
 def family(tag: str, param: int | None = None) -> MapFamily:
     if tag in SOLID_TYPES:
-        assert param is None, f"{tag} takes no parameter"
+        if param is not None:
+            raise ValueError(f"{tag} takes no parameter")
         n, m = SOLID_TYPES[tag]
         return MapFamily(tag=tag, n=n, m=m)
+    if tag not in ("dihedron", "hosohedron"):
+        raise ValueError(f"unknown map family {tag!r}")
+    if param is None:
+        raise ValueError(f"{tag} requires a parameter, as in {tag}:5")
+    if param < 3:
+        raise ValueError(f"{tag} parameter must be at least 3")
     if tag == "dihedron":
-        assert param is not None, "dihedron requires a parameter"
-        if param < 3:
-            raise ValueError("dihedron parameter must be at least 3")
         return MapFamily(tag=tag, n=param, m=2, param=param)
-    if tag == "hosohedron":
-        assert param is not None, "hosohedron requires a parameter"
-        if param < 3:
-            raise ValueError("hosohedron parameter must be at least 3")
-        return MapFamily(tag=tag, n=2, m=param, param=param)
-    raise ValueError(f"unknown map family {tag!r}")
+    return MapFamily(tag=tag, n=2, m=param, param=param)
 
 
 def parse_family(text: str) -> MapFamily:

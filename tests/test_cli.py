@@ -159,16 +159,16 @@ def test_fixture_mismatch_exits_1_with_a_diff(capsys, monkeypatch):
 CORRUPT_REFLECTION = """
 import sys
 from platocover import cli
-from platocover.homology import HomologyModule
+from platocover.maps import GroupData
 
-reflect = HomologyModule._reflection_permutation
+reflect = GroupData.reflection_class_perm
 
-def swapped(self):
-    perm = reflect(self)
+def swapped(self, branch_class):
+    perm = list(reflect(self, branch_class))
     perm[0], perm[1] = perm[1], perm[0]
     return perm
 
-HomologyModule._reflection_permutation = swapped
+GroupData.reflection_class_perm = swapped
 print("asserts", "on" if __debug__ else "off", file=sys.stderr)
 sys.exit(cli.main(["classify", "--map", "cube", "--prime", "5"]))
 """
@@ -260,3 +260,20 @@ def test_field_over_enumeration_cap_exits_2(flags):
     assert time.perf_counter() - start < 10
     assert proc.returncode == 2, proc.stderr
     assert "1000003^1" in proc.stderr and "16384" in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+@pytest.mark.parametrize("family, message", [
+    ("hosohedron", "hosohedron requires a parameter"),
+    ("tetrahedron:5", "tetrahedron takes no parameter"),
+])
+def test_bad_map_parameter_exits_2(flags, family, message):
+    root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    argv = ["classify", "--map", family, "--prime", "5"]
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "platocover.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr

@@ -5,9 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from platocover.chartab import CharacterTable, QuadValue, table_for_group
+from platocover.chartab import (
+    CharacterTable,
+    QuadValue,
+    dihedral_generators,
+    dihedral_table,
+    table_for_group,
+)
 from platocover.decompose import (
-    decompose_dihedral,
     decompose_idempotent,
     decompose_module,
     _endo_field,
@@ -15,6 +20,7 @@ from platocover.decompose import (
     _verify_decomposition,
 )
 from platocover.errors import VerificationError
+from platocover.gf import coset_orbits, factor_xn_minus_1, poly_mul
 from platocover.homology import Subspace, build_homology, named_submodules
 from platocover.linalg import identity, left_kernel, mat_mul
 from platocover.maps import build_group, build_map, family
@@ -227,24 +233,72 @@ def _d3_table() -> CharacterTable:
             (q(1), q(1), q(-1)),
             (q(2), q(-1), q(0)),
         ),
-        galois_pairs=(),
         param=3,
         col_spec=(("rot", 0), ("rot", 1), ("refl", 0)),
     )
 
 
 def test_dihedral_backend_matches_idempotents():
-    # hosohedron(3) has group D3; the generic idempotent path with a
-    # hand-entered table must produce the same components
+    # hosohedron(3) has group D3; the generated cyclotomic table and a
+    # hand-entered rational one must produce the same components
     group = build_group(build_map(family("hosohedron", 3)))
     mod = build_homology(group, ["vertices", "edges", "faces"], 5)
-    from_kernels = decompose_dihedral(mod, group, 3)
-    from_idempotents = decompose_idempotent(mod, group, _d3_table())
-    key = lambda comps: {
-        c.subspace.key(): (c.label, c.irreducible_dim, c.multiplicity, c.endo_degree)
+    from_generated = decompose_idempotent(mod, group, dihedral_table(3))
+    from_hand = decompose_idempotent(mod, group, _d3_table())
+    key = lambda comps: [
+        (c.subspace.key(), c.label, c.irreducible_dim, c.multiplicity, c.endo_degree)
         for c in comps
-    }
-    assert key(from_kernels) == key(from_idempotents)
+    ]
+    assert key(from_generated) == key(from_hand)
+
+
+def _poly_at(coeffs, A, p):
+    """sum_i coeffs[i] A^i by Horner's rule."""
+    out = np.zeros_like(A)
+    for c in reversed(coeffs):
+        out = (mat_mul(out, A, p) + c * identity(A.shape[0], p)) % p
+    return out
+
+
+def _kernel_components(mod, group, n):
+    """Reference split of a dihedral module, independent of the character
+    table: for each coset orbit delta of exponents, the left kernel of
+    f_delta(A) at the rotation a, f_delta the product of the factors of
+    x^n - 1 over the Frobenius orbits inside delta; the flip b refines the
+    one-dimensional orbits {0} and {n/2}.  (labels, subspace) pairs in the
+    order of the least exponent."""
+    p = mod.p
+    a, b = dihedral_generators(group)
+    A, B = mod.matrices[a], mod.matrices[b]
+    flip = [Subspace(left_kernel((B - eig * identity(mod.dim, p)) % p, p), p, mod.dim)
+            for eig in (1, p - 1)]
+    factors = factor_xn_minus_1(n, p)
+    out = []
+    for delta in coset_orbits(n, p):
+        f = [1]
+        for orbit, g in factors:
+            if set(orbit.members) <= set(delta.members):
+                f = poly_mul(f, g, p)
+        space = Subspace(left_kernel(_poly_at(f, A, p), p), p, mod.dim)
+        if delta.members in ((0,), (n // 2,)):
+            names = ("chi1", "chi2") if delta.members == (0,) else ("chi3", "chi4")
+            out += [((name,), space.intersect(eig)) for name, eig in zip(names, flip)]
+        else:
+            ks = sorted({min(r, n - r) for r in delta.members})
+            out.append((tuple(f"xi{k}" for k in ks), space))
+    return [(labels, space) for labels, space in out if space.dim]
+
+
+@pytest.mark.parametrize("tag, param, branch, p", [
+    ("hosohedron", 95, ["faces"], 7),
+    ("hosohedron", 13, ["faces"], 5),
+    ("hosohedron", 5, ["vertices", "edges", "faces"], 3),  # self-paired merge, m = 2
+    ("dihedron", 6, ["vertices", "edges", "faces"], 5),  # chi3 and chi4 present
+])
+def test_idempotents_match_kernel_split(tag, param, branch, p):
+    mod, group = module_for(tag, branch, p, param)
+    got = [(c.labels, c.subspace) for c in decompose_module(mod)]
+    assert got == _kernel_components(mod, group, param)
 
 
 def test_dispatch_picks_backend():

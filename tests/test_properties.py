@@ -27,6 +27,8 @@ class TestIdempotentIdentities:
         ("cube", ("faces",), 7),
         ("icosahedron", ("faces",), 7),  # Galois-merged pair
         ("tetrahedron", ("vertices", "faces"), 5),
+        ("hosohedron:13", ("faces",), 5),  # xi1+xi5 and friends, merged
+        ("dihedron:6", ("vertices", "edges", "faces"), 5),  # chi3 and chi4
     ]
 
     def test_projectors_resolve_identity(self):
