@@ -162,7 +162,6 @@ class CharacterTable:
     col_orders: list[int]
     row_names: list[str]
     rows: list[list]
-    param: int = 0
     col_spec: list | None = None  # dihedral only: ("rot", k) / ("refl", parity)
 
     @property
@@ -309,7 +308,6 @@ def dihedral_table(n: int) -> CharacterTable:
         col_orders=orders,
         row_names=row_names,
         rows=rows,
-        param=n,
         col_spec=spec,
     )
 

@@ -1,18 +1,20 @@
 """Exhaustive submodule enumeration for small modules.
 
 Every invariant subspace is the sum of the cyclic submodules it contains, so
-spinning vectors and closing under pairwise sums finds them all.  Spinning is
-constant on orbits under the group action and under scalars, which cuts the
-p^dim vector sweep down to one spin per orbit.  Cost still grows like p^dim,
-hence the budget guard; this cross-checks the structured enumeration on small
-cases rather than replacing it.
+building the cyclic submodule of every vector and closing under pairwise sums
+finds them all.  The cyclic submodule is constant on orbits under the group
+action and under scalars, which cuts the p^dim vector sweep down to one per
+orbit; orbits are labelled by their least vector (linalg.orbit_labels).  Each
+cyclic submodule is the row space of the vector's images under every group
+matrix, so this check shares no code with the decomposition it tests.  Cost
+still grows like p^dim, hence the budget guard; this cross-checks the
+structured enumeration on small cases rather than replacing it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .decompose import spin
 from .errors import verify
 from .gf import primitive_root
 from .homology import HomologyModule, Subspace
@@ -40,7 +42,14 @@ def _linear_permutation(digits: np.ndarray, matrix: np.ndarray, p: int) -> np.nd
     return out
 
 
-def brute_force_submodules(module: HomologyModule, budget: int = 10**7) -> list[Subspace]:
+def cyclic_submodules(module: HomologyModule, budget: int = 10**7):
+    """One vector per nonzero orbit of F_p^dim under the group and the
+    scalars, least index first, and the cyclic submodule of each.
+
+    The cyclic submodule of v is the row space of {v A_g : g in G}: the span
+    of an orbit is invariant, and every invariant subspace containing v
+    contains it.  The images of each vector come from one einsum over the
+    stacked group matrices, and each submodule is one row reduction."""
     p, dim = module.p, module.dim
     size = p**dim
     if size > budget and dim > 5:
@@ -51,15 +60,20 @@ def brute_force_submodules(module: HomologyModule, budget: int = 10**7) -> list[
     scalar = np.eye(dim, dtype=np.int64) * primitive_root(p)
     gens = [module.matrices[group.gen_x], module.matrices[group.gen_z]]
     perms = [_linear_permutation(digits, m, p) for m in (*gens, scalar)]
-    reps = np.unique(orbit_labels(perms))
+    labels = orbit_labels(perms)
+    reps = np.flatnonzero(labels == np.arange(size))[1:]  # the zero vector is its own orbit
 
+    vectors = digits[reps].astype(np.int64)
+    stacked = np.stack(module.matrices)
+    return vectors, [Subspace(np.einsum("j,gjk->gk", v, stacked), p, dim) for v in vectors]
+
+
+def brute_force_submodules(module: HomologyModule, budget: int = 10**7) -> list[Subspace]:
+    p, dim = module.p, module.dim
     found: dict[tuple, Subspace] = {}
     zero = Subspace.zero(p, dim)
     found[zero.key()] = zero
-    for r in reps:
-        if r == 0:
-            continue
-        space = spin(module, digits[r].astype(np.int64), gens)
+    for space in cyclic_submodules(module, budget)[1]:
         found.setdefault(space.key(), space)
 
     # close under sums

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from platocover.builder import (
+    VoltageAssignment,
     derived_permutations,
     euler_verify,
     k_encoding,
     solve_voltages,
 )
+from platocover.errors import VerificationError
 from platocover.homology import Subspace, build_homology
 from platocover.lattice import census
 from platocover.maps import build_group, build_map, parse_family
@@ -99,3 +101,21 @@ def test_rejects_non_face_branching():
     target = Subspace.zero(5, module.dim)
     with pytest.raises(AssertionError):
         solve_voltages(module, target)
+
+
+def test_disconnected_derived_map_is_rejected():
+    # a valid c = 1 assignment embedded into c = 2 as (beta, 0): the derived
+    # map is p disjoint copies of the c = 1 covering, so V', E', F' and the
+    # face lengths all come out right and only connectivity can catch it
+    cen = census("octahedron", ("faces",), 5)
+    cov = next(cv for cv in cen.coverings if cv.c == 1)
+    va = solve_voltages(cen.module, cov.L)
+    assert euler_verify(va)[3] == 12
+
+    def pad(a):
+        return np.concatenate([a, np.zeros_like(a)], axis=1)
+
+    split = VoltageAssignment(dart_map=va.dart_map, p=va.p, c=2,
+                              beta=pad(va.beta), monodromy=pad(va.monodromy))
+    with pytest.raises(VerificationError, match="connected"):
+        euler_verify(split)

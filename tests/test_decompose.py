@@ -233,7 +233,6 @@ def _d3_table() -> CharacterTable:
             (q(1), q(1), q(-1)),
             (q(2), q(-1), q(0)),
         ),
-        param=3,
         col_spec=(("rot", 0), ("rot", 1), ("refl", 0)),
     )
 

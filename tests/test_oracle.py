@@ -1,12 +1,16 @@
 """Brute-force submodule search against the structured enumeration."""
 
+import ast
+import inspect
+
 import pytest
 
-from platocover.decompose import decompose_module
+from platocover import oracle
+from platocover.decompose import decompose_module, spin
 from platocover.homology import build_homology
 from platocover.lattice import enumerate_submodules
 from platocover.maps import build_group, build_map, parse_family
-from platocover.oracle import brute_force_submodules
+from platocover.oracle import brute_force_submodules, cyclic_submodules
 
 
 def _module(name, branch, p):
@@ -61,3 +65,24 @@ def test_budget_guard():
     module = _module("dodecahedron", ("faces",), 11)
     with pytest.raises(ValueError, match="budget"):
         brute_force_submodules(module)
+
+
+@pytest.mark.parametrize("name", ["cube", "octahedron"])
+def test_cyclic_submodules_match_spin(name):
+    # the oracle builds each cyclic submodule as the row space of the
+    # vector's images under every group matrix; decompose.spin closes the
+    # vector under the two generators instead, and must agree
+    module = _module(name, ("faces",), 5)
+    group = module.group
+    gens = [module.matrices[group.gen_x], module.matrices[group.gen_z]]
+    vectors, spaces = cyclic_submodules(module)
+    assert len(vectors) == len(spaces) > 0
+    assert spaces == [spin(module, v, gens) for v in vectors]
+
+
+def test_oracle_shares_no_code_with_decompose():
+    tree = ast.parse(inspect.getsource(oracle))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert not any(name and name.split(".")[-1] == "decompose" for name in imported)
