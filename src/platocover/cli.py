@@ -139,7 +139,7 @@ def _euler_cross_check(cen: Census, budget: int = 10**6) -> str:
 
 def _oracle_cross_check(cen: Census) -> str:
     spaces = brute_force_submodules(cen.module)
-    expected = {d.L.key() for d in cen.coverings}
+    expected = {d.key for d in cen.coverings}
     expected.add(Subspace.full(cen.p, cen.module.dim).key())
     expected.add(Subspace.zero(cen.p, cen.module.dim).key())
     got = {s.key() for s in spaces}

@@ -20,6 +20,13 @@ from .maps import GroupData
 BRANCH_ORDER = ("vertices", "edges", "faces")
 
 
+def _key_width(p: int) -> int:
+    """Bytes per entry in a packed key: the smallest of 1, 2, 4 and 8 that
+    holds p - 1, or the exact byte length of p - 1 beyond 8."""
+    nbytes = ((p - 1).bit_length() + 7) // 8
+    return next((w for w in (1, 2, 4, 8) if nbytes <= w), nbytes)
+
+
 class Subspace:
     """A subspace of F_p^ambient held in reduced row echelon form.
 
@@ -52,7 +59,37 @@ class Subspace:
         return self.basis.shape[0]
 
     def key(self) -> tuple:
-        return (self.ambient, tuple(map(tuple, self.basis.tolist())))
+        """(ambient, packed): the RREF basis, row by row, as big-endian
+        unsigned entries of one width fixed by p.
+
+        With equal widths, byte order on the packed rows is the order on
+        their integer entries, and every row has ambient entries, so for one
+        ambient and one p the keys sort exactly as the nested tuples of the
+        basis rows: a basis that is a leading part of a longer one is a
+        prefix of its key and sorts first."""
+        width = _key_width(self.p)
+        if width <= 8:
+            packed = self.basis.astype(f">u{width}").tobytes()
+        else:
+            packed = b"".join(int(x).to_bytes(width, "big") for x in self.basis.flat)
+        return (self.ambient, packed)
+
+    @staticmethod
+    def from_key(key: tuple, p: int) -> "Subspace":
+        """The subspace whose key() is key.  The packed rows are already in
+        RREF, so each pivot is the first nonzero entry of its row and no row
+        reduction runs."""
+        ambient, packed = key
+        width = _key_width(p)
+        dim = len(packed) // (width * ambient)
+        if width <= 8:
+            flat = np.frombuffer(packed, dtype=f">u{width}").astype(dtype_for(p))
+        else:
+            flat = np.array([int.from_bytes(packed[i:i + width], "big")
+                             for i in range(0, len(packed), width)], dtype=object)
+        basis = flat.reshape(dim, ambient)
+        pivots = (basis != 0).argmax(axis=1).tolist()
+        return Subspace(basis, p, ambient, _pivots=pivots)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subspace) and self.key() == other.key()

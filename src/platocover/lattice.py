@@ -9,8 +9,11 @@ the character of Q/L, and regularity under the reflection.
 Everything but L itself is fixed by the choices, so the checks and flags are
 tabulated once per choice: each block's dimension and invariance, which
 branch classes it swallows, and which choice the reflection maps it onto.
-Each L is then built by one RREF merge of a block onto a shared partial sum,
-and its descriptor is assembled from the tables.
+The lattice is walked depth-first over the menus: each L is built by one
+RREF merge of a block onto the partial sum of its path, and is kept only as
+its packed key (Subspace.key), which sorts exactly as the nested tuples of
+its basis rows.  The descriptor is assembled from the tables and rebuilds L
+from the key, with no row reduction, only when a reader asks for it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,9 @@ from .maps import MapFamily, build_group, build_map, parse_family
 # enumerating E-subspaces of E^m touches all q = p^s field elements; every
 # multiplicity >= 2 component in scope has a tiny endomorphism field
 _FIELD_CAP = 1 << 14
+# every submodule is listed; the largest lattice in scope is dodecahedron
+# vertices,faces at p = 11 with 76,832 submodules
+_LATTICE_CAP = 1 << 18
 
 
 def gaussian_binomial(m: int, k: int, q: int) -> int:
@@ -64,7 +70,7 @@ class CoveringDescriptor:
     family: MapFamily
     branch_classes: tuple[str, ...]
     p: int
-    L: Subspace
+    key: tuple  # Subspace.key() of L
     c: int
     effective_branch: tuple[str, ...]
     cover_type: tuple[int, int, int]
@@ -74,6 +80,11 @@ class CoveringDescriptor:
     choices: tuple[ComponentChoice, ...]
     mate_key: tuple | None = None  # ident of the mirrored combination, for chirals
     mate_index: int | None = None
+
+    @property
+    def L(self) -> Subspace:
+        """The submodule, rebuilt from its key with no row reduction."""
+        return Subspace.from_key(self.key, self.p)
 
     @property
     def ident(self) -> tuple:
@@ -95,7 +106,7 @@ class CoveringDescriptor:
         return "+".join(parts) if parts else "0"
 
     def sort_key(self) -> tuple:
-        return (self.c, self.genus, self.character_string, self.L.key())
+        return (self.c, self.genus, self.character_string, self.key)
 
 
 def _field_elements(s: int, p: int):
@@ -125,9 +136,7 @@ def e_subspaces(m: int, s: int, p: int):
         # only the zero subspace and the full line; no field enumeration,
         # which matters when E is large
         return [(0, ()), (1, ((one,),))]
-    if q > _FIELD_CAP:
-        raise ValueError(f"endomorphism field of {p}^{s} = {q} elements exceeds the "
-                         f"enumeration cap of {_FIELD_CAP}")
+    _check_field(m, s, p)
     elements = _field_elements(s, p)
     out = [(0, ())]
     for k in range(1, m + 1):
@@ -147,6 +156,24 @@ def e_subspaces(m: int, s: int, p: int):
                 out.append((k, tuple(tuple(r) for r in rows)))
     assert len(out) == subspace_count(m, q)
     return out
+
+
+def _check_field(m: int, s: int, p: int) -> None:
+    if m > 1 and p**s > _FIELD_CAP:
+        raise ValueError(f"endomorphism field of {p}^{s} = {p**s} elements exceeds the "
+                         f"enumeration cap of {_FIELD_CAP}")
+
+
+def _check_lattice_size(components: list[IsotypicComponent], p: int) -> None:
+    """Reject, before any menu is built, a field or a lattice too large to
+    enumerate; the lattice size is the product of the menu sizes."""
+    size = 1
+    for comp in components:
+        _check_field(comp.multiplicity, comp.endo_degree, p)
+        size *= subspace_count(comp.multiplicity, p**comp.endo_degree)
+    if size > _LATTICE_CAP:
+        raise ValueError(f"the lattice has {size} submodules, over the enumeration cap "
+                         f"of {_LATTICE_CAP}")
 
 
 def _lambda_label(rows, s: int) -> str | None:
@@ -252,15 +279,18 @@ def _pair_mirrors(menus, components, module: HomologyModule) -> None:
 
 def enumerate_submodules(
     components: list[IsotypicComponent], module: HomologyModule
-) -> list[tuple[Subspace, tuple[ComponentChoice, ...]]]:
-    """Every G-invariant submodule of Q, with its per-component coordinates.
+) -> list[tuple[tuple, tuple[ComponentChoice, ...]]]:
+    """Every G-invariant submodule of Q as its key, with its per-component
+    coordinates.
 
     Every block is checked invariant, of the right dimension and distinct
     within its component, and the components form a direct sum, so every sum
-    of blocks is a distinct submodule of the expected dimension.  The sums are
-    built as a prefix product: each partial sum is merged with each block of
-    the next component once.
+    of blocks is a distinct submodule of the expected dimension.  The menus
+    are walked depth-first: each partial sum on the current path is merged
+    with each block of the next component once, and only the path's partial
+    sums are held.
     """
+    _check_lattice_size(components, module.p)
     menus = component_menus(components, module)
     # components with the larger blocks go first, so the merges repeated most
     # often, into the last component, reduce the fewest rows
@@ -268,32 +298,37 @@ def enumerate_submodules(
         range(len(menus)),
         key=lambda i: -sum(ch.block.dim for ch in menus[i]) / len(menus[i]),
     )
-    partial = [(Subspace.zero(module.p, module.dim), ())]
-    for i in order:
-        partial = [(L.add(ch.block), picks + (ch,)) for L, picks in partial for ch in menus[i]]
-    position = {i: n for n, i in enumerate(order)}
-    return [
-        (L, tuple(picks[position[i]] for i in range(len(menus)))) for L, picks in partial
-    ]
+    position = [order.index(i) for i in range(len(menus))]
+    out = []
+
+    def walk(depth: int, L: Subspace, picks: tuple) -> None:
+        if depth == len(order):
+            out.append((L.key(), tuple(picks[n] for n in position)))
+            return
+        for ch in menus[order[depth]]:
+            walk(depth + 1, L.add(ch.block), picks + (ch,))
+
+    walk(0, Subspace.zero(module.p, module.dim), ())
+    return out
 
 
 def describe_covering(
-    L: Subspace,
+    key: tuple,
     module: HomologyModule,
     choices: tuple[ComponentChoice, ...],
 ) -> CoveringDescriptor:
     """The descriptor of the covering given by L = the sum of the choices'
-    blocks, assembled from the per-choice tables."""
+    blocks, with key = L.key(), assembled from the per-choice tables."""
     group = module.group
     p = module.p
-    assert L.dim < module.dim, "the full module is not a proper submodule"
+    c = module.dim - sum(ch.block.dim for ch in choices)
+    assert c > 0, "the full module is not a proper submodule"
 
     effective = tuple(
         bc for bc in module.branch_classes if not all(bc in ch.swallowed for ch in choices)
     )
     B = sum(len(group.class_perms(bc)[0]) for bc in effective)
 
-    c = module.dim - L.dim
     genus = 1 - p**c + (p - 1) * p ** (c - 1) * B // 2
     assert genus >= 0
 
@@ -318,7 +353,7 @@ def describe_covering(
         family=dm.family,
         branch_classes=module.branch_classes,
         p=p,
-        L=L,
+        key=key,
         c=c,
         effective_branch=effective,
         cover_type=cover_type,
@@ -365,10 +400,10 @@ def census(fam: MapFamily | str, branch_classes, p: int) -> Census:
     submodules = enumerate_submodules(components, module)
 
     coverings = []
-    for L, combo in submodules:
-        if L.dim == module.dim:
-            continue
-        coverings.append(describe_covering(L, module, combo))
+    for key, combo in submodules:
+        if all(ch.k == ch.component.multiplicity for ch in combo):
+            continue  # the full module
+        coverings.append(describe_covering(key, module, combo))
     coverings.sort(key=lambda d: d.sort_key())
 
     index_of = {d.ident: i for i, d in enumerate(coverings)}

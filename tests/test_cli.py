@@ -263,6 +263,24 @@ def test_field_over_enumeration_cap_exits_2(flags):
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)])
+def test_lattice_over_enumeration_cap_exits_2(flags):
+    # full branching of the icosahedron at p = 11 has about 7.6e16 submodules;
+    # the size is known from the decomposition, before any menu is built
+    root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    argv = ["classify", "--map", "icosahedron", "--prime", "11",
+            "--branch", "vertices,edges,faces"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "platocover.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2, proc.stderr
+    assert "76312996630592512 submodules" in proc.stderr and "262144" in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
 @pytest.mark.parametrize("family, message", [
     ("hosohedron", "hosohedron requires a parameter"),
     ("tetrahedron:5", "tetrahedron takes no parameter"),

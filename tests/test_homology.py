@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platocover.errors import EvenPrimeUnsupported, ModularCaseUnsupported
 from platocover.homology import Subspace, build_homology, named_submodules
@@ -13,6 +15,28 @@ from platocover.maps import build_group, build_map, family
 
 def group_for(tag, param=None):
     return build_group(build_map(family(tag, param)))
+
+
+def nested_key(s):
+    """The reference order for keys: ambient, then the basis rows as nested
+    integer tuples."""
+    return (s.ambient, tuple(map(tuple, s.basis.tolist())))
+
+
+@st.composite
+def subspaces(draw):
+    """Random subspaces of mixed dimension over one prime, most of them in
+    one ambient so that their keys meet; 2^31 - 1 is past the int64 bound, so
+    its bases hold Python ints."""
+    p = draw(st.sampled_from((3, 7, 2**31 - 1)))
+    ambients = st.integers(2, 4) | st.just(draw(st.integers(2, 4)))
+    out = []
+    for _ in range(draw(st.integers(2, 16))):
+        ambient = draw(ambients)
+        row = st.lists(st.integers(0, p - 1), min_size=ambient, max_size=ambient)
+        rows = draw(st.lists(row, max_size=ambient))
+        out.append(Subspace(rows, p, ambient) if rows else Subspace.zero(p, ambient))
+    return p, out
 
 
 class TestSubspace:
@@ -56,6 +80,36 @@ class TestSubspace:
                 amb,
             )
             assert a.add(b).dim + a.intersect(b).dim == a.dim + b.dim
+
+    @settings(max_examples=120, deadline=None)
+    @given(subspaces())
+    def test_packed_key_sorts_as_nested_tuples(self, case):
+        _, spaces = case
+        assert sorted(spaces, key=Subspace.key) == sorted(spaces, key=nested_key)
+        assert len({s.key() for s in spaces}) == len({nested_key(s) for s in spaces})
+
+    @settings(max_examples=120, deadline=None)
+    @given(subspaces())
+    def test_from_key_round_trip(self, case):
+        p, spaces = case
+        for s in spaces:
+            back = Subspace.from_key(s.key(), p)
+            assert back == s and back.pivots == s.pivots
+            assert back.basis.dtype == s.basis.dtype
+            assert back.basis.tolist() == s.basis.tolist()
+
+    def test_packed_key_beyond_64_bits(self):
+        # entries of 2^89 - 1 need 12 bytes, past every fixed-width integer
+        p = 2**89 - 1
+        a = Subspace([[1, p - 1, 0], [0, 0, 1]], p, 3)
+        b = Subspace([[1, 2**64, 5]], p, 3)
+        c = Subspace([[1, 2**64, 0], [0, 0, 1]], p, 3)
+        assert len(a.key()[1]) == 2 * 3 * 12
+        assert sorted([a, b, c], key=Subspace.key) == sorted([a, b, c], key=nested_key)
+        for s in (a, b, c):
+            back = Subspace.from_key(s.key(), p)
+            assert back == s and back.pivots == s.pivots
+            assert back.basis.tolist() == s.basis.tolist()
 
     def test_image(self):
         p = 5

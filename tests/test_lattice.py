@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from platocover.decompose import decompose_module
-from platocover.homology import build_homology, named_submodules
+from platocover.homology import Subspace, build_homology, named_submodules
 from platocover.lattice import (
     census,
     e_subspaces,
@@ -183,7 +183,7 @@ def test_named_submodules_appear_in_lattice():
     group = build_group(build_map(family("octahedron")))
     module = build_homology(group, ["faces"], 5)
     named = named_submodules(module, group)
-    submodules = {L.key() for L, _ in enumerate_submodules(decompose_module(module), module)}
+    submodules = {key for key, _ in enumerate_submodules(decompose_module(module), module)}
     for name in ("Qb", "Qa", "Qa'&Qb'", "Qb'"):
         assert named[name].key() in submodules, name
 
@@ -258,6 +258,30 @@ def test_census_is_sorted_and_stable():
     assert keys == sorted(keys)
     again = face_census("icosahedron", 7)
     assert [d.L.key() for d in c.coverings] == [d.L.key() for d in again.coverings]
+
+
+@pytest.mark.parametrize(
+    "name, branch, p",
+    [("icosahedron", ("faces",), 11), ("tetrahedron", ("vertices", "edges"), 7)],
+)
+def test_census_order_matches_nested_tuple_key(name, branch, p):
+    # both cases have many coverings sharing (c, genus, character), so the
+    # order inside those ties rests on the packed key alone
+    c = census(name, branch, p)
+    ties = Counter((d.c, d.genus, d.character_string) for d in c.coverings)
+    assert max(ties.values()) > 1
+
+    def tuple_key(d):
+        return (d.c, d.genus, d.character_string, tuple(map(tuple, d.L.basis.tolist())))
+
+    assert c.coverings == sorted(c.coverings, key=tuple_key)
+    zero = Subspace.zero(p, c.module.dim)
+    for d in c.coverings:
+        total = zero
+        for ch in d.choices:
+            total = total.add(ch.block)
+        assert d.L == total and d.L.pivots == total.pivots
+        assert d.L.basis.tolist() == total.basis.tolist()
 
 
 def test_mixed_dodecahedral_count_and_asymptotic_ratio():

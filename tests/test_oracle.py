@@ -20,7 +20,7 @@ def _module(name, branch, p):
 
 def _enumerated_keys(module):
     components = decompose_module(module)
-    return sorted(L.key() for L, _ in enumerate_submodules(components, module))
+    return sorted(key for key, _ in enumerate_submodules(components, module))
 
 
 def test_tetrahedron_faces_has_only_trivial_submodules():
