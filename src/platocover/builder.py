@@ -77,8 +77,12 @@ def _face_boundary(dm: DartMap, f: int) -> list[int]:
 
 
 def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
-    assert module.branch_classes == ("faces",), "voltage construction is face-branched"
-    assert L.dim < module.dim
+    if module.branch_classes != ("faces",):
+        raise ValueError("voltage construction needs faces-only branching, not "
+                         + ",".join(module.branch_classes))
+    if L.ambient != module.dim or L.dim >= module.dim:
+        raise ValueError(f"L must be a proper submodule of Q (dimension {module.dim}); "
+                         f"got dimension {L.dim} in ambient {L.ambient}")
     group = module.group
     dm = group.map
     p = module.p

@@ -27,6 +27,16 @@ def _key_width(p: int) -> int:
     return next((w for w in (1, 2, 4, 8) if nbytes <= w), nbytes)
 
 
+def pack_rows(rows: np.ndarray, p: int) -> bytes:
+    """The entries of rows, in index order, as big-endian unsigned integers
+    of the width _key_width(p); a stack of bases packs to their keys'
+    packed parts laid end to end."""
+    width = _key_width(p)
+    if width <= 8:
+        return rows.astype(f">u{width}").tobytes()
+    return b"".join(int(x).to_bytes(width, "big") for x in rows.flat)
+
+
 class Subspace:
     """A subspace of F_p^ambient held in reduced row echelon form.
 
@@ -67,12 +77,7 @@ class Subspace:
         ambient and one p the keys sort exactly as the nested tuples of the
         basis rows: a basis that is a leading part of a longer one is a
         prefix of its key and sorts first."""
-        width = _key_width(self.p)
-        if width <= 8:
-            packed = self.basis.astype(f">u{width}").tobytes()
-        else:
-            packed = b"".join(int(x).to_bytes(width, "big") for x in self.basis.flat)
-        return (self.ambient, packed)
+        return (self.ambient, pack_rows(self.basis, self.p))
 
     @staticmethod
     def from_key(key: tuple, p: int) -> "Subspace":
@@ -163,9 +168,14 @@ class HomologyModule:
     central orientation-reversing element when the map has one."""
 
     def __init__(self, group: GroupData, branch_classes, p: int):
+        unknown = [bc for bc in branch_classes if bc not in BRANCH_ORDER]
+        if unknown:
+            raise ValueError(f"unknown branch classes {', '.join(map(repr, unknown))}; "
+                             f"choose from {', '.join(BRANCH_ORDER)}")
         branch_classes = tuple(bc for bc in BRANCH_ORDER if bc in branch_classes)
-        assert branch_classes, "at least one branch class required"
-        assert all(bc in BRANCH_ORDER for bc in branch_classes)
+        if not branch_classes:
+            raise ValueError("empty branch classes: at least one of "
+                             f"{', '.join(BRANCH_ORDER)} is required")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if p == 2:

@@ -9,11 +9,15 @@ the character of Q/L, and regularity under the reflection.
 Everything but L itself is fixed by the choices, so the checks and flags are
 tabulated once per choice: each block's dimension and invariance, which
 branch classes it swallows, and which choice the reflection maps it onto.
-The lattice is walked depth-first over the menus: each L is built by one
-RREF merge of a block onto the partial sum of its path, and is kept only as
-its packed key (Subspace.key), which sorts exactly as the nested tuples of
-its basis rows.  The descriptor is assembled from the tables and rebuilds L
-from the key, with no row reduction, only when a reader asks for it.
+The lattice is walked depth-first over the menus in ascending size, so the
+largest menu comes last.  The partial sums on the path are built by one
+RREF merge (Subspace.add) each; at each last partial sum the whole last menu
+is merged at once, by one batched direct-sum merge (linalg.merge_direct_sums)
+per block rank, and the merged bases are packed straight into keys.  Each L
+is kept only as its packed key (Subspace.key), which sorts exactly as the
+nested tuples of its basis rows.  The descriptor is assembled from the
+tables and rebuilds L from the key, with no row reduction, only when a
+reader asks for it.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ import numpy as np
 
 from .decompose import IsotypicComponent, decompose_module
 from .errors import verify
-from .homology import HomologyModule, Subspace, build_homology
-from .linalg import mat_mul, reduce_rows, zeros
+from .homology import HomologyModule, Subspace, build_homology, pack_rows
+from .linalg import mat_mul, merge_direct_sums, reduce_rows, zeros
 from .maps import MapFamily, build_group, build_map, parse_family
 
 # enumerating E-subspaces of E^m touches all q = p^s field elements; every
@@ -288,27 +292,42 @@ def enumerate_submodules(
     of blocks is a distinct submodule of the expected dimension.  The menus
     are walked depth-first: each partial sum on the current path is merged
     with each block of the next component once, and only the path's partial
-    sums are held.
+    sums are held.  The leaves, one per choice of the last menu, are merged
+    onto each last partial sum in one batch per block rank, which checks
+    again that each of those sums is direct.
     """
     _check_lattice_size(components, module.p)
     menus = component_menus(components, module)
-    # components with the larger blocks go first, so the merges repeated most
-    # often, into the last component, reduce the fewest rows
-    order = sorted(
-        range(len(menus)),
-        key=lambda i: -sum(ch.block.dim for ch in menus[i]) / len(menus[i]),
-    )
+    p, dim = module.p, module.dim
+    # the smallest menus go first and the largest last: the path merges,
+    # one Subspace.add each, then number only the product of the smaller
+    # menus, and the batched leaf merges take the largest menu at once
+    order = sorted(range(len(menus)), key=lambda i: len(menus[i]))
     position = [order.index(i) for i in range(len(menus))]
+    by_rank = {}
+    for ch in menus[order[-1]]:
+        by_rank.setdefault(ch.k, []).append(ch)
+    stacks = [(group, np.stack([ch.block.basis for ch in group])) for group in by_rank.values()]
     out = []
 
+    def leaves(L: Subspace, picks: tuple) -> None:
+        for group, blocks in stacks:
+            bases, _ = merge_direct_sums(L.basis, L.pivots, blocks, p)
+            packed = pack_rows(bases, p)
+            size = len(packed) // len(group)
+            for i, ch in enumerate(group):
+                combo = picks + (ch,)
+                out.append(((dim, packed[i * size:(i + 1) * size]),
+                            tuple(combo[n] for n in position)))
+
     def walk(depth: int, L: Subspace, picks: tuple) -> None:
-        if depth == len(order):
-            out.append((L.key(), tuple(picks[n] for n in position)))
+        if depth == len(order) - 1:
+            leaves(L, picks)
             return
         for ch in menus[order[depth]]:
             walk(depth + 1, L.add(ch.block), picks + (ch,))
 
-    walk(0, Subspace.zero(module.p, module.dim), ())
+    walk(0, Subspace.zero(p, dim), ())
     return out
 
 

@@ -9,7 +9,11 @@ for any modulus.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+from .errors import verify
 
 # A matrix product with inner dimension k needs k*(p-1)^2 < 2^63 to stay
 # exact in int64.  Nothing in this package multiplies matrices with inner
@@ -17,6 +21,8 @@ import numpy as np
 # covers every operation.
 _DIM_CAP = 4096
 _INT64_CAP = 2**62
+# moduli below this look inverses up in one cached table of p entries
+_INVERSE_TABLE_CAP = 1 << 16
 
 
 def dtype_for(p: int):
@@ -96,6 +102,86 @@ def reduce_rows(basis: np.ndarray, pivots, mat, p: int) -> np.ndarray:
         return m
     coeff = m[:, list(pivots)]
     return (m - np.dot(coeff, basis)) % p
+
+
+def _fermat_inverses(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p, entrywise, by square and multiply: the inverse of
+    every nonzero entry, on either dtype."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * x % p
+        x = x * x % p
+        e >>= 1
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_table(p: int) -> np.ndarray:
+    table = _fermat_inverses(np.arange(p, dtype=np.int64), p)
+    table.flags.writeable = False
+    return table
+
+
+def _inverses(x: np.ndarray, p: int) -> np.ndarray:
+    """The inverse mod p of every entry of x, which are nonzero and reduced:
+    one lookup in a table of all inverses while that stays small, else
+    computed for all entries at once."""
+    if p < _INVERSE_TABLE_CAP:
+        return _inverse_table(p)[x]
+    return _fermat_inverses(x, p)
+
+
+def merge_direct_sums(basis: np.ndarray, pivots, blocks: np.ndarray, p: int):
+    """RREF of the sum of one RREF prefix with each block of a stack.
+
+    basis (r0, n) is in RREF with the given pivots; blocks is (batch, r, n),
+    and each block must meet the prefix's row space only in 0 and have rank
+    r, which is verified.  Returns (bases, pivots): the RREF bases
+    (batch, r0 + r, n) and their pivot columns (batch, r0 + r).
+
+    The residues against the prefix come from one matmul.  Their rows are
+    then eliminated in step over the whole batch: a row's pivot is its first
+    nonzero entry, and clearing that column in the other rows keeps every
+    row zero before its pivot.  Entries stay unreduced between steps, since
+    the pivot row and its column are reduced first, each step adds less than
+    (p-1)^2 to their size, and r0 + r <= n steps fit the bound dtype_for
+    keeps.  The prefix rows are cleared on the new pivot columns by a second
+    matmul, and one sort puts the rows in pivot order."""
+    batch, r, n = blocks.shape
+    r0 = len(pivots)
+    merged_pivots = np.empty((batch, r0 + r), dtype=np.int64)
+    merged_pivots[:, :r0] = pivots
+    merged = np.empty((batch, r0 + r, n), dtype=basis.dtype)
+    merged[:, :r0] = basis
+    if r == 0:
+        return merged, merged_pivots
+    fresh = blocks % p
+    if r0:
+        fresh -= np.matmul(fresh[:, :, merged_pivots[0, :r0]], basis)
+    at = np.arange(batch)
+    columns = merged_pivots[:, r0:]
+    for i in range(r):
+        row = fresh[:, i]
+        row %= p
+        c = (row != 0).argmax(axis=1)
+        lead = row[at, c]
+        verify(lead.all(), "a block meets the prefix or is rank deficient: the sum is not direct")
+        columns[:, i] = c
+        row *= _inverses(lead, p)[:, None]
+        row %= p
+        col = fresh[at, :, c] % p
+        col[:, i] = 0
+        fresh -= col[:, :, None] * row[:, None, :]
+    fresh %= p
+    merged[:, r0:] = fresh
+    if r0:
+        old = merged[:, :r0]
+        old -= np.matmul(basis[:, columns].transpose(1, 0, 2), fresh)
+        old %= p
+    order = np.argsort(merged_pivots, axis=1)
+    return merged[at[:, None], order], merged_pivots[at[:, None], order]
 
 
 def left_kernel(mat, p: int) -> np.ndarray:

@@ -1,5 +1,10 @@
 """Derived-map construction and independent Euler-characteristic checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -99,8 +104,49 @@ def test_rejects_non_face_branching():
     group = build_group(build_map(parse_family("tetrahedron")))
     module = build_homology(group, ("vertices", "faces"), 5)
     target = Subspace.zero(5, module.dim)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="faces-only"):
         solve_voltages(module, target)
+
+
+# calls solve_voltages with vertex and face branching, or with L = Q, on the
+# cube at p = 5, and reports what it raised
+BAD_VOLTAGE_INPUT = """
+import sys
+from platocover.builder import solve_voltages
+from platocover.homology import Subspace, build_homology
+from platocover.maps import build_group, build_map, parse_family
+
+group = build_group(build_map(parse_family("cube")))
+if sys.argv[1] == "branching":
+    module = build_homology(group, ("vertices", "faces"), 5)
+    L = Subspace.zero(5, module.dim)
+else:
+    module = build_homology(group, ("faces",), 5)
+    L = Subspace.full(5, module.dim)
+print("asserts", "on" if __debug__ else "off")
+try:
+    solve_voltages(module, L)
+except Exception as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("case, message", [
+    ("branching", "ValueError voltage construction needs faces-only branching, not vertices,faces"),
+    ("full", "ValueError L must be a proper submodule of Q (dimension 5); "
+               "got dimension 5 in ambient 5"),
+])
+@pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
+def test_bad_voltage_input_raises_value_error(flags, asserts, case, message):
+    # explicit raises, so under -O the call does not go on to build a map
+    root = Path(solve_voltages.__code__.co_filename).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", BAD_VOLTAGE_INPUT, case],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"asserts {asserts}", message]
 
 
 def test_disconnected_derived_map_is_rejected():

@@ -233,6 +233,42 @@ def test_corrupted_reflection_exits_1(flags, asserts):
     assert "reflection" in proc.stderr
 
 
+# hands the batched leaf merge a first block that starts with a prefix row,
+# so that block meets the prefix and the sum is not direct
+OVERLAPPING_BLOCK = """
+import sys
+from platocover import cli, lattice
+
+merge = lattice.merge_direct_sums
+
+def overlapping(basis, pivots, blocks, p):
+    if basis.shape[0] and blocks.shape[1]:
+        blocks = blocks.copy()
+        blocks[0, 0] = basis[0]
+    return merge(basis, pivots, blocks, p)
+
+lattice.merge_direct_sums = overlapping
+print("asserts", "on" if __debug__ else "off", file=sys.stderr)
+sys.exit(cli.main(["classify", "--map", "cube", "--prime", "5"]))
+"""
+
+
+@pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
+def test_overlapping_leaf_block_exits_1(flags, asserts):
+    # the merge kernel checks each sum is direct with VerificationError, so
+    # the check also holds under -O
+    root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", OVERLAPPING_BLOCK],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert f"asserts {asserts}" in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert "internal verification failure" in proc.stderr
+    assert "the sum is not direct" in proc.stderr
+
+
 def test_exact_object_dtype_census(capsys):
     # p^2 overflows int64 here, so every matrix holds Python ints
     p = 2**31 - 1

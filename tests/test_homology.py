@@ -1,6 +1,10 @@
 """Homology module and subspace algebra tests."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platocover.errors import EvenPrimeUnsupported, ModularCaseUnsupported
-from platocover.homology import Subspace, build_homology, named_submodules
+from platocover.homology import HomologyModule, Subspace, build_homology, named_submodules
 from platocover.linalg import mat_mul
 from platocover.maps import build_group, build_map, family
 
@@ -135,6 +139,40 @@ class TestBuildHomology:
             build_homology(group_for("dodecahedron"), ["faces"], 5)
         with pytest.raises(ValueError):
             build_homology(group_for("cube"), ["faces"], 15)
+
+    @pytest.mark.parametrize("branch, message", [
+        (["faces", "corners"], "unknown branch classes 'corners'"),
+        (["vertex", "face"], "unknown branch classes 'vertex', 'face'"),
+        ([], "empty branch classes"),
+    ])
+    def test_bad_branch_classes(self, branch, message):
+        with pytest.raises(ValueError, match=message):
+            build_homology(group_for("cube"), branch, 5)
+
+    @pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
+    def test_bad_branch_classes_under_optimize(self, flags, asserts):
+        # explicit raises, so under -O an unknown class is not dropped and an
+        # empty list does not go on to build a module of dimension -1
+        script = (
+            "from platocover.homology import build_homology\n"
+            "from platocover.maps import build_group, build_map, parse_family\n"
+            "group = build_group(build_map(parse_family('cube')))\n"
+            "print('asserts', 'on' if __debug__ else 'off')\n"
+            "for branch in (['faces', 'corners'], []):\n"
+            "    try:\n"
+            "        build_homology(group, branch, 5)\n"
+            "    except Exception as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+        )
+        root = Path(HomologyModule.__init__.__code__.co_filename).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root)}
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 3 and lines[0] == f"asserts {asserts}"
+        assert lines[1].startswith("ValueError unknown branch classes 'corners'")
+        assert lines[2].startswith("ValueError empty branch classes")
 
     def test_homomorphism_sampled(self):
         mod = build_homology(group_for("cube"), ["faces"], 5)

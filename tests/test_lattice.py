@@ -1,19 +1,23 @@
 """Submodule lattices and covering censuses against published counts."""
 
+import hashlib
+import json
 from collections import Counter
 
 import pytest
 
+from platocover import cli
 from platocover.decompose import decompose_module
 from platocover.homology import Subspace, build_homology, named_submodules
 from platocover.lattice import (
     census,
+    component_menus,
     e_subspaces,
     enumerate_submodules,
     gaussian_binomial,
     subspace_count,
 )
-from platocover.maps import build_group, build_map, family
+from platocover.maps import build_group, build_map, family, parse_family
 
 
 def test_gaussian_binomial_values():
@@ -284,12 +288,48 @@ def test_census_order_matches_nested_tuple_key(name, branch, p):
         assert d.L.basis.tolist() == total.basis.tolist()
 
 
+@pytest.mark.parametrize(
+    "name, branch, p",
+    [
+        ("tetrahedron", ("vertices", "edges"), 7),
+        ("cube", ("vertices", "edges"), 7),  # chi4 has multiplicity 3
+        ("icosahedron", ("faces",), 11),
+        ("hosohedron:6", ("vertices", "faces"), 5),
+    ],
+)
+def test_walk_matches_depth_first_reference(name, branch, p):
+    # enumerate_submodules reorders the menus and merges the last one in
+    # batches; a plain depth-first walk of Subspace.add over the menus in
+    # component order must give the same submodules with the same choices
+    module = build_homology(build_group(build_map(parse_family(name))), branch, p)
+    components = decompose_module(module)
+    menus = component_menus(components, module)
+    reference = []
+
+    def walk(depth, L, idents):
+        if depth == len(menus):
+            reference.append((L.key(), idents))
+            return
+        for ch in menus[depth]:
+            walk(depth + 1, L.add(ch.block), idents + (ch.ident,))
+
+    walk(0, Subspace.zero(p, module.dim), ())
+    got = [(key, tuple(ch.ident for ch in combo))
+           for key, combo in enumerate_submodules(components, module)]
+    assert len(got) == len(reference) == len({key for key, _ in got})
+    assert sorted(got) == sorted(reference)
+
+
 def test_mixed_dodecahedral_count_and_asymptotic_ratio():
     # one full census pins the inert-case count; the dual and larger primes
     # are counted from the decomposition alone
     p = 7
     cen = census(family("dodecahedron"), ["vertices", "faces"], p)
     assert cen.total == 2 * (p**2 + 3) * (p + 3) ** 2 - 1 == 10399
+    # the exact text `classify --format json` prints for this census
+    text = json.dumps(cli.census_payload(cen), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b3e6766e7fa7ed73dacad200ca3514b14d158abb60e17de07d40ddada2023beb")
 
     def lattice_size(name, p):
         group = build_group(build_map(family(name)))

@@ -1,5 +1,6 @@
 """rref, reduce_rows and Subspace.add against sympy's DomainMatrix over GF(p),
-and the orbit-labelling kernels against a cycle walk and union-find.
+the batched direct-sum merge against Subspace.add, and the orbit-labelling
+kernels against a cycle walk and union-find.
 
 Both the int64 path and the exact dtype=object path are drawn: 2^31 - 1 is
 past the int64 bound, so its arrays hold Python ints.
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+from platocover.errors import VerificationError
 from platocover.homology import Subspace
 from platocover.linalg import (
     cycle_labels,
     dtype_for,
     joint_orbit_count,
+    merge_direct_sums,
     orbit_labels,
     permutation_orbit_count,
     reduce_rows,
@@ -109,6 +112,65 @@ def test_subspace_add_equals_rref_of_stacked_bases(case):
     assert list(merged.pivots) == list(stacked.pivots)
     assert merged.basis.dtype == dtype_for(p)
     assert (merged.basis.tolist(), list(merged.pivots)) == sympy_rref(u_rows + w_rows, p, width)
+
+
+# ---------------------------------------------------------------------------
+# merge_direct_sums: each block of a stack is a complement of rank r to the
+# prefix, built as R + C @ prefix with its rows shuffled.  R vanishes on the
+# prefix's pivot columns and is upper triangular with a nonzero diagonal on r
+# distinct free columns, so R has rank r and meets the prefix only in 0.
+
+@st.composite
+def direct_sum_stacks(draw):
+    # 65537 is past the inverse table, on the int64 path
+    p = draw(st.sampled_from(PRIMES + (65537,)))
+    width = draw(st.integers(1, 7))
+    prefix = Subspace(as_array(draw(row_lists(p, width)), p, width), p, width)
+    free = [j for j in range(width) if j not in prefix.pivots]
+    r = draw(st.integers(0, len(free)))
+    entry = st.integers(0, p - 1)
+    blocks = []
+    for _ in range(draw(st.integers(1, 8))):
+        rows = [[draw(entry) if j in free else 0 for j in range(width)] for _ in range(r)]
+        for i, j in enumerate(draw(st.permutations(free))[:r]):
+            for k in range(i + 1, r):
+                rows[k][j] = 0
+            rows[i][j] = draw(st.integers(1, p - 1))
+        mix = as_array([[draw(entry) for _ in range(prefix.dim)] for _ in range(r)], p, prefix.dim)
+        block = (as_array(rows, p, width) + np.dot(mix, prefix.basis)) % p
+        blocks.append(block[draw(st.permutations(range(r)))])
+    return p, prefix, np.stack(blocks).reshape(len(blocks), r, width)
+
+
+@SETTINGS
+@given(direct_sum_stacks())
+def test_merge_direct_sums_equals_folded_adds(case):
+    p, prefix, blocks = case
+    width = prefix.ambient
+    bases, pivots = merge_direct_sums(prefix.basis, prefix.pivots, blocks, p)
+    assert bases.shape == (blocks.shape[0], prefix.dim + blocks.shape[1], width)
+    assert bases.dtype == dtype_for(p)
+    for basis, piv, block in zip(bases, pivots.tolist(), blocks):
+        total = prefix
+        for row in block:
+            total = total.add(Subspace(row, p, width))
+        assert basis.tolist() == total.basis.tolist()
+        assert piv == list(total.pivots)
+        assert piv == rref(np.vstack([prefix.basis, block]), p)[1]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_merge_direct_sums_rejects_a_block_meeting_the_prefix(p):
+    prefix = Subspace(as_array([[1, 0, 2, 0], [0, 1, 1, 0]], p, 4), p, 4)
+    good = [[0, 0, 1, 0]]
+    for bad in ([[3, 1, 7, 0]],  # 3 * row 0 + row 1 of the prefix
+                [[0, 0, 0, 0]]):  # rank deficient
+        blocks = as_array(good + bad, p, 4).reshape(2, 1, 4)
+        with pytest.raises(VerificationError, match="not direct"):
+            merge_direct_sums(prefix.basis, prefix.pivots, blocks, p)
+    twice = as_array([[0, 0, 1, 0], [0, 0, 2, 0]], p, 4).reshape(1, 2, 4)
+    with pytest.raises(VerificationError, match="not direct"):
+        merge_direct_sums(prefix.basis, prefix.pivots, twice, p)
 
 
 # ---------------------------------------------------------------------------
