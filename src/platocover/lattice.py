@@ -10,14 +10,13 @@ Everything but L itself is fixed by the choices, so the checks and flags are
 tabulated once per choice: each block's dimension and invariance, which
 branch classes it swallows, and which choice the reflection maps it onto.
 The lattice is walked depth-first over the menus in ascending size, so the
-largest menu comes last.  The partial sums on the path are built by one
-RREF merge (Subspace.add) each; at each last partial sum the whole last menu
-is merged at once, by one batched direct-sum merge (linalg.merge_direct_sums)
-per block rank, and the merged bases are packed straight into keys.  Each L
-is kept only as its packed key (Subspace.key), which sorts exactly as the
-nested tuples of its basis rows.  The descriptor is assembled from the
-tables and rebuilds L from the key, with no row reduction, only when a
-reader asks for it.
+largest menu comes last.  Each partial sum on the path is merged with the
+whole next menu at once, by one batched direct-sum merge
+(linalg.merge_direct_sums) per block rank; at the last menu the merged bases
+are packed straight into keys.  Each L is kept only as its packed key
+(Subspace.key), which sorts exactly as the nested tuples of its basis rows.
+The descriptor is assembled from the tables and rebuilds L from the key,
+with no row reduction, only when a reader asks for it.
 """
 
 from __future__ import annotations
@@ -291,41 +290,43 @@ def enumerate_submodules(
     within its component, and the components form a direct sum, so every sum
     of blocks is a distinct submodule of the expected dimension.  The menus
     are walked depth-first: each partial sum on the current path is merged
-    with each block of the next component once, and only the path's partial
-    sums are held.  The leaves, one per choice of the last menu, are merged
-    onto each last partial sum in one batch per block rank, which checks
-    again that each of those sums is direct.
+    with the whole next menu in one batch per block rank, which checks again
+    that each of those sums is direct, and only the path's partial sums and
+    the current batches are held.  At the last menu the merged bases are
+    packed straight into keys.
     """
     _check_lattice_size(components, module.p)
     menus = component_menus(components, module)
     p, dim = module.p, module.dim
-    # the smallest menus go first and the largest last: the path merges,
-    # one Subspace.add each, then number only the product of the smaller
-    # menus, and the batched leaf merges take the largest menu at once
+    # the smallest menus go first and the largest last, so the merges above
+    # the last level, one batch per prefix and block rank, number only the
+    # product of the smaller menus, and each last batch is the largest menu
     order = sorted(range(len(menus)), key=lambda i: len(menus[i]))
     position = [order.index(i) for i in range(len(menus))]
-    by_rank = {}
-    for ch in menus[order[-1]]:
-        by_rank.setdefault(ch.k, []).append(ch)
-    stacks = [(group, np.stack([ch.block.basis for ch in group])) for group in by_rank.values()]
+    stacks = []
+    for i in order:
+        by_rank = {}
+        for ch in menus[i]:
+            by_rank.setdefault(ch.k, []).append(ch)
+        stacks.append([(group, np.stack([ch.block.basis for ch in group]))
+                       for group in by_rank.values()])
+    last = len(order) - 1
     out = []
 
-    def leaves(L: Subspace, picks: tuple) -> None:
-        for group, blocks in stacks:
-            bases, _ = merge_direct_sums(L.basis, L.pivots, blocks, p)
-            packed = pack_rows(bases, p)
-            size = len(packed) // len(group)
-            for i, ch in enumerate(group):
-                combo = picks + (ch,)
-                out.append(((dim, packed[i * size:(i + 1) * size]),
-                            tuple(combo[n] for n in position)))
-
     def walk(depth: int, L: Subspace, picks: tuple) -> None:
-        if depth == len(order) - 1:
-            leaves(L, picks)
-            return
-        for ch in menus[order[depth]]:
-            walk(depth + 1, L.add(ch.block), picks + (ch,))
+        for group, blocks in stacks[depth]:
+            bases, pivots = merge_direct_sums(L.basis, L.pivots, blocks, p)
+            if depth == last:
+                packed = pack_rows(bases, p)
+                size = len(packed) // len(group)
+                for b, ch in enumerate(group):
+                    combo = picks + (ch,)
+                    out.append(((dim, packed[b * size:(b + 1) * size]),
+                                tuple(combo[n] for n in position)))
+            else:
+                for b, ch in enumerate(group):
+                    walk(depth + 1, Subspace(bases[b], p, dim, _pivots=pivots[b].tolist()),
+                         picks + (ch,))
 
     walk(0, Subspace.zero(p, dim), ())
     return out

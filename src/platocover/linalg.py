@@ -9,8 +9,6 @@ for any modulus.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import verify
@@ -21,8 +19,6 @@ from .errors import verify
 # covers every operation.
 _DIM_CAP = 4096
 _INT64_CAP = 2**62
-# moduli below this look inverses up in one cached table of p entries
-_INVERSE_TABLE_CAP = 1 << 16
 
 
 def dtype_for(p: int):
@@ -104,7 +100,7 @@ def reduce_rows(basis: np.ndarray, pivots, mat, p: int) -> np.ndarray:
     return (m - np.dot(coeff, basis)) % p
 
 
-def _fermat_inverses(x: np.ndarray, p: int) -> np.ndarray:
+def _inverses(x: np.ndarray, p: int) -> np.ndarray:
     """x^(p-2) mod p, entrywise, by square and multiply: the inverse of
     every nonzero entry, on either dtype."""
     out = np.ones_like(x)
@@ -115,22 +111,6 @@ def _fermat_inverses(x: np.ndarray, p: int) -> np.ndarray:
         x = x * x % p
         e >>= 1
     return out
-
-
-@functools.lru_cache(maxsize=None)
-def _inverse_table(p: int) -> np.ndarray:
-    table = _fermat_inverses(np.arange(p, dtype=np.int64), p)
-    table.flags.writeable = False
-    return table
-
-
-def _inverses(x: np.ndarray, p: int) -> np.ndarray:
-    """The inverse mod p of every entry of x, which are nonzero and reduced:
-    one lookup in a table of all inverses while that stays small, else
-    computed for all entries at once."""
-    if p < _INVERSE_TABLE_CAP:
-        return _inverse_table(p)[x]
-    return _fermat_inverses(x, p)
 
 
 def merge_direct_sums(basis: np.ndarray, pivots, blocks: np.ndarray, p: int):

@@ -233,8 +233,8 @@ def test_corrupted_reflection_exits_1(flags, asserts):
     assert "reflection" in proc.stderr
 
 
-# hands the batched leaf merge a first block that starts with a prefix row,
-# so that block meets the prefix and the sum is not direct
+# hands the batched merge a first block that starts with a prefix row, so
+# that block meets the prefix and the sum is not direct
 OVERLAPPING_BLOCK = """
 import sys
 from platocover import cli, lattice

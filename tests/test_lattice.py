@@ -291,16 +291,15 @@ def test_census_order_matches_nested_tuple_key(name, branch, p):
 @pytest.mark.parametrize(
     "name, branch, p",
     [
-        ("tetrahedron", ("vertices", "edges"), 7),
         ("cube", ("vertices", "edges"), 7),  # chi4 has multiplicity 3
-        ("icosahedron", ("faces",), 11),
         ("hosohedron:6", ("vertices", "faces"), 5),
     ],
 )
 def test_walk_matches_depth_first_reference(name, branch, p):
-    # enumerate_submodules reorders the menus and merges the last one in
-    # batches; a plain depth-first walk of Subspace.add over the menus in
-    # component order must give the same submodules with the same choices
+    # enumerate_submodules reorders the menus and merges each in batches; a
+    # plain depth-first walk of Subspace.add over the menus in component
+    # order must give the same submodules with the same choices (the census
+    # order test above checks the same on its two cases)
     module = build_homology(build_group(build_map(parse_family(name))), branch, p)
     components = decompose_module(module)
     menus = component_menus(components, module)

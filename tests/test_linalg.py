@@ -122,8 +122,7 @@ def test_subspace_add_equals_rref_of_stacked_bases(case):
 
 @st.composite
 def direct_sum_stacks(draw):
-    # 65537 is past the inverse table, on the int64 path
-    p = draw(st.sampled_from(PRIMES + (65537,)))
+    p = draw(st.sampled_from(PRIMES))
     width = draw(st.integers(1, 7))
     prefix = Subspace(as_array(draw(row_lists(p, width)), p, width), p, width)
     free = [j for j in range(width) if j not in prefix.pivots]
