@@ -40,23 +40,13 @@ def _k_projection(module: HomologyModule, L: Subspace):
     return free, project
 
 
-def _darts_at_vertex(dm: DartMap, v: int) -> list[int]:
-    start = dm.vertex_dart[v]
-    out = [start]
-    d = dm.sigma[start]
-    while d != start:
-        out.append(d)
-        d = dm.sigma[d]
-    return out
-
-
 def _spanning_tree_edges(dm: DartMap) -> set[int]:
     seen = {0}
     tree = set()
     queue = [0]
     while queue:
         v = queue.pop(0)
-        for d in _darts_at_vertex(dm, v):
+        for d in dm.vertex_orbits[v]:
             w = dm.vertex_of[dm.alpha[d]]
             if w not in seen:
                 seen.add(w)
@@ -64,16 +54,6 @@ def _spanning_tree_edges(dm: DartMap) -> set[int]:
                 queue.append(w)
     assert len(seen) == dm.V and len(tree) == dm.V - 1
     return tree
-
-
-def _face_boundary(dm: DartMap, f: int) -> list[int]:
-    start = dm.face_dart[f]
-    out = [start]
-    d = dm.phi(start)
-    while d != start:
-        out.append(d)
-        d = dm.phi(d)
-    return out
 
 
 def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
@@ -97,8 +77,8 @@ def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
     rows = zeros((dm.F, len(cotree)), p)
     rhs = zeros((dm.F, c), p)
     for f in range(dm.F):
-        rhs[f] = project(module.puncture_class(f))
-        for d in _face_boundary(dm, f):
+        rhs[f] = project(module.projection[f])
+        for d in dm.face_orbits[f]:
             e = dm.edge_of[d]
             if e not in unknown_of:
                 continue
@@ -120,7 +100,7 @@ def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
 
     for f in range(dm.F):
         total = zeros((c,), p)
-        for d in _face_boundary(dm, f):
+        for d in dm.face_orbits[f]:
             total = (total + beta[d]) % p
         verify(total.tolist() == rhs[f].tolist(), f"voltages around face {f} miss its monodromy")
 

@@ -11,11 +11,9 @@ from importlib import resources
 from .builder import euler_verify, solve_voltages
 from .errors import verify
 from .gf import coset_orbits, factor_xn_minus_1, is_prime, poly_str
-from .homology import Subspace
+from .homology import BRANCH_ORDER, Subspace
 from .lattice import Census, census
 from .oracle import brute_force_submodules
-
-BRANCH_NAMES = ("vertices", "edges", "faces")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_branch(text: str) -> tuple[str, ...]:
     parts = tuple(s.strip() for s in text.split(",") if s.strip())
     for part in parts:
-        if part not in BRANCH_NAMES:
+        if part not in BRANCH_ORDER:
             raise ValueError(f"unknown branch class {part!r}")
     if not parts:
         raise ValueError("empty branch list")

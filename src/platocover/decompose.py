@@ -13,11 +13,13 @@ endomorphism field E = F_{p^s}, which the field found below must match.
 
 The components then go through one tail.  It checks that Q is the direct sum
 of the components, stores on each component the projection of every puncture
-class (``comp.punctures``, from one inverse of the stacked component bases;
-the lattice reads them to tell which branch classes a block swallows), and
-equips each component with a seed irreducible W, its endomorphism field E (a
-basis of commuting matrices on W), and an E-basis of the equivariant maps
-W -> Q.  These are the ingredients the submodule lattice is enumerated from.
+class (``comp.punctures``: the puncture classes times the component's central
+idempotent, which projects onto it along the others; the lattice reads them to
+tell which branch classes a block swallows), and equips each component with a
+seed irreducible W, its endomorphism field E (a basis of commuting matrices on
+W), and an E-basis of the equivariant maps W -> Q.  These are the ingredients
+the submodule lattice is enumerated from.  Every sum over G is one contraction
+over the stacked group matrices of the module.
 
 The seed search is the same for every group.  Q is a quotient of the
 permutation modules on the branch points, so the projection of a puncture
@@ -32,7 +34,10 @@ E is the span of the class sums of G restricted to W: the centre of F_pG
 maps onto the centre of End_E(W), which is E (Wedderburn).  The span is
 checked to be a commutative ring of units commuting with the generators,
 and to be all of End_G(W) by the double centralizer count
-dim span{R_g} * s = d^2, which fails for a reducible W.
+dim span{R_g} * s = d^2, which fails for a reducible W.  The equivariant maps
+W -> Q are spanned by the group averages sum_g R_{g^-1}[:, 0] (v A_g) over v
+in Q; their dimension, their freeness over E and the equivariance of the
+chosen basis are checked.
 
 The consistency checks raise VerificationError, so they hold under
 ``python -O``.
@@ -48,7 +53,7 @@ from . import chartab
 from .chartab import CharacterTable, match_classes, table_for_group
 from .errors import VerificationError, verify
 from .homology import HomologyModule, Subspace
-from .linalg import as_matrix, identity, inverse, left_kernel, mat_mul, rref, zeros
+from .linalg import as_matrix, identity, mat_mul, rref, zeros
 from .maps import GroupData
 
 
@@ -96,15 +101,15 @@ def _class_values_mod_p(table: CharacterTable, rows, p: int):
 
 
 def _idempotent_matrix(module: HomologyModule, values_by_class, degree: int) -> np.ndarray:
+    """(degree / |G|) sum_g chi(g^-1) A_g, as one contraction over the stacked
+    group matrices.  The |G| products of entries below p are summed before
+    reducing, which stays exact since |G| is at most linalg._DIM_CAP."""
     group = module.group
     p = module.p
-    acc = zeros((module.dim, module.dim), p)
-    for g in range(group.order):
-        coeff = values_by_class[group.class_of[group.inverse[g]]]
-        if coeff:
-            acc = (acc + coeff * module.matrices[g]) % p
+    coeffs = np.asarray(values_by_class, dtype=module.dtype)[
+        np.asarray(group.class_of)[group.inverse]]
     scale = degree * pow(group.order, -1, p) % p
-    return (scale * acc) % p
+    return scale * (np.tensordot(coeffs, module.matrices, axes=1) % p) % p
 
 
 def decompose_idempotent(
@@ -196,14 +201,9 @@ def _finish_decomposition(
     sum, store each component's puncture projections, and equip each
     component with its seed, endomorphism field and hom basis."""
     _verify_decomposition(components, module)
-    p = module.p
-    stacked = np.vstack([comp.subspace.basis for comp in components])
-    coords = mat_mul(module.projection_matrix(), inverse(stacked, p), p)
-    start = 0
     for comp in components:
-        stop = start + comp.subspace.dim
-        comp.punctures = mat_mul(coords[:, start:stop], comp.subspace.basis, p)
-        start = stop
+        # the central idempotent projects onto its component along the others
+        comp.punctures = mat_mul(module.projection, comp.projector, module.p)
         _finish_component(comp, module, _find_seed(comp, module))
     return components
 
@@ -211,13 +211,12 @@ def _finish_decomposition(
 # ---------------------------------------------------------------------------
 # seeds, endomorphism fields, hom spaces
 
-def _restrictions(space: Subspace, module: HomologyModule) -> list[np.ndarray]:
-    """Matrices R_g with B A_g = R_g B for the subspace basis B, one per group
-    element.  B is in RREF, so R_g is the pivot columns of B A_g once the
-    space is checked invariant under the generators, hence under G."""
+def _restrictions(space: Subspace, module: HomologyModule) -> np.ndarray:
+    """The matrices R_g with B A_g = R_g B for the subspace basis B, stacked
+    in group order.  B is in RREF, so R_g is the pivot columns of B A_g once
+    the space is checked invariant under the generators, hence under G."""
     p = module.p
-    cols = list(space.pivots)
-    restr = [mat_mul(space.basis, a[:, cols], p) for a in module.matrices]
+    restr = np.matmul(space.basis, module.matrices[:, :, space.pivots]) % p
     for g in (module.group.gen_x, module.group.gen_z):
         moved = mat_mul(space.basis, module.matrices[g], p)
         verify(mat_mul(restr[g], space.basis, p).tolist() == moved.tolist(),
@@ -225,7 +224,7 @@ def _restrictions(space: Subspace, module: HomologyModule) -> list[np.ndarray]:
     return restr
 
 
-def _endo_field(restr, group: GroupData, p: int) -> list[np.ndarray]:
+def _endo_field(restr: np.ndarray, group: GroupData, p: int) -> list[np.ndarray]:
     """Basis of E = End_G(W) for the irreducible seed W, identity first, from
     the restrictions R_g of every group element to W.
 
@@ -235,8 +234,8 @@ def _endo_field(restr, group: GroupData, p: int) -> list[np.ndarray]:
     and all of the commutant: with A = span{R_g}, the double centralizer
     theorem gives dim A * s = d^2 exactly when W is irreducible, which also
     rejects a reducible seed such as U+U."""
-    d = restr[0].shape[0]
-    sums = [identity(d, p)] + [sum(restr[g] for g in cls.members) % p for cls in group.classes]
+    d = restr.shape[1]
+    sums = [identity(d, p)] + [restr[list(cls.members)].sum(axis=0) % p for cls in group.classes]
     _, independent = rref(np.vstack([t.reshape(1, -1) for t in sums]).T, p)
     basis = [sums[i] for i in independent]
     s = len(basis)
@@ -252,25 +251,27 @@ def _endo_field(restr, group: GroupData, p: int) -> list[np.ndarray]:
         r = restr[g]
         verify(all(mat_mul(t, r, p).tolist() == mat_mul(r, t, p).tolist() for t in basis),
                "a class sum does not commute with the group")
-    image = Subspace(np.vstack([r.reshape(1, -1) for r in restr]), p, d * d)
+    image = Subspace(restr.reshape(len(restr), d * d), p, d * d)
     verify(image.dim * s == d * d,
            f"the seed is not irreducible: rank {image.dim} of the group image, "
            f"field degree {s}, dimension {d}")
     return basis
 
 
-def _hom_space(restrictions, module: HomologyModule, gens) -> np.ndarray:
-    """All X with R_g X = X A_g, as vec rows."""
+def _hom_space(restr: np.ndarray, module: HomologyModule) -> np.ndarray:
+    """RREF basis of Hom_G(W, Q) for the irreducible seed W, as vec rows of
+    the d x dim matrices X with R_g X = X A_g.
+
+    The group average X_v = sum_g R_{g^-1}[:, 0] (v A_g) is equivariant for
+    every v in Q, and these span the hom space: averaging maps onto it, and
+    the first coordinate function generates the dual of W, so averaging any
+    X reduces to averaging ones whose only nonzero row is the first.  Over
+    the basis v = e_i the averages are one contraction over the stacked
+    group matrices, exact since |G| is at most linalg._DIM_CAP."""
     p = module.p
-    d = restrictions[0].shape[0]
-    N = module.dim
-    blocks = []
-    for r, g in zip(restrictions, gens):
-        A = module.matrices[g]
-        m = np.kron(r, identity(N, p)) - np.kron(identity(d, p), A.T)
-        blocks.append(m % p)
-    system = np.vstack(blocks)
-    return left_kernel(system.T, p)
+    first = restr[module.group.inverse, :, 0]
+    averages = np.einsum("gj,gik->ijk", first, module.matrices) % p
+    return rref(averages.reshape(module.dim, -1), p)[0]
 
 
 def _e_basis_of_hom(sols, commutant, comp, module) -> list[np.ndarray]:
@@ -295,19 +296,17 @@ def _e_basis_of_hom(sols, commutant, comp, module) -> list[np.ndarray]:
 def _finish_component(comp: IsotypicComponent, module: HomologyModule, seed: Subspace) -> None:
     p = module.p
     group = module.group
-    gens = [group.gen_x, group.gen_z]
     comp.seed = seed
     verify(comp.subspace.contains_space(seed), f"{comp.label}: the seed leaves the component")
     restr = _restrictions(seed, module)
     comp.commutant = _endo_field(restr, group, p)
     verify(comp.endo_degree == len(comp.commutant),
            f"{comp.label}: endomorphism degree {len(comp.commutant)}, expected {comp.endo_degree}")
-    gen_restr = [restr[g] for g in gens]
 
     if comp.multiplicity == 1 and seed == comp.subspace:
         comp.hom_basis = [seed.basis]
     else:
-        sols = _hom_space(gen_restr, module, gens)
+        sols = _hom_space(restr, module)
         verify(sols.shape[0] == comp.multiplicity * comp.endo_degree,
                f"{comp.label}: the hom space has the wrong dimension")
         comp.hom_basis = _e_basis_of_hom(sols, comp.commutant, comp, module)
@@ -323,8 +322,8 @@ def _finish_component(comp: IsotypicComponent, module: HomologyModule, seed: Sub
             comp.hom_basis = [x1, partner]
 
     for x in comp.hom_basis:
-        for r, g in zip(gen_restr, gens):
-            verify(mat_mul(r, x, p).tolist() == mat_mul(x, module.matrices[g], p).tolist(),
+        for g in (group.gen_x, group.gen_z):
+            verify(mat_mul(restr[g], x, p).tolist() == mat_mul(x, module.matrices[g], p).tolist(),
                    f"{comp.label}: a hom basis map is not equivariant")
         verify(comp.subspace.contains_space(Subspace(x, p, module.dim)),
                f"{comp.label}: a hom basis map leaves the component")

@@ -6,6 +6,11 @@ by the span of the all-ones vector, realized in coordinates by dropping the
 last puncture: the deleted basis vector maps to minus the sum of the others.
 Vectors are rows and matrices act on the right, so A_g A_h represents g*h
 under the group's left-to-right composition.
+
+The quotient map P -> Q is one N x dim matrix (``projection``).  Row i of a
+group element's matrix is the projection row of the image of puncture i, so
+the whole action is one (|G|, dim, dim) array (``matrices``), one fancy index
+of the projection by the stacked puncture permutations.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import numpy as np
 
 from .errors import EvenPrimeUnsupported, ModularCaseUnsupported, verify
 from .gf import is_prime
-from .linalg import as_matrix, dtype_for, left_kernel, mat_mul, reduce_rows, rref, zeros
+from .linalg import as_matrix, dtype_for, left_kernel, mat_mul, reduce_rows, rref
 from .maps import GroupData
 
 BRANCH_ORDER = ("vertices", "edges", "faces")
@@ -114,28 +119,9 @@ class Subspace:
         return not residue.any()
 
     def add(self, other: "Subspace") -> "Subspace":
-        """The sum, merged from the two RREF bases: only the part of other
-        outside self is row reduced, and self's rows are cleared on its new
-        pivot columns.  RREF is canonical, so this equals the RREF of the
-        stacked bases."""
+        """The sum: the RREF of the stacked bases."""
         assert self.ambient == other.ambient
-        if other.dim == 0:
-            return self
-        if self.dim == 0:
-            return other
-        p = self.p
-        residue = reduce_rows(self.basis, self.pivots, other.basis, p)
-        fresh, fresh_pivots = rref(residue, p)
-        if not fresh_pivots:
-            return self
-        old = self.basis
-        coeff = old[:, fresh_pivots]
-        if coeff.any():
-            old = (old - np.dot(coeff, fresh)) % p
-        pivots = list(self.pivots) + fresh_pivots
-        order = np.argsort(pivots)
-        basis = np.vstack([old, fresh])[order]
-        return Subspace(basis, p, self.ambient, _pivots=[pivots[i] for i in order])
+        return Subspace(np.vstack([self.basis, other.basis]), self.p, self.ambient)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Left-kernel construction: pairs (a, b) with a·U + b·W = 0 give
@@ -194,76 +180,42 @@ class HomologyModule:
         self.N = len(self.punctures)
         self.dim = self.N - 1
         self.dtype = dtype_for(p)
+        # the quotient map P -> Q: row i is the class of puncture i, the
+        # identity rows and then the dropped puncture as minus their sum
+        self.projection = np.vstack([np.eye(self.dim, dtype=self.dtype),
+                                     np.full((1, self.dim), p - 1, dtype=self.dtype)])
 
-        self._block_offsets = {}
-        offset = 0
-        for bc in branch_classes:
-            count = len(group.class_perms(bc)[0])
-            self._block_offsets[bc] = offset
-            offset += count
-
-        self.matrices = [self._matrix(self.puncture_permutation(g)) for g in range(group.order)]
+        perms = self._stacked(group.class_perms)
+        self.matrices = self._matrix(perms)
         self.reflection_matrix = self._matrix(self._stacked(group.reflection_class_perm))
         if group.central_reversing is not None:
-            self.central_matrix = self._matrix(self._stacked(lambda bc: group.central_reversing[bc]))
+            self.central_matrix = self._matrix(self._stacked(group.central_reversing.get))
         else:
             self.central_matrix = None
 
-        self._verify_presentation()
+        self._verify_presentation(perms)
 
-    # -- puncture bookkeeping -------------------------------------------------
-
-    def puncture_permutation(self, g: int) -> list[int]:
-        return self._stacked(lambda bc: self.group.class_perms(bc)[g])
-
-    def _stacked(self, perm_of_class) -> list[int]:
-        """The permutation of all punctures made of perm_of_class(bc) on each
-        branch class's block."""
-        out = []
+    def _stacked(self, perms_of_class) -> np.ndarray:
+        """The permutation of all punctures made of perms_of_class(bc) on each
+        branch class's block, along the last axis: one permutation, or one
+        row per group element for a list of them."""
+        blocks, offset = [], 0
         for bc in self.branch_classes:
-            base = self._block_offsets[bc]
-            out.extend(base + t for t in perm_of_class(bc))
-        return out
+            block = np.asarray(perms_of_class(bc), dtype=np.intp)
+            blocks.append(block + offset)
+            offset += block.shape[-1]
+        return np.concatenate(blocks, axis=-1)
 
-    def _matrix(self, tau) -> np.ndarray:
-        n = self.dim
-        out = zeros((n, n), self.p)
-        for i in range(n):
-            t = tau[i]
-            if t < n:
-                out[i, t] = 1
-            else:
-                out[i, :] = self.p - 1
-        return out
-
-    def puncture_class(self, i: int) -> np.ndarray:
-        v = zeros((self.dim,), self.p)
-        if i < self.dim:
-            v[i] = 1
-        else:
-            v[:] = self.p - 1
-        return v
-
-    def class_vector(self, bc: str) -> np.ndarray:
-        """Image in Q of the sum of all punctures in one branch class."""
-        assert bc in self.branch_classes
-        base = self._block_offsets[bc]
-        count = len(self.group.class_perms(bc)[0])
-        v = zeros((self.dim,), self.p)
-        for i in range(base, base + count):
-            v = (v + self.puncture_class(i)) % self.p
-        return v
-
-    def projection_matrix(self) -> np.ndarray:
-        """The quotient map P -> Q as an N x (N-1) matrix of row images."""
-        out = zeros((self.N, self.dim), self.p)
-        for i in range(self.N):
-            out[i, :] = self.puncture_class(i)
-        return out
+    def _matrix(self, perms) -> np.ndarray:
+        """Row i of a puncture permutation's matrix is the class of the image
+        of puncture i, so one fancy index builds a whole stack of them."""
+        return self.projection[perms[..., :self.dim]]
 
     # -- sanity ---------------------------------------------------------------
 
-    def _verify_presentation(self) -> None:
+    def _verify_presentation(self, perms: np.ndarray) -> None:
+        """The generator matrices satisfy the group's relations and move
+        every puncture class, the dropped one included, to its image's."""
         g = self.group
         dm = g.map
         x, z = self.matrices[g.gen_x], self.matrices[g.gen_z]
@@ -273,12 +225,9 @@ class HomologyModule:
         xz = mat_mul(x, z, self.p)
         verify(mat_mul(xz, xz, self.p).tolist() == ident.tolist(), "(xz)^2 does not act as 1 on Q")
         for gen in (g.gen_x, g.gen_z):
-            tau = self.puncture_permutation(gen)
-            A = self.matrices[gen]
-            for i in range(self.N):
-                img = mat_mul(self.puncture_class(i).reshape(1, -1), A, self.p)[0]
-                verify(img.tolist() == self.puncture_class(tau[i]).tolist(),
-                       f"a generator matrix does not move puncture {i} to {tau[i]}")
+            moved = mat_mul(self.projection, self.matrices[gen], self.p)
+            verify(np.array_equal(moved, self.projection[perms[gen]]),
+                   "a generator matrix does not move each puncture to its image")
 
     def _power(self, A: np.ndarray, k: int) -> np.ndarray:
         out = np.eye(self.dim, dtype=self.dtype)
@@ -325,7 +274,7 @@ def named_submodules(module: HomologyModule, group: GroupData) -> dict[str, Subs
     proper, antipodal sum/difference modules, and the octahedron's bipartite
     family."""
     p, N = module.p, module.N
-    proj = module.projection_matrix()
+    proj = module.projection
     out: dict[str, Subspace] = {}
 
     def image_of_rows(rows) -> Subspace:

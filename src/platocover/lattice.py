@@ -28,7 +28,7 @@ import numpy as np
 
 from .decompose import IsotypicComponent, decompose_module
 from .errors import verify
-from .homology import HomologyModule, Subspace, build_homology, pack_rows
+from .homology import BRANCH_ORDER, HomologyModule, Subspace, build_homology, pack_rows
 from .linalg import mat_mul, merge_direct_sums, reduce_rows, zeros
 from .maps import MapFamily, build_group, build_map, parse_family
 
@@ -38,6 +38,12 @@ _FIELD_CAP = 1 << 14
 # every submodule is listed; the largest lattice in scope is dodecahedron
 # vertices,faces at p = 11 with 76,832 submodules
 _LATTICE_CAP = 1 << 18
+# the group is held as |G| dart permutations of |G| darts and Q's action as
+# |G| matrices of dim^2 entries; the largest case in scope, hosohedron:95
+# faces, needs 190 * (190 + 94^2) = 1,714,940 entries.  Under the cap |G|
+# and dim stay below linalg._DIM_CAP, which keeps the sums over the stacked
+# group matrices exact
+_ACTION_CAP = 1 << 23
 
 
 def gaussian_binomial(m: int, k: int, q: int) -> int:
@@ -60,7 +66,6 @@ def subspace_count(m: int, q: int) -> int:
 class ComponentChoice:
     component: IsotypicComponent
     k: int
-    rows: tuple  # RREF rows over E, each a tuple of coordinate vectors
     lam: str | None  # projective label for a line in a multiplicity-2 component
     ident: int  # position in the concatenated menus of all components
     block: Subspace = field(repr=False)
@@ -70,7 +75,6 @@ class ComponentChoice:
 
 @dataclass
 class CoveringDescriptor:
-    family: MapFamily
     branch_classes: tuple[str, ...]
     p: int
     key: tuple  # Subspace.key() of L
@@ -179,6 +183,20 @@ def _check_lattice_size(components: list[IsotypicComponent], p: int) -> None:
                          f"of {_LATTICE_CAP}")
 
 
+def _check_map_size(fam: MapFamily, branch_classes) -> None:
+    """Reject, before the map is built, a group or an action on Q too large
+    to hold.  The map {n, m} has |G| = 4nm / (2n + 2m - nm) darts, and |G|/m
+    vertices, |G|/2 edges and |G|/n faces."""
+    order = 4 * fam.n * fam.m // (2 * (fam.n + fam.m) - fam.n * fam.m)
+    count = {"vertices": order // fam.m, "edges": order // 2, "faces": order // fam.n}
+    dim = sum(count[bc] for bc in BRANCH_ORDER if bc in branch_classes) - 1
+    entries = order * (order + dim * dim)
+    if entries > _ACTION_CAP:
+        raise ValueError(f"{fam.name} branched at {','.join(branch_classes)} needs {entries} "
+                         f"entries for its group and its action on Q, over the cap of "
+                         f"{_ACTION_CAP}")
+
+
 def _lambda_label(rows, s: int) -> str | None:
     """Projective parameter of a line in E^2, with the first hom basis
     element at infinity."""
@@ -229,7 +247,7 @@ def component_menus(
             verify(block.dim == k * comp.irreducible_dim,
                    f"{comp.label}: a choice of E-rank {k} has dimension {block.dim}")
             verify(module.invariant_under_group(block), f"{comp.label}: a choice is not invariant")
-            menu.append(ComponentChoice(comp, k, rows, lam, next(idents), block))
+            menu.append(ComponentChoice(comp, k, lam, next(idents), block))
         verify(len({ch.block.key() for ch in menu}) == len(menu),
                f"{comp.label}: two choices give the same submodule")
         verify(menu[-1].k == comp.multiplicity and menu[-1].block == comp.subspace,
@@ -370,7 +388,6 @@ def describe_covering(
     regular = mirrored == ident
 
     return CoveringDescriptor(
-        family=dm.family,
         branch_classes=module.branch_classes,
         p=p,
         key=key,
@@ -414,6 +431,7 @@ class Census:
 def census(fam: MapFamily | str, branch_classes, p: int) -> Census:
     if isinstance(fam, str):
         fam = parse_family(fam)
+    _check_map_size(fam, branch_classes)
     group = build_group(build_map(fam))
     module = build_homology(group, branch_classes, p)
     components = decompose_module(module)

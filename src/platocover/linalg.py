@@ -181,15 +181,6 @@ def left_kernel(mat, p: int) -> np.ndarray:
     return basis
 
 
-def inverse(mat: np.ndarray, p: int) -> np.ndarray:
-    n = mat.shape[0]
-    aug = np.concatenate([mat % p, identity(n, p)], axis=1)
-    r, pivots = rref(aug, p)
-    if pivots != list(range(n)):
-        raise ZeroDivisionError("matrix is singular mod %d" % p)
-    return r[:, n:]
-
-
 def cycle_labels(perm: np.ndarray) -> np.ndarray:
     """The least point of each point's cycle, by min-label doubling.
 

@@ -100,6 +100,10 @@ class DartMap:
     vertex_dart: tuple[int, ...]
     edge_dart: tuple[int, ...]
     face_dart: tuple[int, ...]
+    # the darts at each vertex from vertex_dart along sigma, and each face's
+    # boundary from face_dart along phi
+    vertex_orbits: tuple[tuple[int, ...], ...]
+    face_orbits: tuple[tuple[int, ...], ...]
 
     @property
     def n_darts(self) -> int:
@@ -215,6 +219,8 @@ def build_map(fam: MapFamily) -> DartMap:
         vertex_dart=vertex_dart,
         edge_dart=edge_dart,
         face_dart=face_dart,
+        vertex_orbits=tuple(vertex_orbits),
+        face_orbits=tuple(face_orbits),
     )
 
 

@@ -64,8 +64,8 @@ def cyclic_submodules(module: HomologyModule, budget: int = 10**7):
     reps = np.flatnonzero(labels == np.arange(size))[1:]  # the zero vector is its own orbit
 
     vectors = digits[reps].astype(np.int64)
-    stacked = np.stack(module.matrices)
-    return vectors, [Subspace(np.einsum("j,gjk->gk", v, stacked), p, dim) for v in vectors]
+    return vectors, [Subspace(np.einsum("j,gjk->gk", v, module.matrices), p, dim)
+                     for v in vectors]
 
 
 def brute_force_submodules(module: HomologyModule, budget: int = 10**7) -> list[Subspace]:

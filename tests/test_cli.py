@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from platocover import cli
+from platocover import cli, lattice, linalg
 from platocover.lattice import census
 from platocover.linalg import dtype_for
 
@@ -158,7 +158,7 @@ def test_fixture_mismatch_exits_1_with_a_diff(capsys, monkeypatch):
 # normalizes the rotation group, so the census's mirror lookup must fail
 CORRUPT_REFLECTION = """
 import sys
-from platocover import cli
+from platocover import cli, lattice, linalg
 from platocover.maps import GroupData
 
 reflect = GroupData.reflection_class_perm
@@ -178,7 +178,7 @@ sys.exit(cli.main(["classify", "--map", "cube", "--prime", "5"]))
 # the genus plus one, or the brute force loses the zero submodule
 BREAK_CROSS_CHECK = """
 import sys
-from platocover import cli
+from platocover import cli, lattice, linalg
 
 if sys.argv[1] == "--verify-euler":
     euler_verify = cli.euler_verify
@@ -314,6 +314,33 @@ def test_lattice_over_enumeration_cap_exits_2(flags):
     assert time.perf_counter() - start < 10
     assert proc.returncode == 2, proc.stderr
     assert "76312996630592512 submodules" in proc.stderr and "262144" in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+@pytest.mark.parametrize("name, branch, entries", [
+    ("hosohedron:1000", "faces", 2000 * (2000 + 999**2)),
+    ("hosohedron:100000", "vertices", 200000 * (200000 + 1)),
+])
+def test_map_over_size_cap_exits_2(flags, name, branch, entries):
+    # the group and Q's action would hold |G| * (|G| + dim^2) entries; the
+    # size follows from the family, before the map or the group is built
+    root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    argv = ["classify", "--map", name, "--prime", "7", "--branch", branch]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "platocover.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2, proc.stderr
+    assert f"needs {entries} entries" in proc.stderr and "8388608" in proc.stderr
+
+
+def test_map_size_cap_keeps_group_sums_exact():
+    # |G|^2 and dim^2 are each below the cap, so both stay within the bound
+    # under which dtype_for keeps sums of |G| or dim products exact
+    assert lattice._ACTION_CAP <= linalg._DIM_CAP ** 2
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)])

@@ -15,13 +15,14 @@ from platocover.decompose import (
     decompose_idempotent,
     decompose_module,
     _endo_field,
+    _hom_space,
     _restrictions,
     _verify_decomposition,
 )
 from platocover.errors import VerificationError
 from platocover.gf import coset_orbits, factor_xn_minus_1, poly_mul
 from platocover.homology import Subspace, build_homology, named_submodules
-from platocover.linalg import identity, left_kernel, mat_mul
+from platocover.linalg import identity, left_kernel, mat_mul, rref, zeros
 from platocover.maps import build_group, build_map, family
 
 
@@ -353,3 +354,93 @@ def test_reducible_seed_raises_verification_error():
     assert c.multiplicity == 2 and c.endo_degree == 2
     with pytest.raises(VerificationError, match="not irreducible"):
         _endo_field(_restrictions(c.subspace, mod), group, mod.p)
+
+
+def _kronecker_hom(restr, mod, group):
+    """Reference: every X with R_g X = X A_g for the generators, by solving
+    the linear system in the d * dim unknowns of vec(X)."""
+    p, n = mod.p, mod.dim
+    d = restr.shape[1]
+    blocks = [(np.kron(restr[g], identity(n, p)) - np.kron(identity(d, p), mod.matrices[g].T)) % p
+              for g in (group.gen_x, group.gen_z)]
+    return Subspace(left_kernel(np.vstack(blocks).T, p), p, d * n)
+
+
+@pytest.mark.parametrize("tag, param, branch, p", [
+    ("icosahedron", None, ["faces"], 11),  # chi4: d = 4, m = 2
+    ("dodecahedron", None, ["vertices", "faces"], 7),  # chi2+chi3: d = 6, m = 2, s = 2
+    ("hosohedron", 7, ["edges", "faces"], 11),  # xi1+xi2+xi3: d = 6, m = 2, s = 3
+    ("cube", None, ["vertices", "edges"], 7),  # m = 3
+])
+def test_group_average_hom_space_matches_kronecker_solve(tag, param, branch, p):
+    mod, group = module_for(tag, branch, p, param)
+    comps = decompose_module(mod)
+    assert max(c.multiplicity for c in comps) >= 2
+    for c in comps:
+        restr = _restrictions(c.seed, mod)
+        sols = _hom_space(restr, mod)
+        assert sols.shape[0] == c.multiplicity * c.endo_degree, c.label
+        assert Subspace(sols, p, sols.shape[1]) == _kronecker_hom(restr, mod, group), c.label
+
+
+def _inverse(mat, p):
+    n = mat.shape[0]
+    reduced, pivots = rref(np.concatenate([mat, identity(n, p)], axis=1), p)
+    assert pivots == list(range(n))
+    return reduced[:, n:]
+
+
+@pytest.mark.parametrize("tag, param, branch, p", [
+    ("tetrahedron", None, ["vertices", "edges", "faces"], 7),
+    ("dodecahedron", None, ["vertices", "faces"], 7),
+    ("hosohedron", 13, ["vertices", "edges", "faces"], 3),
+    ("dihedron", 6, ["vertices", "edges", "faces"], 5),
+])
+def test_puncture_projections_match_stacked_basis_inverse(tag, param, branch, p):
+    # reference: coordinates of every puncture class in the stacked component
+    # bases, cut into one block per component
+    mod, _ = module_for(tag, branch, p, param)
+    comps = decompose_module(mod)
+    stacked = np.vstack([c.subspace.basis for c in comps])
+    coords = mat_mul(mod.projection, _inverse(stacked, p), p)
+    start = 0
+    for c in comps:
+        stop = start + c.subspace.dim
+        expected = mat_mul(coords[:, start:stop], c.subspace.basis, p)
+        assert c.punctures.tolist() == expected.tolist(), c.label
+        start = stop
+
+
+def _row_by_row(mod, perm_of_class):
+    """Reference: the matrix of a puncture permutation, row by row: row i is
+    the class of the image of puncture i, a unit vector or, for the dropped
+    puncture, the constant row p - 1."""
+    tau, offset = [], 0
+    for bc in mod.branch_classes:
+        perm = perm_of_class(bc)
+        tau.extend(offset + t for t in perm)
+        offset += len(perm)
+    out = zeros((mod.dim, mod.dim), mod.p)
+    for i in range(mod.dim):
+        if tau[i] < mod.dim:
+            out[i, tau[i]] = 1
+        else:
+            out[i, :] = mod.p - 1
+    return out
+
+
+@pytest.mark.parametrize("tag, param, branch, p", [
+    ("icosahedron", None, ["vertices", "faces"], 7),
+    ("dihedron", 6, ["vertices", "edges", "faces"], 5),
+    ("hosohedron", 13, ["vertices", "edges", "faces"], 3),
+])
+def test_stacked_matrices_match_row_by_row_construction(tag, param, branch, p):
+    mod, group = module_for(tag, branch, p, param)
+    assert mod.matrices.shape == (group.order, mod.dim, mod.dim)
+    for g in range(group.order):
+        expected = _row_by_row(mod, lambda bc: group.class_perms(bc)[g])
+        assert mod.matrices[g].tolist() == expected.tolist()
+    expected = _row_by_row(mod, group.reflection_class_perm)
+    assert mod.reflection_matrix.tolist() == expected.tolist()
+    expected = _row_by_row(mod, lambda bc: group.central_reversing[bc])
+    assert mod.central_matrix.tolist() == expected.tolist()

@@ -243,7 +243,7 @@ def test_effective_branch_drops_swallowed_classes():
     for d in c.coverings:
         for bc in d.branch_classes:
             rows = [
-                mod.puncture_class(i)
+                mod.projection[i]
                 for i, (cls, _) in enumerate(mod.punctures)
                 if cls == bc
             ]
@@ -370,7 +370,7 @@ def test_factored_descriptors_match_direct_reference(name, branch, p, total, chi
             bc
             for bc in d.branch_classes
             if not all(
-                d.L.contains(mod.puncture_class(i))
+                d.L.contains(mod.projection[i])
                 for i, (cls, _) in enumerate(mod.punctures)
                 if cls == bc
             )
