@@ -18,6 +18,9 @@ from .homology import HomologyModule, Subspace
 from .linalg import cycle_labels, joint_orbit_count, permutation_orbit_count, reduce_rows, rref, zeros
 from .maps import DartMap
 
+# the most darts a derived map may have for euler_verify to build it
+DART_BUDGET = 10**6
+
 
 @dataclass
 class VoltageAssignment:
@@ -140,7 +143,7 @@ def derived_permutations(va: VoltageAssignment):
     return sigma_big, alpha_big
 
 
-def euler_verify(va: VoltageAssignment, budget: int = 10**6):
+def euler_verify(va: VoltageAssignment):
     """(V', E', F', genus) of the derived map, with the covering counts and
     branching orders verified along the way.
 
@@ -153,8 +156,8 @@ def euler_verify(va: VoltageAssignment, budget: int = 10**6):
     p, c = va.p, va.c
     size = p**c
     total = dm.n_darts * size
-    if total > budget:
-        raise ValueError(f"derived map needs {total} darts, budget {budget}")
+    if total > DART_BUDGET:
+        raise ValueError(f"derived map needs {total} darts, budget {DART_BUDGET}")
 
     sigma_big, alpha_big = derived_permutations(va)
     phi_big = sigma_big[alpha_big]

@@ -27,8 +27,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import verify
 from .gf import cyclotomic_polynomial, poly_divmod, root_of_unity, sqrt_mod_p
+from .linalg import cycle_labels, label_orbits
 from .maps import GroupData, stabilizer_H
 
 
@@ -344,11 +347,11 @@ def match_classes(table: CharacterTable, group: GroupData) -> list[int]:
         out = []
         for tag in table.col_spec:
             if tag[0] == "rot":
-                out.append(group.class_of[group.power(a, tag[1])])
+                out.append(int(group.class_of[group.power(a, tag[1])]))
             elif tag[1] == 0:
-                out.append(group.class_of[b])
+                out.append(int(group.class_of[b]))
             else:
-                out.append(group.class_of[group.mult(b, a)])
+                out.append(int(group.class_of[group.mult(b, a)]))
         assert sorted(out) == list(range(len(group.classes)))
         for col, cid in enumerate(out):
             assert group.classes[cid].size == table.col_sizes[col]
@@ -377,7 +380,7 @@ def match_classes(table: CharacterTable, group: GroupData) -> list[int]:
         else:
             designated = group.gen_x
         assert group.element_order(designated) == order
-        plus = group.class_of[designated]
+        plus = int(group.class_of[designated])
         assert plus in classes
         out[cols[0]] = plus
         out[cols[1]] = classes[1] if classes[0] == plus else classes[0]
@@ -401,40 +404,7 @@ def p_power_orbits(table: CharacterTable, group: GroupData, matching: list[int],
     image = [row_of.get(tuple(row[col] for col in image_col)) for row in table.rows]
     verify(None not in image and len(set(image)) == len(image),
            f"the {p}-power map does not permute the rows of {table.name}")
-    orbits, seen = [], set()
-    for r in range(len(table.rows)):
-        orbit = []
-        while r not in seen:
-            seen.add(r)
-            orbit.append(r)
-            r = image[r]
-        if orbit:
-            orbits.append(tuple(sorted(orbit)))
-    return orbits
-
-
-def verify_orthogonality(table: CharacterTable) -> None:
-    order = sum(table.col_sizes)
-    for i in range(len(table.rows)):
-        for j in range(i, len(table.rows)):
-            total = None
-            for col in range(table.n_cols):
-                term = (table.rows[i][col] * table.rows[j][col].conj()).times(table.col_sizes[col])
-                total = term if total is None else total + term
-            value = total.as_integer()
-            expected = order if i == j else 0
-            assert value == expected, (table.name, i, j, value)
-
-
-def permutation_character(group: GroupData, branch_class: str) -> list[int]:
-    """Fixed-point count of each conjugacy class acting on the given
-    puncture class, indexed by group class id."""
-    perms = group.class_perms(branch_class)
-    out = []
-    for cls in group.classes:
-        perm = perms[cls.rep]
-        out.append(sum(1 for i, img in enumerate(perm) if img == i))
-    return out
+    return label_orbits(cycle_labels(np.array(image)))
 
 
 def multiplicity_by_H_average(
@@ -454,18 +424,6 @@ def multiplicity_by_H_average(
     return mult
 
 
-def multiplicity_by_inner_product(
-    table: CharacterTable, row: int, pi: list[int], group: GroupData, matching: list[int]
-) -> int:
-    total = None
-    for col, cid in enumerate(matching):
-        term = table.rows[row][col].conj().times(pi[cid] * group.classes[cid].size)
-        total = term if total is None else total + term
-    value = total.as_integer()
-    assert value is not None and value % group.order == 0
-    return value // group.order
-
-
 def homology_character(
     group: GroupData, table: CharacterTable, matching: list[int], branch_classes: list[str]
 ) -> dict[str, int]:
@@ -479,6 +437,6 @@ def homology_character(
     mults["chi1"] -= 1
     assert all(v >= 0 for v in mults.values())
     total_dim = sum(table.degree(i) * mults[name] for i, name in enumerate(table.row_names))
-    n_punctures = sum(len(group.class_perms(bc)[0]) for bc in branch_classes)
+    n_punctures = sum(group.class_perms(bc).shape[1] for bc in branch_classes)
     assert total_dim == n_punctures - 1
     return {name: v for name, v in mults.items() if v}

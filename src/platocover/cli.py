@@ -8,7 +8,7 @@ import math
 import sys
 from importlib import resources
 
-from .builder import euler_verify, solve_voltages
+from .builder import DART_BUDGET, euler_verify, solve_voltages
 from .errors import verify
 from .gf import coset_orbits, factor_xn_minus_1, is_prime, poly_str
 from .homology import BRANCH_ORDER, Subspace
@@ -119,17 +119,17 @@ def render_table(cen: Census) -> str:
 # -- cross-checks -------------------------------------------------------------
 
 
-def _euler_cross_check(cen: Census, budget: int = 10**6) -> str:
+def _euler_cross_check(cen: Census) -> str:
     if cen.branch_classes != ("faces",):
         raise ValueError("--verify-euler requires faces branching")
     checked = skipped = 0
     for d in cen.coverings:
         darts = cen.module.group.map.n_darts * cen.p**d.c
-        if darts > budget:
+        if darts > DART_BUDGET:
             skipped += 1
             continue
         va = solve_voltages(cen.module, d.L)
-        _, _, _, genus = euler_verify(va, budget=budget)
+        _, _, _, genus = euler_verify(va)
         verify(genus == d.genus, f"euler genus {genus} != census genus {d.genus}")
         checked += 1
     return f"euler cross-check: {checked} verified, {skipped} skipped (dart budget)"

@@ -106,8 +106,7 @@ def _idempotent_matrix(module: HomologyModule, values_by_class, degree: int) -> 
     reducing, which stays exact since |G| is at most linalg._DIM_CAP."""
     group = module.group
     p = module.p
-    coeffs = np.asarray(values_by_class, dtype=module.dtype)[
-        np.asarray(group.class_of)[group.inverse]]
+    coeffs = np.asarray(values_by_class, dtype=module.dtype)[group.class_of[group.inverse]]
     scale = degree * pow(group.order, -1, p) % p
     return scale * (np.tensordot(coeffs, module.matrices, axes=1) % p) % p
 
@@ -357,8 +356,8 @@ def _seed_vectors(comp: IsotypicComponent, module: HomologyModule):
         yield comp.punctures[offset]
     for bc, offset in zip(module.branch_classes, offsets):
         perms = group.class_perms(bc)
-        count = len(perms[0])
-        gens = [perms[group.gen_x], perms[group.gen_z]]
+        count = perms.shape[1]
+        gens = perms[[group.gen_x, group.gen_z]].tolist()
         seen = set()
         for other in range(1, count):
             blocks = _minimal_blocks(gens, count, 0, other)

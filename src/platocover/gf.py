@@ -15,6 +15,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
+from .linalg import cycle_labels, label_orbits, orbit_labels
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial division."""
@@ -250,26 +254,6 @@ class CosetOrbit:
         return self.members[0]
 
 
-def _orbits(n: int, generators) -> list[tuple[int, ...]]:
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = set()
-        stack = [start]
-        while stack:
-            r = stack.pop()
-            if r in orbit:
-                continue
-            orbit.add(r)
-            seen[r] = True
-            for g in generators:
-                stack.append(g(r))
-        out.append(tuple(sorted(orbit)))
-    return out
-
-
 def _annotate(n: int, p: int, members: tuple[int, ...]) -> CosetOrbit:
     r = members[0]
     m = n // math.gcd(r, n) if r else 1
@@ -283,16 +267,17 @@ def _annotate(n: int, p: int, members: tuple[int, ...]) -> CosetOrbit:
 def frobenius_orbits(n: int, p: int) -> list[CosetOrbit]:
     """Orbits of multiplication by p on Z_n, sorted by least member."""
     assert n >= 1 and math.gcd(n, p) == 1
-    orbs = _orbits(n, [lambda r: r * p % n])
-    return sorted((_annotate(n, p, o) for o in orbs), key=lambda o: o.members)
+    orbits = label_orbits(cycle_labels(np.arange(n) * (p % n) % n))
+    return [_annotate(n, p, o) for o in orbits]
 
 
 def coset_orbits(n: int, p: int) -> list[CosetOrbit]:
     """Orbits of the group generated by multiplication by p and negation on
     Z_n, sorted by least member.  The orbit of 0 is included."""
     assert n >= 1 and math.gcd(n, p) == 1
-    orbs = _orbits(n, [lambda r: r * p % n, lambda r: (-r) % n])
-    out = sorted((_annotate(n, p, o) for o in orbs), key=lambda o: o.members)
+    residues = np.arange(n)
+    orbits = label_orbits(orbit_labels([residues * (p % n) % n, -residues % n]))
+    out = [_annotate(n, p, o) for o in orbits]
     assert all(o.self_paired for o in out)
     return out
 

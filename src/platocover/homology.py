@@ -175,7 +175,7 @@ class HomologyModule:
         self.p = p
         self.branch_classes = branch_classes
         self.punctures = [
-            (bc, i) for bc in branch_classes for i in range(len(group.class_perms(bc)[0]))
+            (bc, i) for bc in branch_classes for i in range(group.class_perms(bc).shape[1])
         ]
         self.N = len(self.punctures)
         self.dim = self.N - 1
@@ -198,10 +198,10 @@ class HomologyModule:
     def _stacked(self, perms_of_class) -> np.ndarray:
         """The permutation of all punctures made of perms_of_class(bc) on each
         branch class's block, along the last axis: one permutation, or one
-        row per group element for a list of them."""
+        row per group element for a stack of them."""
         blocks, offset = [], 0
         for bc in self.branch_classes:
-            block = np.asarray(perms_of_class(bc), dtype=np.intp)
+            block = np.asarray(perms_of_class(bc))
             blocks.append(block + offset)
             offset += block.shape[-1]
         return np.concatenate(blocks, axis=-1)
@@ -230,9 +230,13 @@ class HomologyModule:
                    "a generator matrix does not move each puncture to its image")
 
     def _power(self, A: np.ndarray, k: int) -> np.ndarray:
+        """A^k by square and multiply."""
         out = np.eye(self.dim, dtype=self.dtype)
-        for _ in range(k):
-            out = mat_mul(out, A, self.p)
+        while k:
+            if k & 1:
+                out = mat_mul(out, A, self.p)
+            A = mat_mul(A, A, self.p)
+            k >>= 1
         return out
 
     def invariant_under_group(self, space: Subspace) -> bool:
@@ -245,89 +249,3 @@ class HomologyModule:
 def build_homology(group: GroupData, branch_classes, p: int) -> HomologyModule:
     return HomologyModule(group, branch_classes, p)
 
-
-def _face_two_coloring(group: GroupData) -> list[int] | None:
-    """Proper 2-coloring of faces under edge-adjacency, or None."""
-    dm = group.map
-    adj: list[set[int]] = [set() for _ in range(dm.F)]
-    for d in range(dm.n_darts):
-        f1, f2 = dm.face_of[d], dm.face_of[dm.alpha[d]]
-        if f1 != f2:
-            adj[f1].add(f2)
-            adj[f2].add(f1)
-    color = [-1] * dm.F
-    color[0] = 0
-    stack = [0]
-    while stack:
-        f = stack.pop()
-        for nb in adj[f]:
-            if color[nb] == -1:
-                color[nb] = 1 - color[f]
-                stack.append(nb)
-            elif color[nb] == color[f]:
-                return None
-    return color
-
-
-def named_submodules(module: HomologyModule, group: GroupData) -> dict[str, Subspace]:
-    """The combinatorially defined submodules: the sum-zero image when it is
-    proper, antipodal sum/difference modules, and the octahedron's bipartite
-    family."""
-    p, N = module.p, module.N
-    proj = module.projection
-    out: dict[str, Subspace] = {}
-
-    def image_of_rows(rows) -> Subspace:
-        return Subspace(mat_mul(as_matrix(rows, p, width=N), proj, p), p, module.dim)
-
-    if N % p == 0:
-        sum_zero = [[0] * i + [1, p - 1] + [0] * (N - 2 - i) for i in range(N - 1)]
-        out["Q1"] = image_of_rows(sum_zero)
-        assert out["Q1"].dim == N - 2
-
-    if group.central_reversing is not None and len(module.branch_classes) == 1:
-        bc = module.branch_classes[0]
-        pairing = group.central_reversing[bc]
-        if all(pairing[pairing[i]] == i and pairing[i] != i for i in range(N)):
-            sums, diffs = [], []
-            for i in range(N):
-                if i < pairing[i]:
-                    row = [0] * N
-                    row[i] = 1
-                    row[pairing[i]] = 1
-                    sums.append(row)
-                    row = [0] * N
-                    row[i] = 1
-                    row[pairing[i]] = p - 1
-                    diffs.append(row)
-            out["Qa"] = image_of_rows(sums)
-            out["Qa'"] = image_of_rows(diffs)
-            assert out["Qa"].dim == N // 2 - 1
-            assert out["Qa'"].dim == N // 2
-            assert out["Qa"].intersect(out["Qa'"]).dim == 0
-            assert out["Qa"].add(out["Qa'"]).dim == module.dim
-
-    if (
-        group.map.family.tag == "octahedron"
-        and module.branch_classes == ("faces",)
-    ):
-        color = _face_two_coloring(group)
-        assert color is not None
-        white = [1 if color[i] == 0 else 0 for i in range(N)]
-        black = [1 if color[i] == 1 else 0 for i in range(N)]
-        out["Qb"] = image_of_rows([white, black])
-        assert out["Qb"].dim == 1
-        # elements with equal monochrome coordinate sums: kernel of the
-        # signed-color functional
-        functional = as_matrix(
-            [[1 if color[i] == 0 else p - 1 for i in range(N)]], p
-        )
-        basis = left_kernel(functional.T, p)
-        out["Qb'"] = image_of_rows(basis)
-        assert out["Qb'"].dim == N - 2
-        out["Qa'&Qb'"] = out["Qa'"].intersect(out["Qb'"])
-        assert out["Qa'&Qb'"].dim == 3
-
-    for space in out.values():
-        assert module.invariant_under_group(space)
-    return out

@@ -365,7 +365,7 @@ def describe_covering(
     effective = tuple(
         bc for bc in module.branch_classes if not all(bc in ch.swallowed for ch in choices)
     )
-    B = sum(len(group.class_perms(bc)[0]) for bc in effective)
+    B = sum(group.class_perms(bc).shape[1] for bc in effective)
 
     genus = 1 - p**c + (p - 1) * p ** (c - 1) * B // 2
     assert genus >= 0

@@ -243,3 +243,12 @@ def orbit_labels(perms) -> np.ndarray:
 def joint_orbit_count(perm_a: np.ndarray, perm_b: np.ndarray) -> int:
     """Number of orbits of the group generated by two permutations."""
     return _least_point_count(orbit_labels([perm_a, perm_b]))
+
+
+def label_orbits(labels: np.ndarray) -> list[tuple[int, ...]]:
+    """The points of each orbit, ascending, from least-point labels (as
+    cycle_labels and orbit_labels give them), the orbits in order of their
+    least point."""
+    order = np.argsort(labels, kind="stable")
+    bounds = np.flatnonzero(np.diff(labels[order])) + 1
+    return [tuple(orbit.tolist()) for orbit in np.split(order, bounds)]

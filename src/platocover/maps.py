@@ -2,15 +2,20 @@
 
 A map is stored as a pair of permutations of its darts: sigma rotates a dart
 counterclockwise about its vertex, alpha reverses it.  Vertices, edges and
-faces are the orbits of sigma, alpha and sigma∘alpha.  The rotation group is
-generated by propagating candidate images of the base dart 0 through the
-rotation system; it acts regularly on darts, so elements are indexed by the
-image of dart 0.
+faces are the orbits of sigma, alpha and sigma∘alpha.  The rotation group
+acts regularly on darts, so its elements are indexed by the image of dart 0,
+and all of them come from one vectorised propagation of the candidate images
+of dart 0 through the rotation system (one row per candidate).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import verify
+from .linalg import joint_orbit_count, label_orbits, orbit_labels
 
 # Counterclockwise vertex rotations viewed from outside the solid, computed
 # once from coordinate models and frozen.
@@ -184,7 +189,8 @@ def build_map(fam: MapFamily) -> DartMap:
     else:
         raise ValueError(f"unknown map family {fam.tag!r}")
 
-    assert all(alpha[alpha[d]] == d and alpha[d] != d for d in range(n_darts))
+    verify(all(alpha[alpha[d]] == d and alpha[d] != d for d in range(n_darts)),
+           "alpha is not a fixed-point-free involution")
 
     vertex_orbits = _orbits_of(lambda d: sigma[d], n_darts)
     edge_orbits = _orbits_of(lambda d: alpha[d], n_darts)
@@ -204,10 +210,10 @@ def build_map(fam: MapFamily) -> DartMap:
     face_of, face_dart = labels(face_orbits)
 
     V, E, F = len(vertex_orbits), len(edge_orbits), len(face_orbits)
-    assert V - E + F == 2, "not a sphere"
-    assert all(len(o) == fam.m for o in vertex_orbits)
-    assert all(len(o) == fam.n for o in face_orbits)
-    assert _connected(sigma, alpha)
+    verify(V - E + F == 2, "not a sphere")
+    verify(all(len(o) == fam.m for o in vertex_orbits), f"a vertex does not have degree {fam.m}")
+    verify(all(len(o) == fam.n for o in face_orbits), f"a face does not have {fam.n} sides")
+    verify(joint_orbit_count(np.asarray(sigma), np.asarray(alpha)) == 1, "the map is not connected")
 
     return DartMap(
         family=fam,
@@ -224,49 +230,32 @@ def build_map(fam: MapFamily) -> DartMap:
     )
 
 
-def _connected(sigma, alpha) -> bool:
+def _automorphisms(sigma: np.ndarray, alpha: np.ndarray, sigma_img: np.ndarray) -> np.ndarray:
+    """Every dart permutation psi with psi∘sigma = sigma_img∘psi and
+    psi∘alpha = alpha∘psi, one row each, in the order of the image of dart
+    0: the rotations for sigma_img = sigma, the reversing automorphisms for
+    its inverse.
+
+    Such a psi is fixed by psi(0), so one walk along a spanning tree of the
+    dart graph from dart 0 extends all n candidates 0 ↦ t at once, and each
+    row is then checked on every dart.  A row that passes is a permutation:
+    its image is closed under sigma_img and alpha, which act transitively
+    because the map is connected."""
     n = len(sigma)
-    seen = [False] * n
-    stack = [0]
+    images = np.empty((n, n), dtype=np.intp)  # images[d, t]: where row t sends d
+    images[0] = np.arange(n)
+    seen = np.zeros(n, dtype=bool)
     seen[0] = True
-    count = 1
-    while stack:
-        d = stack.pop()
-        for e in (sigma[d], alpha[d]):
-            if not seen[e]:
-                seen[e] = True
-                count += 1
-                stack.append(e)
-    return count == n
-
-
-def _propagate(sigma, alpha, target: int, reverse: bool):
-    """Extend dart 0 ↦ target to a full automorphism, or return None.
-
-    Orientation-preserving automorphisms commute with sigma and alpha;
-    orientation-reversing ones conjugate sigma to its inverse.
-    """
-    n = len(sigma)
-    if reverse:
-        sigma_img = [0] * n
-        for d in range(n):
-            sigma_img[sigma[d]] = d
-    else:
-        sigma_img = sigma
-    psi = [-1] * n
-    psi[0] = target
     stack = [0]
     while stack:
         d = stack.pop()
-        for src, img in ((sigma[d], sigma_img[psi[d]]), (alpha[d], alpha[psi[d]])):
-            if psi[src] == -1:
-                psi[src] = img
+        for src, img in ((sigma[d], sigma_img), (alpha[d], alpha)):
+            if not seen[src]:
+                seen[src] = True
+                images[src] = img[images[d]]
                 stack.append(src)
-            elif psi[src] != img:
-                return None
-    if sorted(psi) != list(range(n)):
-        return None
-    return tuple(psi)
+    ok = (images[sigma] == sigma_img[images]).all(axis=0) & (images[alpha] == alpha[images]).all(axis=0)
+    return np.ascontiguousarray(images[:, ok].T)
 
 
 @dataclass(frozen=True)
@@ -283,123 +272,103 @@ class ConjClass:
 class GroupData:
     """The rotation group G of a Platonic map, with its reflection coset.
 
-    Elements are indexed by the image of dart 0; composition is read left to
-    right, (g*h)(d) = h(g(d)), so mult(i, j) = dart_perms[j][i].
+    Elements are indexed by the image of dart 0: row t of dart_perms is the
+    rotation taking dart 0 to t.  Composition is read left to right,
+    (g*h)(d) = h(g(d)), so mult(i, j) = dart_perms[j, i].  The actions on
+    vertices, edges and faces are (|G|, count) arrays (class_perms), and the
+    reflection's and the central reversing element's are single rows.
     """
 
     def __init__(self, dart_map: DartMap):
-        self.map = dart_map
-        sigma, alpha = dart_map.sigma, dart_map.alpha
-        n_darts = dart_map.n_darts
+        self.map = dm = dart_map
+        sigma = np.asarray(dm.sigma, dtype=np.intp)
+        alpha = np.asarray(dm.alpha, dtype=np.intp)
+        self.order = dm.n_darts
+        self.dart_perms = _automorphisms(sigma, alpha, sigma)
+        verify(len(self.dart_perms) == self.order, "rotation system is not orientably regular")
+        # row i sends its inverse to dart 0, the least entry of the row
+        self.inverse = self.dart_perms.argmin(axis=1)
 
-        perms = []
-        for t in range(n_darts):
-            psi = _propagate(sigma, alpha, t, reverse=False)
-            if psi is None:
-                raise AssertionError("rotation system is not orientably regular")
-            perms.append(psi)
-        self.dart_perms = perms
-        self.order = n_darts
-        assert self.dart_perms[0] == tuple(range(n_darts))
-
-        self.gen_x = sigma[0]
-        self.gen_y = alpha[0]
+        self.gen_x = dm.sigma[0]
+        self.gen_y = dm.alpha[0]
         xy = self.mult(self.gen_x, self.gen_y)
         self.gen_z = self.inverse_of(xy)
+        for gen, order, name in ((self.gen_x, dm.m, "x"), (self.gen_y, 2, "y"), (self.gen_z, dm.n, "z")):
+            verify(self.element_order(gen) == order, f"{name} does not have order {order}")
+        verify(self.mult(xy, self.gen_z) == 0, "xyz is not the identity")
 
-        m, n = dart_map.m, dart_map.n
-        assert self.element_order(self.gen_x) == m
-        assert self.element_order(self.gen_y) == 2
-        assert self.element_order(self.gen_z) == n
-        assert self.mult(xy, self.gen_z) == 0
+        self.actions = self._project(self.dart_perms)
+        verify(self.actions["faces"][self.gen_z, dm.face_of[0]] == dm.face_of[0],
+               "z does not fix the face of dart 0")
+        verify(self.actions["vertices"][self.gen_x, dm.vertex_of[0]] == dm.vertex_of[0],
+               "x does not fix the vertex of dart 0")
 
-        self._project_actions()
-        assert self.face_perms[self.gen_z][dart_map.face_of[0]] == dart_map.face_of[0]
-        assert self.vertex_perms[self.gen_x][dart_map.vertex_of[0]] == dart_map.vertex_of[0]
+        # conjugacy classes: orbits of G under conjugation by the generators,
+        # g -> h^-1 g h, in order of their least member
+        conjugations = [self.dart_perms[h][self.dart_perms[:, self.inverse[h]]]
+                        for h in (self.gen_x, self.gen_y)]
+        labels = orbit_labels(conjugations)
+        self.class_of = np.unique(labels, return_inverse=True)[1]
+        self.classes = [ConjClass(members=members, rep=members[0],
+                                  rep_order=self.element_order(members[0]))
+                        for members in label_orbits(labels)]
 
-        self.inverse = [perm.index(0) for perm in perms]
-        self._build_classes()
-        self._build_reflection()
+        self._build_reflection(sigma, alpha)
 
     # -- group arithmetic ---------------------------------------------------
 
     def mult(self, i: int, j: int) -> int:
-        return self.dart_perms[j][i]
+        return int(self.dart_perms[j, i])
 
     def inverse_of(self, i: int) -> int:
-        return self.dart_perms[i].index(0)
-
-    def element_order(self, i: int) -> int:
-        k, acc = 1, i
-        while acc != 0:
-            acc = self.mult(acc, i)
-            k += 1
-        return k
-
-    def power(self, i: int, k: int) -> int:
-        acc = 0
-        for _ in range(k % self.element_order(i)):
-            acc = self.mult(acc, i)
-        return acc
+        return int(self.inverse[i])
 
     def cyclic(self, i: int) -> list[int]:
+        """The powers 1, g, g^2, ... of element i.  g^(k+1) = mult(g^k, g)
+        is row i at g^k, so they are the cycle of dart 0 under row i."""
+        row = self.dart_perms[i].tolist()
         out = [0]
-        acc = i
-        while acc != 0:
-            out.append(acc)
-            acc = self.mult(acc, i)
+        while row[out[-1]] != 0:
+            out.append(row[out[-1]])
         return out
+
+    def element_order(self, i: int) -> int:
+        return len(self.cyclic(i))
+
+    def power(self, i: int, k: int) -> int:
+        powers = self.cyclic(i)
+        return powers[k % len(powers)]
 
     # -- actions ------------------------------------------------------------
 
-    def _project_actions(self) -> None:
+    def _project(self, perms: np.ndarray, reversing: bool = False) -> dict[str, np.ndarray]:
+        """Vertex, edge and face actions of a dart permutation, or of a stack
+        of them along the last axis, each verified to be a permutation.  The
+        face left of a dart maps to the face left of the reversed image dart,
+        so a reversing permutation's face projection composes with alpha."""
         dm = self.map
+        face_images = np.asarray(dm.alpha)[perms] if reversing else perms
+        out = {
+            "vertices": np.asarray(dm.vertex_of)[perms[..., dm.vertex_dart]],
+            "edges": np.asarray(dm.edge_of)[perms[..., dm.edge_dart]],
+            "faces": np.asarray(dm.face_of)[face_images[..., dm.face_dart]],
+        }
+        for bc, action in out.items():
+            verify((np.sort(action, axis=-1) == np.arange(action.shape[-1])).all(),
+                   f"a dart permutation does not permute the {bc}")
+        return out
 
-        def project(perm, of, rep):
-            return tuple(of[perm[d]] for d in rep)
+    def class_perms(self, branch_class: str) -> np.ndarray:
+        return self.actions[branch_class]
 
-        self.vertex_perms = [project(p, dm.vertex_of, dm.vertex_dart) for p in self.dart_perms]
-        self.edge_perms = [project(p, dm.edge_of, dm.edge_dart) for p in self.dart_perms]
-        self.face_perms = [project(p, dm.face_of, dm.face_dart) for p in self.dart_perms]
-
-    def class_perms(self, branch_class: str):
-        return {
-            "vertices": self.vertex_perms,
-            "edges": self.edge_perms,
-            "faces": self.face_perms,
-        }[branch_class]
-
-    # -- conjugacy classes --------------------------------------------------
-
-    def _build_classes(self) -> None:
-        self.class_of = [-1] * self.order
-        classes = []
-        gens = (self.gen_x, self.gen_y)
-        gen_invs = tuple(self.inverse[g] for g in gens)
-        for start in range(self.order):
-            if self.class_of[start] != -1:
-                continue
-            members = []
-            stack = [start]
-            cid = len(classes)
-            self.class_of[start] = cid
-            while stack:
-                g = stack.pop()
-                members.append(g)
-                for h, hinv in zip(gens, gen_invs):
-                    c = self.mult(self.mult(hinv, g), h)
-                    if self.class_of[c] == -1:
-                        self.class_of[c] = cid
-                        stack.append(c)
-            members.sort()
-            classes.append(
-                ConjClass(members=tuple(members), rep=members[0], rep_order=self.element_order(members[0]))
-            )
-        self.classes = classes
+    def reflection_class_perm(self, branch_class: str) -> np.ndarray:
+        return self.reflection[branch_class]
 
     # -- the reflection coset -----------------------------------------------
 
-    def _build_reflection(self) -> None:
+    def _build_reflection(self, sigma: np.ndarray, alpha: np.ndarray) -> None:
+        """The reflection fixing dart 0, its actions, and the
+        orientation-reversing element commuting with all of G, if any."""
         dm = self.map
         if dm.m == 2:
             # dihedron: sigma is an involution, so dart permutations cannot
@@ -407,73 +376,28 @@ class GroupData:
             # fixes every vertex and edge, swaps the two faces, and is
             # central in the full automorphism group
             self.reflection_dart = None
-            self.reflection_vertex = tuple(range(dm.V))
-            self.reflection_edge = tuple(range(dm.E))
-            self.reflection_face = (1, 0)
-            self.central_reversing = {
-                "vertices": self.reflection_vertex,
-                "edges": self.reflection_edge,
-                "faces": self.reflection_face,
-                "darts": None,
-            }
+            self.reflection = {"vertices": np.arange(dm.V), "edges": np.arange(dm.E),
+                               "faces": np.array([1, 0])}
+            self.central_reversing = {**self.reflection, "darts": None}
             return
-        refl = None
-        for t in range(dm.n_darts):
-            psi = _propagate(dm.sigma, dm.alpha, t, reverse=True)
-            if psi is not None:
-                refl = psi
-                break
-        assert refl is not None, "map is not reflexible"
-        self.reflection_dart = refl
-        v, e, f = self._project_reversing(refl)
-        self.reflection_vertex = v
-        self.reflection_edge = e
-        self.reflection_face = f
-
+        reversing = _automorphisms(sigma, alpha, np.argsort(sigma))
+        verify(len(reversing) > 0, "map is not reflexible")
+        refl = self.reflection_dart = reversing[0]
+        self.reflection = self._project(refl, reversing=True)
         # reflection squared is orientation-preserving, hence an element of G
-        rr = tuple(refl[refl[d]] for d in range(dm.n_darts))
-        assert rr in set(self.dart_perms)
+        verify(np.array_equal(self.dart_perms[refl[refl[0]]], refl[refl]),
+               "the reflection squared is not a rotation")
 
-        self.central_reversing = self._find_central_reversing()
-
-    def reflection_class_perm(self, branch_class: str):
-        return {
-            "vertices": self.reflection_vertex,
-            "edges": self.reflection_edge,
-            "faces": self.reflection_face,
-        }[branch_class]
-
-    def _project_reversing(self, perm):
-        """Vertex, edge and face actions of an orientation-reversing dart
-        permutation.  The face left of a dart maps to the face left of the
-        reversed image dart, so the face projection composes with alpha."""
-        dm = self.map
-        v = tuple(dm.vertex_of[perm[d]] for d in dm.vertex_dart)
-        e = tuple(dm.edge_of[perm[d]] for d in dm.edge_dart)
-        f = tuple(dm.face_of[dm.alpha[perm[d]]] for d in dm.face_dart)
-        for part, count in ((v, dm.V), (e, dm.E), (f, dm.F)):
-            assert sorted(part) == list(range(count))
-        return v, e, f
-
-    def _find_central_reversing(self):
-        """The orientation-reversing element commuting with all of A, if any."""
-        dm = self.map
-        gens = [self.dart_perms[self.gen_x], self.dart_perms[self.gen_z], self.reflection_dart]
-        found = None
-        for g in range(self.order):
-            perm = self.dart_perms[g]
-            cand = tuple(perm[self.reflection_dart[d]] for d in range(dm.n_darts))
-            if all(
-                tuple(h[cand[d]] for d in range(dm.n_darts))
-                == tuple(cand[h[d]] for d in range(dm.n_darts))
-                for h in gens
-            ):
-                found = cand
-                break
-        if found is None:
-            return None
-        v, e, f = self._project_reversing(found)
-        return {"vertices": v, "edges": e, "faces": f, "darts": found}
+        # the coset G·refl in group order, and the first of its rows that
+        # commutes with x, z and the reflection
+        coset = self.dart_perms[:, refl]
+        central = np.logical_and.reduce([(h[coset] == coset[:, h]).all(axis=1)
+                                         for h in (self.dart_perms[self.gen_x],
+                                                   self.dart_perms[self.gen_z], refl)])
+        self.central_reversing = None
+        if central.any():
+            darts = coset[central.argmax()]
+            self.central_reversing = {**self._project(darts, reversing=True), "darts": darts}
 
 
 def build_group(dart_map: DartMap) -> GroupData:

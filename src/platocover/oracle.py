@@ -21,10 +21,15 @@ from .homology import HomologyModule, Subspace
 from .linalg import orbit_labels
 
 _CHUNK = 1 << 18
+# the most vectors the sweep takes on: 10^7 digit rows of at most a few
+# bytes each, and int64 products below dim * (p-1)^2 <= 10^14
+VECTOR_BUDGET = 10**7
 
 
 def _all_digits(size: int, dim: int, p: int) -> np.ndarray:
-    digits = np.empty((size, dim), dtype=np.int8)
+    """Row i holds the base-p digits of i, least significant first, in the
+    smallest unsigned type that holds p - 1."""
+    digits = np.empty((size, dim), dtype=np.min_scalar_type(p - 1))
     tmp = np.arange(size, dtype=np.int64)
     for j in range(dim):
         digits[:, j] = tmp % p
@@ -33,16 +38,18 @@ def _all_digits(size: int, dim: int, p: int) -> np.ndarray:
 
 
 def _linear_permutation(digits: np.ndarray, matrix: np.ndarray, p: int) -> np.ndarray:
+    """The index of v @ matrix for the vector v of each digit row, with the
+    products taken in int64, which VECTOR_BUDGET keeps exact."""
     powers = np.array([p**j for j in range(matrix.shape[0])], dtype=np.int64)
-    mat = (np.asarray(matrix, dtype=np.int64) % p).astype(np.int32)
+    mat = np.asarray(matrix, dtype=np.int64) % p
     out = np.empty(digits.shape[0], dtype=np.int64)
     for start in range(0, digits.shape[0], _CHUNK):
-        block = digits[start : start + _CHUNK].astype(np.int32)
-        out[start : start + _CHUNK] = ((block @ mat) % p).astype(np.int64) @ powers
+        block = digits[start : start + _CHUNK].astype(np.int64)
+        out[start : start + _CHUNK] = (block @ mat) % p @ powers
     return out
 
 
-def cyclic_submodules(module: HomologyModule, budget: int = 10**7):
+def cyclic_submodules(module: HomologyModule):
     """One vector per nonzero orbit of F_p^dim under the group and the
     scalars, least index first, and the cyclic submodule of each.
 
@@ -52,8 +59,8 @@ def cyclic_submodules(module: HomologyModule, budget: int = 10**7):
     stacked group matrices, and each submodule is one row reduction."""
     p, dim = module.p, module.dim
     size = p**dim
-    if size > budget and dim > 5:
-        raise ValueError(f"brute force over {p}^{dim} vectors exceeds budget {budget}")
+    if size > VECTOR_BUDGET:
+        raise ValueError(f"brute force over {p}^{dim} vectors exceeds the budget of {VECTOR_BUDGET}")
 
     group = module.group
     digits = _all_digits(size, dim, p)
@@ -68,12 +75,12 @@ def cyclic_submodules(module: HomologyModule, budget: int = 10**7):
                      for v in vectors]
 
 
-def brute_force_submodules(module: HomologyModule, budget: int = 10**7) -> list[Subspace]:
+def brute_force_submodules(module: HomologyModule) -> list[Subspace]:
     p, dim = module.p, module.dim
     found: dict[tuple, Subspace] = {}
     zero = Subspace.zero(p, dim)
     found[zero.key()] = zero
-    for space in cyclic_submodules(module, budget)[1]:
+    for space in cyclic_submodules(module)[1]:
         found.setdefault(space.key(), space)
 
     # close under sums

@@ -6,7 +6,7 @@ import pathlib
 from collections import Counter
 from functools import lru_cache
 
-from platocover.builder import euler_verify, solve_voltages
+from platocover.builder import DART_BUDGET, euler_verify, solve_voltages
 from platocover.gf import coset_orbits, factor_xn_minus_1, poly_mul
 from platocover.homology import Subspace
 from platocover.lattice import census
@@ -205,17 +205,16 @@ def test_criterion_09_euler_cross_check():
     # dodecahedron and icosahedron use p=11: p=5 divides |A5|
     cases = [("tetrahedron", 5), ("cube", 5), ("octahedron", 5),
              ("dodecahedron", 11), ("icosahedron", 11)]
-    budget = 10**6
     verified = []
     for name, p in cases:
         cen = _census(name, ("faces",), p)
         n_darts = cen.module.group.map.n_darts
         done = 0
         for d in cen.coverings:
-            if n_darts * p**d.c > budget:
+            if n_darts * p**d.c > DART_BUDGET:
                 continue
             va = solve_voltages(cen.module, d.L)
-            _, _, _, genus = euler_verify(va, budget=budget)
+            _, _, _, genus = euler_verify(va)
             assert genus == d.genus, (name, p, d.c)
             done += 1
         assert done > 0, name

@@ -97,7 +97,7 @@ def test_dart_budget_is_enforced():
     full = Subspace.zero(5, module.dim)
     va = solve_voltages(module, full)
     with pytest.raises(ValueError, match="budget"):
-        euler_verify(va, budget=10**6)
+        euler_verify(va)
 
 
 def test_rejects_non_face_branching():

@@ -12,15 +12,19 @@ from platocover.chartab import (
     homology_character,
     match_classes,
     multiplicity_by_H_average,
-    multiplicity_by_inner_product,
-    permutation_character,
+    p_power_orbits,
     table_A4,
     table_A5,
     table_S4,
     table_for_group,
-    verify_orthogonality,
 )
 from platocover.maps import build_group, build_map, family, stabilizer_H
+from reference import (
+    multiplicity_by_inner_product,
+    permutation_character,
+    verify_orthogonality,
+    walked_p_power_orbits,
+)
 
 
 def group_for(tag, param=None):
@@ -190,3 +194,18 @@ class TestHomologyCharacter:
         table = table_for_group(g)
         matching = match_classes(table, g)
         assert homology_character(g, table, matching, ["faces"]) == {"xi1": 1}
+
+
+@pytest.mark.parametrize("tag, param", [
+    ("tetrahedron", None), ("cube", None), ("dodecahedron", None),
+    ("hosohedron", 5), ("hosohedron", 8), ("dihedron", 7), ("hosohedron", 95),
+])
+def test_p_power_orbits_match_walk(tag, param):
+    # cycle labels against a walk along each row's cycle, at primes that
+    # split, pair or merge the table's rows
+    g = group_for(tag, param)
+    table = table_for_group(g)
+    matching = match_classes(table, g)
+    for p in (3, 5, 7, 11, 13, 19, 29, 31, 101):
+        if g.order % p:
+            assert p_power_orbits(table, g, matching, p) == walked_p_power_orbits(table, g, matching, p)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -183,8 +184,8 @@ from platocover import cli, lattice, linalg
 if sys.argv[1] == "--verify-euler":
     euler_verify = cli.euler_verify
 
-    def wrong_genus(va, budget):
-        v, e, f, genus = euler_verify(va, budget=budget)
+    def wrong_genus(va):
+        v, e, f, genus = euler_verify(va)
         return v, e, f, genus + 1
 
     cli.euler_verify = wrong_genus
@@ -358,3 +359,36 @@ def test_bad_map_parameter_exits_2(flags, family, message):
     )
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
+
+
+def test_oracle_over_budget_exits_2_before_allocating():
+    # 131^5 vectors would need about 196 GB of digits; the budget is checked
+    # first, so the run fits in a 2 GiB address space
+    root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root)}
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "platocover.cli", "classify", "--map", "cube", "--prime", "131",
+         "--oracle"],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "131^5 vectors exceeds the budget of 10000000" in proc.stderr
+
+
+def test_trace_self_test_passes():
+    # the benchmark wraps each stage under every name a platocover module
+    # binds it to; a rewrite that unbinds one, or calls a kernel outside
+    # every stage, fails here
+    root = Path(cli.__file__).resolve().parents[2]
+    proc = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "selftest", "trace"],
+        capture_output=True, text=True, cwd=root, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["trace_errors"] == []
+    assert result["failures"] == []

@@ -21,9 +21,10 @@ from platocover.decompose import (
 )
 from platocover.errors import VerificationError
 from platocover.gf import coset_orbits, factor_xn_minus_1, poly_mul
-from platocover.homology import Subspace, build_homology, named_submodules
+from platocover.homology import Subspace, build_homology
 from platocover.linalg import identity, left_kernel, mat_mul, rref, zeros
 from platocover.maps import build_group, build_map, family
+from reference import named_submodules
 
 
 def module_for(tag, branch, p, param=None):

@@ -7,6 +7,8 @@ degrees from the order of p in (Z/n)^*.
 
 import math
 
+import pytest
+
 from platocover.gf import (
     ExtField,
     coset_orbits,
@@ -22,6 +24,7 @@ from platocover.gf import (
     poly_trim,
     sqrt_mod_p,
 )
+from reference import walked_orbits
 
 
 def test_is_prime_small():
@@ -156,6 +159,17 @@ class TestOrbits:
         assert all(not o.self_paired for o in frob if o.members != (0,))
         cos = coset_orbits(5, 11)
         assert sorted(o.size for o in cos) == [1, 2, 2]
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+    def test_orbits_match_walk(self, p):
+        # orbit labels against a walk from each unvisited residue
+        for n in range(1, 200):
+            if math.gcd(n, p) != 1:
+                continue
+            times_p = lambda r: r * p % n  # noqa: E731
+            assert [o.members for o in frobenius_orbits(n, p)] == walked_orbits(n, [times_p])
+            assert [o.members for o in coset_orbits(n, p)] == \
+                walked_orbits(n, [times_p, lambda r: (-r) % n])
 
 
 class TestExtField:

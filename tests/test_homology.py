@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platocover.errors import EvenPrimeUnsupported, ModularCaseUnsupported
-from platocover.homology import HomologyModule, Subspace, build_homology, named_submodules
+from platocover.homology import HomologyModule, Subspace, build_homology
 from platocover.linalg import mat_mul
 from platocover.maps import build_group, build_map, family
+from reference import named_submodules
 
 
 def group_for(tag, param=None):
@@ -182,6 +183,15 @@ class TestBuildHomology:
             i, j = rng.randrange(g.order), rng.randrange(g.order)
             prod = mat_mul(mod.matrices[i], mod.matrices[j], mod.p)
             assert prod.tolist() == mod.matrices[g.mult(i, j)].tolist()
+
+    def test_power_matches_repeated_products(self):
+        # the presentation check raises x and z to their orders by squaring
+        mod = build_homology(group_for("hosohedron", 13), ["faces"], 5)
+        x = mod.matrices[mod.group.gen_x]
+        expected = np.eye(mod.dim, dtype=mod.dtype)
+        for k in range(15):
+            assert mod._power(x, k).tolist() == expected.tolist()
+            expected = mat_mul(expected, x, mod.p)
 
     def test_class_vector_is_invariant(self):
         mod = build_homology(group_for("tetrahedron"), ["vertices", "faces"], 5)

@@ -8,7 +8,7 @@ import pytest
 
 from platocover import cli
 from platocover.decompose import decompose_module
-from platocover.homology import Subspace, build_homology, named_submodules
+from platocover.homology import Subspace, build_homology
 from platocover.lattice import (
     census,
     component_menus,
@@ -18,6 +18,7 @@ from platocover.lattice import (
     subspace_count,
 )
 from platocover.maps import build_group, build_map, family, parse_family
+from reference import named_submodules
 
 
 def test_gaussian_binomial_values():

@@ -1,8 +1,16 @@
 """Map construction and rotation group tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
+from platocover import maps
 from platocover.maps import build_group, build_map, family, parse_family, stabilizer_H
+from reference import reference_group
 
 COUNTS = {
     "tetrahedron": (4, 6, 4),
@@ -66,7 +74,7 @@ def test_group_structure(fam):
     assert g.power(g.gen_z, dm.n) == 0
     assert g.mult(g.mult(g.gen_x, g.gen_y), g.gen_z) == 0
     # regular dart action: distinct permutations, one per target
-    assert len(set(g.dart_perms)) == g.order
+    assert len(np.unique(g.dart_perms, axis=0)) == g.order
     # transitivity with multiplying stabilizer orders
     for cls, stab_order in (("vertices", dm.m), ("edges", 2), ("faces", dm.n)):
         assert len(stabilizer_H(g, cls)) == stab_order
@@ -100,8 +108,8 @@ def test_dihedral_class_count():
 def test_dihedron_reflection():
     g = build_group(build_map(family("dihedron", 5)))
     assert g.reflection_dart is None
-    assert g.reflection_vertex == tuple(range(5))
-    assert g.reflection_face == (1, 0)
+    assert g.reflection_class_perm("vertices").tolist() == list(range(5))
+    assert g.reflection_class_perm("faces").tolist() == [1, 0]
     assert g.central_reversing is not None
 
 
@@ -113,9 +121,9 @@ def test_reflection_properties():
         refl = g.reflection_dart
         n = len(refl)
         assert sorted(refl) == list(range(n))
-        assert refl not in set(g.dart_perms)
+        perms = {tuple(row) for row in g.dart_perms.tolist()}
+        assert tuple(refl.tolist()) not in perms
         # reflection normalizes G: conjugate of a generator stays in G
-        perms = set(g.dart_perms)
         refl_inv = [0] * n
         for d in range(n):
             refl_inv[refl[d]] = d
@@ -138,7 +146,7 @@ def test_central_reversing_presence():
         assert (g.central_reversing is not None) == present
         if present:
             c = g.central_reversing["darts"]
-            assert c not in set(g.dart_perms)
+            assert tuple(c.tolist()) not in {tuple(row) for row in g.dart_perms.tolist()}
 
 
 def test_generator_z_rotates_base_face():
@@ -157,12 +165,94 @@ def test_duality_exchanges_vertices_and_faces():
     # swapped; compare fixed-point count multisets
     def profile(tag):
         g = build_group(build_map(family(tag)))
-        vfix = sorted(sum(p[i] == i for i in range(len(p))) for p in g.vertex_perms)
-        ffix = sorted(sum(p[i] == i for i in range(len(p))) for p in g.face_perms)
-        efix = sorted(sum(p[i] == i for i in range(len(p))) for p in g.edge_perms)
+        vfix = sorted(sum(p[i] == i for i in range(len(p))) for p in g.class_perms("vertices"))
+        ffix = sorted(sum(p[i] == i for i in range(len(p))) for p in g.class_perms("faces"))
+        efix = sorted(sum(p[i] == i for i in range(len(p))) for p in g.class_perms("edges"))
         return vfix, efix, ffix
 
     for pair in (("cube", "octahedron"), ("dodecahedron", "icosahedron")):
         v1, e1, f1 = profile(pair[0])
         v2, e2, f2 = profile(pair[1])
         assert v1 == f2 and f1 == v2 and e1 == e2
+
+
+REFERENCE_FAMILIES = ALL_FAMILIES + [
+    family("hosohedron", 95),
+    family("hosohedron", 8),
+    family("dihedron", 7),
+]
+
+
+@pytest.mark.parametrize("fam", REFERENCE_FAMILIES, ids=lambda f: f.name)
+def test_group_matches_per_target_reference(fam):
+    # one vectorised propagation and orbit labels against one propagation
+    # per target dart and a search per conjugacy class
+    dm = build_map(fam)
+    g = build_group(dm)
+    ref = reference_group(dm)
+    assert g.dart_perms.tolist() == [list(perm) for perm in ref.dart_perms]
+    assert g.inverse.tolist() == ref.inverse
+    assert g.class_of.tolist() == ref.class_of
+    assert [(c.members, c.rep, c.rep_order) for c in g.classes] == ref.classes
+    for bc in ("vertices", "edges", "faces"):
+        assert g.class_perms(bc).tolist() == [list(a) for a in ref.actions[bc]]
+        assert g.reflection_class_perm(bc).tolist() == list(ref.reflection[bc])
+    if ref.reflection_dart is None:
+        assert g.reflection_dart is None
+    else:
+        assert g.reflection_dart.tolist() == list(ref.reflection_dart)
+    assert (g.central_reversing is None) == (ref.central is None)
+    if ref.central is not None:
+        assert g.central_reversing.keys() == ref.central.keys()
+        for key, value in ref.central.items():
+            got = g.central_reversing[key]
+            assert got is None if value is None else got.tolist() == list(value)
+
+
+def test_first_central_row_in_group_order():
+    # the reversing coset of hosohedron:8 has two central rows, the two
+    # equatorial reflections' products with the half turn; the first in
+    # group order is the central element
+    g = build_group(build_map(family("hosohedron", 8)))
+    coset = g.dart_perms[:, g.reflection_dart]
+    gens = [g.dart_perms[g.gen_x], g.dart_perms[g.gen_z], g.reflection_dart]
+    central = [i for i, row in enumerate(coset)
+               if all(np.array_equal(h[row], row[h]) for h in gens)]
+    assert len(central) == 2
+    assert g.central_reversing["darts"].tolist() == coset[central[0]].tolist()
+    assert coset[central[0]].tolist() != coset[central[1]].tolist()
+
+
+# a cube whose rotation at vertex 0 is reversed, which no rotation of the
+# cube's darts respects, and a cube passed off as the octahedron {3, 4},
+# whose x has order 3, not 4
+BROKEN_GROUPS = """
+import dataclasses
+import sys
+from platocover.errors import VerificationError
+from platocover.maps import build_group, build_map, family
+
+dm = build_map(family("cube"))
+sigma = list(dm.sigma)
+sigma[0], sigma[1], sigma[2] = 2, 0, 1
+cases = {
+    "not orientably regular": dataclasses.replace(dm, sigma=tuple(sigma)),
+    "x does not have order 4": dataclasses.replace(dm, family=family("octahedron")),
+}
+print("asserts", "on" if __debug__ else "off")
+for message, broken in cases.items():
+    try:
+        build_group(broken)
+    except VerificationError as exc:
+        print("raised" if message in str(exc) else f"wrong message: {exc}")
+"""
+
+
+@pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
+def test_group_checks_survive_optimize(flags, asserts):
+    root = Path(maps.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    proc = subprocess.run([sys.executable, *flags, "-c", BROKEN_GROUPS],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n", 1) == [f"asserts {asserts}", "raised\nraised\n"]

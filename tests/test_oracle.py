@@ -3,6 +3,7 @@
 import ast
 import inspect
 
+import numpy as np
 import pytest
 
 from platocover import oracle
@@ -65,6 +66,23 @@ def test_budget_guard():
     module = _module("dodecahedron", ("faces",), 11)
     with pytest.raises(ValueError, match="budget"):
         brute_force_submodules(module)
+
+
+@pytest.mark.parametrize("name, p", [
+    # digits above 127, which a signed byte wraps
+    ("tetrahedron", 131),
+    # dim * (p-1)^2 = 4,294,705,152 >= 2^31, which int32 products overflow
+    ("dihedron:3", 65537),
+])
+def test_linear_permutation_is_a_permutation(name, p):
+    module = _module(name, ("faces",), p)
+    size = p**module.dim
+    digits = oracle._all_digits(size, module.dim, p)
+    group = module.group
+    for matrix in (module.matrices[group.gen_x], module.matrices[group.gen_z],
+                   np.eye(module.dim, dtype=np.int64) * (p - 1)):
+        perm = oracle._linear_permutation(digits, matrix, p)
+        assert np.array_equal(np.sort(perm), np.arange(size))
 
 
 @pytest.mark.parametrize("name", ["cube", "octahedron"])

@@ -7,13 +7,13 @@ from platocover.chartab import (
     table_A4,
     table_A5,
     table_S4,
-    verify_orthogonality,
 )
 from platocover.decompose import decompose_module
 from platocover.homology import build_homology
 from platocover.lattice import census
 from platocover.linalg import identity, mat_mul, rref
 from platocover.maps import build_group, build_map, family, parse_family
+from reference import verify_orthogonality
 
 
 def _module(name, branch, p):
