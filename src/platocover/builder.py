@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import verify
 from .homology import HomologyModule, Subspace
-from .linalg import cycle_labels, joint_orbit_count, permutation_orbit_count, reduce_rows, rref, zeros
+from .linalg import Labeller, reduce_rows, rref, zeros
 from .maps import DartMap
 
 # the most darts a derived map may have for euler_verify to build it
@@ -47,15 +47,15 @@ def _spanning_tree_edges(dm: DartMap) -> set[int]:
     seen = {0}
     tree = set()
     queue = [0]
-    while queue:
-        v = queue.pop(0)
+    for v in queue:
         for d in dm.vertex_orbits[v]:
             w = dm.vertex_of[dm.alpha[d]]
             if w not in seen:
                 seen.add(w)
                 tree.add(dm.edge_of[d])
                 queue.append(w)
-    assert len(seen) == dm.V and len(tree) == dm.V - 1
+    verify(len(seen) == dm.V and len(tree) == dm.V - 1,
+           f"spanning tree reaches {len(seen)} of {dm.V} vertices with {len(tree)} edges")
     return tree
 
 
@@ -74,7 +74,7 @@ def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
 
     tree = _spanning_tree_edges(dm)
     cotree = [e for e in range(dm.E) if e not in tree]
-    assert len(cotree) == dm.F - 1
+    verify(len(cotree) == dm.F - 1, f"{len(cotree)} cotree edges on a sphere with {dm.F} faces, not F - 1")
 
     unknown_of = {e: i for i, e in enumerate(cotree)}
     rows = zeros((dm.F, len(cotree)), p)
@@ -110,37 +110,31 @@ def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
     return VoltageAssignment(dart_map=dm, p=p, c=c, beta=beta, monodromy=rhs)
 
 
-def k_encoding(p: int, c: int):
-    """Row i of the returned table is the vector whose digit expansion against
-    powers = (1, p, ..., p^(c-1)) equals i."""
-    powers = p ** np.arange(c, dtype=np.int64)
-    k_vectors = np.arange(p**c, dtype=np.int64)[:, None] // powers % p
-    return k_vectors, powers
-
-
 def derived_permutations(va: VoltageAssignment):
-    """sigma' and alpha' on the darts (d, k), indexed d * |K| + index(k)."""
+    """sigma' and alpha' on the darts (d, k), indexed d * |K| + index(k).
+
+    index(k + beta(d)) is a sum of one term per digit, ((k_j + beta_j(d))
+    mod p) * p^j, so alpha' is one broadcast sum of c per-digit tables of
+    shape (darts, p), with alpha(d) * |K| folded into the first; each sum
+    but the last builds an array 1/p the size of the next.  sigma' keeps
+    k and is one broadcast sum of sigma(d) * |K| and index(k)."""
     dm = va.dart_map
     p, c = va.p, va.c
     size = p**c
-    k_vectors, powers = k_encoding(p, c)
+    n = dm.n_darts
+    sigma = np.asarray(dm.sigma, dtype=np.intp)
+    alpha = np.asarray(dm.alpha, dtype=np.intp)
+    beta = np.asarray(va.beta, dtype=np.intp)
+    digits = np.arange(p, dtype=np.intp)
 
-    sigma = np.asarray(dm.sigma, dtype=np.int64)
-    alpha = np.asarray(dm.alpha, dtype=np.int64)
-    ks = np.arange(size, dtype=np.int64)
-
-    sigma_big = (sigma[:, None] * size + ks[None, :]).ravel()
-    beta = np.asarray(va.beta, dtype=np.int64)
-    # the index of k + beta(d), one coordinate at a time, so that only
-    # (darts, p^c) arrays are ever built
-    shifted = np.zeros((len(alpha), size), dtype=np.int64)
-    for j in range(c):
-        digit = k_vectors[None, :, j] + beta[:, j, None]
-        digit %= p
-        digit *= powers[j]
-        shifted += digit
-    alpha_big = (alpha[:, None] * size + shifted).ravel()
-    return sigma_big, alpha_big
+    sigma_big = (sigma[:, None] * size + np.arange(size, dtype=np.intp)).ravel()
+    # the most significant digit first, so the last axis is digit 0 and the
+    # C-order ravel is the index of k
+    alpha_big = alpha * size
+    for j in reversed(range(c)):
+        table = (digits + beta[:, j, None]) % p * p**j
+        alpha_big = alpha_big[..., None] + table.reshape((n,) + (1,) * (c - 1 - j) + (p,))
+    return sigma_big, alpha_big.ravel()
 
 
 def euler_verify(va: VoltageAssignment):
@@ -149,9 +143,11 @@ def euler_verify(va: VoltageAssignment):
 
     Every count runs on the full derived map.  Vertices, edges and faces are
     the cycles of sigma', alpha' and phi', counted as the darts that are
-    their cycle's least point (linalg.cycle_labels, whose early stop is
+    their cycle's least point (linalg.Labeller.cycles, whose early stop is
     exact); a bincount of the face labels gives each face's length at its
-    least dart.  Connectivity is one orbit of <sigma', alpha'>."""
+    least dart.  Connectivity is one orbit of <sigma', alpha'>.  One
+    labeller serves all four counts, and each permutation is consumed as a
+    doubling buffer once nothing else reads it."""
     dm = va.dart_map
     p, c = va.p, va.c
     size = p**c
@@ -160,19 +156,26 @@ def euler_verify(va: VoltageAssignment):
         raise ValueError(f"derived map needs {total} darts, budget {DART_BUDGET}")
 
     sigma_big, alpha_big = derived_permutations(va)
-    phi_big = sigma_big[alpha_big]
+    labeller = Labeller(total)
 
-    v_count = permutation_orbit_count(sigma_big)
-    e_count = permutation_orbit_count(alpha_big)
-    lengths = np.bincount(cycle_labels(phi_big))
+    # phi' is spent as a doubling buffer and dropped before the bincount,
+    # which reads the face labels from the labeller's intp index buffer
+    phi_big = sigma_big[alpha_big]
+    faces = labeller.index
+    np.copyto(faces, labeller.cycles(phi_big, consume=True))
+    del phi_big
+    lengths = np.bincount(faces)
     lengths = lengths[lengths > 0]
     f_count = int(lengths.size)
+    orbit_count = labeller.count(labeller.orbits([sigma_big, alpha_big]))
+    v_count = labeller.count(labeller.cycles(sigma_big, consume=True))
+    e_count = labeller.count(labeller.cycles(alpha_big, consume=True))
 
     verify(v_count == dm.V * size, f"derived map has {v_count} vertices, not {dm.V * size}")
     verify(e_count == dm.E * size, f"derived map has {e_count} edges, not {dm.E * size}")
     verify(f_count * p == dm.F * size, "face fibres must merge in groups of p")
     verify(bool((lengths == dm.n * p).all()), "every derived face has length n*p")
-    verify(joint_orbit_count(sigma_big, alpha_big) == 1, "derived map must be connected")
+    verify(orbit_count == 1, "derived map must be connected")
 
     euler = v_count - e_count + f_count
     verify(euler % 2 == 0 and euler <= 2, f"derived map has Euler characteristic {euler}")

@@ -33,7 +33,8 @@ def as_matrix(rows, p: int, width: int | None = None) -> np.ndarray:
         return a.reshape(0, width)
     if a.ndim == 1:
         a = a.reshape(1, -1)
-    assert width is None or a.shape[1] == width
+    if width is not None and a.shape[1] != width:
+        raise ValueError(f"rows of width {a.shape[1]}, expected {width}")
     return a % p
 
 
@@ -181,68 +182,124 @@ def left_kernel(mat, p: int) -> np.ndarray:
     return basis
 
 
+def _label_dtype(n: int):
+    """int32 labels while every point fits, else int64: half the bytes for
+    each gather and buffer on the derived maps and the oracle's sweeps."""
+    return np.int32 if n < 2**31 else np.int64
+
+
+class Labeller:
+    """Least-point labels of the cycles and orbits of permutation arrays on
+    range(n), with the buffers made once and shared by every labelling.
+
+    On a million darts a fresh buffer per count re-faults megabytes of
+    pages, since large blocks go back to the OS when they are freed, so a
+    caller making several counts over the same points (builder.euler_verify)
+    keeps one labeller.  Labels are int32 below 2^31 points; the index
+    buffers are intp, the type np.take gathers through without a converted
+    copy.  The labels a call returns live in the labeller and are
+    overwritten by its next call."""
+
+    def __init__(self, n: int):
+        self.points = np.arange(n, dtype=_label_dtype(n))
+        self.labels = np.empty_like(self.points)
+        self.buf = np.empty_like(self.points)
+        self.flags = np.empty(n, dtype=bool)
+        self.index = np.empty(n, dtype=np.intp)
+        self.spare = None
+
+    def count(self, labels: np.ndarray) -> int:
+        """Number of points labelled by themselves: one per cycle or orbit."""
+        return int(np.count_nonzero(np.equal(labels, self.points, out=self.flags)))
+
+    def cycles(self, perm: np.ndarray, consume: bool = False) -> np.ndarray:
+        """The least point of each point's cycle, by min-label doubling.
+
+        After k steps a point's label is the least of the 2^k points
+        starting at it along its cycle.  The doubling stops at the first
+        step that would change no label, and that is exact: while some
+        cycle is longer than 2^k, the point 2^k steps before that cycle's
+        least point still gains a smaller label.  So the number of steps
+        follows log2 of the longest cycle, not of the number of points.
+        The doubled permutations alternate between the index buffer and a
+        spare one, or perm itself when the caller lets it be consumed."""
+        labels, buf, flags = self.labels, self.buf, self.flags
+        np.copyto(labels, self.points)
+        if perm.dtype != np.intp:
+            perm, consume = perm.astype(np.intp), True
+        nxt, target = perm, self.index
+        while True:
+            np.take(labels, nxt, out=buf, mode="clip")
+            if not np.less(buf, labels, out=flags).any():
+                return labels
+            np.minimum(labels, buf, out=labels)
+            np.take(nxt, nxt, out=target, mode="clip")
+            if nxt is perm and not consume:
+                if self.spare is None:
+                    self.spare = np.empty_like(self.index)
+                nxt = self.spare
+            nxt, target = target, nxt
+
+    def orbits(self, perms) -> np.ndarray:
+        """The least point of each point's orbit under the group generated
+        by the given permutation arrays, by hooking and pointer jumping
+        (Shiloach-Vishkin).
+
+        Each round reads every generator's labels at once.  Where a point's
+        neighbour along a generator carries the smaller label, that label
+        is hooked onto the root the point's label names: np.minimum.at
+        through the index buffer, a copy of the labels from the start of
+        the round, so the least of several hooks wins.  Then labels jump to
+        their own labels until labels[labels] == labels.  A round that
+        lowers nothing ends the loop; 5 rounds on the 878,460-dart derived
+        maps of the icosahedron at p = 11.
+
+        Both moves keep a point's label in its orbit and no larger than the
+        point.  A hook writes the label of a neighbour, which is in the same
+        orbit; it lowers a root only where that label is below the root,
+        since within a round only roots change and every other point still
+        carries the root it names.  In the last round label[x] <=
+        label[perm[x]] for every generator, so labels are constant along
+        each generator's cycles and hence on each orbit; a label that is in
+        the orbit, constant on it and no larger than any of its points is
+        the orbit's least point."""
+        labels, buf, flags, index = self.labels, self.buf, self.flags, self.index
+        np.copyto(labels, self.points)
+        np.copyto(index, labels)
+        while True:
+            hooked = False
+            for perm in perms:
+                np.take(labels, perm, out=buf, mode="clip")
+                if np.less(buf, labels, out=flags).any():
+                    hooked = True
+                    np.minimum.at(labels, index, buf)
+            if not hooked:
+                self.labels, self.buf = labels, buf
+                return labels
+            while True:
+                np.copyto(index, labels)
+                np.take(labels, index, out=buf, mode="clip")
+                if not np.not_equal(buf, labels, out=flags).any():
+                    break
+                labels, buf = buf, labels
+
+
 def cycle_labels(perm: np.ndarray) -> np.ndarray:
-    """The least point of each point's cycle, by min-label doubling.
-
-    After k steps a point's label is the least of the 2^k points starting at
-    it along its cycle.  The doubling stops at the first step that would
-    change no label, and that is exact: while some cycle is longer than 2^k,
-    the point 2^k steps before that cycle's least point still gains a smaller
-    label.  So the number of steps follows log2 of the longest cycle, not of
-    the number of points.  Buffers are made once, here and in
-    orbit_labels: on a million darts, fresh arrays per step re-fault
-    megabytes of pages each time."""
-    labels = np.arange(perm.shape[0], dtype=np.int64)
-    nxt = perm.astype(np.int64)
-    buf = np.empty_like(nxt)
-    smaller = np.empty(perm.shape[0], dtype=bool)
-    while True:
-        np.take(labels, nxt, out=buf, mode="clip")
-        if not np.less(buf, labels, out=smaller).any():
-            return labels
-        np.minimum(labels, buf, out=labels)
-        nxt, buf = np.take(nxt, nxt, out=buf, mode="clip"), nxt
-
-
-def _least_point_count(labels: np.ndarray) -> int:
-    """Number of points labelled by themselves: one per cycle or orbit."""
-    return int(np.count_nonzero(labels == np.arange(labels.shape[0])))
-
-
-def permutation_orbit_count(perm: np.ndarray) -> int:
-    """Number of cycles of a permutation array."""
-    return _least_point_count(cycle_labels(perm))
+    """The least point of each point's cycle (Labeller.cycles); the caller's
+    array is never written."""
+    return Labeller(perm.shape[0]).cycles(perm)
 
 
 def orbit_labels(perms) -> np.ndarray:
     """The least point of each point's orbit under the group generated by
-    the given permutation arrays.
-
-    Each round propagates the least label along every generator, then jumps
-    each label to its own label (labels = labels[labels]), so a small label
-    also travels along chains of labels and the number of rounds stops
-    growing with the diameter of the orbit graph (10-15 rounds on the
-    878,460-dart derived maps of the icosahedron at p = 11).  Both moves
-    keep a point's label in its orbit and no larger than the point.  At the
-    fixed point label[x] <= label[perm[x]] for every generator, so labels
-    are constant along each generator's cycles and hence on each orbit; a
-    label that is in the orbit, constant on it and no larger than any of its
-    points is the orbit's least point."""
-    labels = np.arange(perms[0].shape[0], dtype=np.int64)
-    previous = np.empty_like(labels)
-    buf = np.empty_like(labels)
-    while True:
-        previous[:] = labels
-        for perm in perms:
-            np.minimum(labels, np.take(labels, perm, out=buf, mode="clip"), out=labels)
-        labels, buf = np.take(labels, labels, out=buf, mode="clip"), labels
-        if np.array_equal(labels, previous):
-            return labels
+    the given permutation arrays (Labeller.orbits)."""
+    return Labeller(perms[0].shape[0]).orbits(perms)
 
 
 def joint_orbit_count(perm_a: np.ndarray, perm_b: np.ndarray) -> int:
     """Number of orbits of the group generated by two permutations."""
-    return _least_point_count(orbit_labels([perm_a, perm_b]))
+    labeller = Labeller(perm_a.shape[0])
+    return labeller.count(labeller.orbits([perm_a, perm_b]))
 
 
 def label_orbits(labels: np.ndarray) -> list[tuple[int, ...]]:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
+import numpy as np
+
 from platocover.chartab import column_of_class
 from platocover.homology import HomologyModule, Subspace
 from platocover.linalg import as_matrix, left_kernel, mat_mul
@@ -120,6 +122,43 @@ def reference_group(dm: DartMap) -> SimpleNamespace:
     return SimpleNamespace(dart_perms=perms, inverse=inverse, class_of=class_of,
                            classes=classes, actions=actions, reflection_dart=refl,
                            reflection=_project(dm, refl, reversing=True), central=central)
+
+
+# ---------------------------------------------------------------------------
+# derived maps, one digit of k at a time
+
+
+def k_encoding(p: int, c: int):
+    """Row i of the returned table is the vector whose digit expansion against
+    powers = (1, p, ..., p^(c-1)) equals i."""
+    powers = p ** np.arange(c, dtype=np.int64)
+    k_vectors = np.arange(p**c, dtype=np.int64)[:, None] // powers % p
+    return k_vectors, powers
+
+
+def reference_derived_permutations(va):
+    """sigma' and alpha' on the darts (d, k), indexed d * |K| + index(k),
+    with the index of k + beta(d) accumulated one coordinate at a time over
+    (darts, p^c) arrays."""
+    dm = va.dart_map
+    p, c = va.p, va.c
+    size = p**c
+    k_vectors, powers = k_encoding(p, c)
+
+    sigma = np.asarray(dm.sigma, dtype=np.int64)
+    alpha = np.asarray(dm.alpha, dtype=np.int64)
+    ks = np.arange(size, dtype=np.int64)
+
+    sigma_big = (sigma[:, None] * size + ks[None, :]).ravel()
+    beta = np.asarray(va.beta, dtype=np.int64)
+    shifted = np.zeros((len(alpha), size), dtype=np.int64)
+    for j in range(c):
+        digit = k_vectors[None, :, j] + beta[:, j, None]
+        digit %= p
+        digit *= powers[j]
+        shifted += digit
+    alpha_big = (alpha[:, None] * size + shifted).ravel()
+    return sigma_big, alpha_big
 
 
 # ---------------------------------------------------------------------------

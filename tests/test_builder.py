@@ -3,22 +3,28 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from platocover.builder import (
+    DART_BUDGET,
     VoltageAssignment,
     derived_permutations,
     euler_verify,
-    k_encoding,
     solve_voltages,
 )
 from platocover.errors import VerificationError
 from platocover.homology import Subspace, build_homology
 from platocover.lattice import census
 from platocover.maps import build_group, build_map, parse_family
+from reference import k_encoding, reference_derived_permutations
 
 
 def _module(name, p):
@@ -165,3 +171,124 @@ def test_disconnected_derived_map_is_rejected():
                               beta=pad(va.beta), monodromy=pad(va.monodromy))
     with pytest.raises(VerificationError, match="connected"):
         euler_verify(split)
+
+
+# breaks one check of the voltage construction at a time on the cube at
+# p = 5 and reports what each raised: a base map whose vertex count the
+# spanning tree cannot reach, one with a face too many for the cotree, and
+# rows of the wrong width for linalg.as_matrix
+BROKEN_CONSTRUCTION = """
+import dataclasses
+from platocover.builder import _spanning_tree_edges, solve_voltages
+from platocover.errors import VerificationError
+from platocover.homology import Subspace, build_homology
+from platocover.linalg import as_matrix
+from platocover.maps import build_group, build_map, parse_family
+
+dm = build_map(parse_family("cube"))
+module = build_homology(build_group(dm), ("faces",), 5)
+print("asserts", "on" if __debug__ else "off")
+try:
+    _spanning_tree_edges(dataclasses.replace(dm, vertex_dart=dm.vertex_dart + (0,)))
+except VerificationError as exc:
+    print(type(exc).__name__, exc)
+module.group.map = dataclasses.replace(dm, face_dart=dm.face_dart + (0,))
+try:
+    solve_voltages(module, Subspace.zero(5, module.dim))
+except VerificationError as exc:
+    print(type(exc).__name__, exc)
+try:
+    as_matrix([[1, 2, 3]], 5, width=4)
+except ValueError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
+def test_construction_checks_survive_optimize(flags, asserts):
+    root = Path(solve_voltages.__code__.co_filename).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    proc = subprocess.run([sys.executable, *flags, "-c", BROKEN_CONSTRUCTION],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"asserts {asserts}",
+        "VerificationError spanning tree reaches 8 of 9 vertices with 7 edges",
+        "VerificationError 5 cotree edges on a sphere with 7 faces, not F - 1",
+        "ValueError rows of width 3, expected 4",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# derived_permutations builds alpha' in one broadcast pass; the digit-by-digit
+# loop in tests/reference.py must give the same arrays
+
+
+def assert_matches_digit_loop(va):
+    sigma_big, alpha_big = derived_permutations(va)
+    expected_sigma, expected_alpha = reference_derived_permutations(va)
+    assert np.array_equal(sigma_big, expected_sigma)
+    assert np.array_equal(alpha_big, expected_alpha)
+
+
+@pytest.mark.parametrize("name, p", [("tetrahedron", 5), ("tetrahedron", 7), ("octahedron", 5)])
+def test_derived_permutations_match_the_digit_loop(name, p):
+    cen = census(name, ("faces",), p)
+    for cov in cen.coverings:
+        if cen.module.group.map.n_darts * p**cov.c <= DART_BUDGET:
+            assert_matches_digit_loop(solve_voltages(cen.module, cov.L))
+
+
+@pytest.fixture(scope="module")
+def icosahedron_p11():
+    return census("icosahedron", ("faces",), 11)
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 4])
+def test_icosahedron_derived_permutations_match_the_digit_loop(icosahedron_p11, c):
+    # the census at p = 11 has coverings with c = 3 and 4 only; for c = 1, 2
+    # the quotient is by the span of the last dim - c coordinate vectors,
+    # which solve_voltages accepts as any proper subspace
+    module = icosahedron_p11.module
+    L = next((cov.L for cov in icosahedron_p11.coverings if cov.c == c),
+             Subspace(np.eye(module.dim, dtype=np.int64)[c:], 11, module.dim))
+    assert_matches_digit_loop(solve_voltages(module, L))
+
+
+@cache
+def _dart_map(name):
+    return build_map(parse_family(name))
+
+
+@st.composite
+def voltage_assignments(draw):
+    dm = _dart_map(draw(st.sampled_from(["tetrahedron", "cube", "dihedron:3", "hosohedron:4"])))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    c = draw(st.integers(1, 3))
+    beta = draw(arrays(np.int64, (dm.n_darts, c), elements=st.integers(0, p - 1)))
+    return VoltageAssignment(dart_map=dm, p=p, c=c, beta=beta,
+                             monodromy=np.zeros((dm.F, c), dtype=np.int64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(voltage_assignments())
+def test_derived_permutations_match_the_digit_loop_on_drawn_voltages(va):
+    assert_matches_digit_loop(va)
+
+
+def test_euler_verify_peak_memory_per_dart(icosahedron_p11):
+    # the largest verified covering of the benchmark: 60 * 11^4 = 878,460
+    # derived darts; its derived permutations, phi' and the label buffers
+    # stay within 50 bytes per derived dart
+    cov = next(cov for cov in icosahedron_p11.coverings if cov.c == 4)
+    va = solve_voltages(icosahedron_p11.module, cov.L)
+    darts = va.dart_map.n_darts * va.p**va.c
+    assert darts == 878_460
+    tracemalloc.start()
+    try:
+        genus = euler_verify(va)[3]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert genus == cov.genus
+    assert peak <= 50 * darts, f"{peak / darts:.1f} bytes per derived dart"

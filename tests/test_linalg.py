@@ -16,12 +16,13 @@ from sympy.polys.matrices import DomainMatrix
 from platocover.errors import VerificationError
 from platocover.homology import Subspace
 from platocover.linalg import (
+    Labeller,
+    _label_dtype,
     cycle_labels,
     dtype_for,
     joint_orbit_count,
     merge_direct_sums,
     orbit_labels,
-    permutation_orbit_count,
     reduce_rows,
     rref,
 )
@@ -240,7 +241,8 @@ def test_cycle_labels_match_a_cycle_walk(case):
     n, (perm,) = case
     expected = walked_cycle_labels(perm)
     assert cycle_labels(as_perm(perm)).tolist() == expected
-    assert permutation_orbit_count(as_perm(perm)) == len(set(expected))
+    labeller = Labeller(n)
+    assert labeller.count(labeller.cycles(as_perm(perm), consume=True)) == len(set(expected))
 
 
 @settings(max_examples=150, deadline=None)
@@ -263,14 +265,83 @@ def test_long_cycles_and_paths(n):
     cycle = np.empty(n, dtype=np.int64)
     cycle[order] = np.roll(order, -1)
     assert cycle_labels(cycle).tolist() == [int(order.min())] * n
-    assert permutation_orbit_count(cycle) == 1
+    labeller = Labeller(n)
+    assert labeller.count(labeller.cycles(cycle, consume=True)) == 1
 
-    flips = []
-    for offset in (0, 1):
-        flip = np.arange(n, dtype=np.int64)
-        a, b = order[offset:-1:2], order[offset + 1::2]
-        a = a[: b.size]
-        flip[a], flip[b] = b, a
-        flips.append(flip)
+    flips = flips_along([order], n)
     assert orbit_labels(flips).tolist() == [int(order.min())] * n
     assert joint_orbit_count(*flips) == 1
+
+
+# shapes that stress hooking: each orbit graph is drawn by involutions or
+# transpositions, so union-find over the generators gives the expected labels
+
+
+def flips_along(paths, n):
+    """Two involutions whose orbit graph on each given path is that path."""
+    flips = [np.arange(n, dtype=np.int64) for _ in range(2)]
+    for path in paths:
+        path = np.asarray(path, dtype=np.int64)
+        for offset, flip in enumerate(flips):
+            a, b = path[offset:-1:2], path[offset + 1::2]
+            a = a[: b.size]
+            flip[a], flip[b] = b, a
+    return flips
+
+
+def assert_union_find(perms, n):
+    assert orbit_labels(perms).tolist() == union_find_labels([p.tolist() for p in perms], n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 1001])
+def test_two_interleaved_paths(n):
+    # one path through the even points upwards, one through the odd points
+    # downwards, so each path's least point is at opposite ends
+    assert_union_find(flips_along([np.arange(0, n, 2), np.arange(1, n, 2)[::-1]], n), n)
+
+
+@pytest.mark.parametrize("leaves", [1, 2, 50])
+def test_star_with_the_largest_point_at_the_centre(leaves):
+    n = leaves + 1
+    swaps = []
+    for leaf in range(leaves):
+        swap = np.arange(n, dtype=np.int64)
+        swap[[leaf, n - 1]] = n - 1, leaf
+        swaps.append(swap)
+    assert_union_find(swaps, n)
+
+
+@pytest.mark.parametrize("teeth", [1, 2, 33, 500])
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_comb(teeth, shuffled):
+    # a spine of points teeth..2*teeth-1, each with a tooth, the least tooth
+    # at the far end of the spine; shuffled relabels every point at random
+    n = 2 * teeth
+    spine = np.arange(teeth, n)
+    tooth = np.arange(teeth)[::-1]
+    if shuffled:
+        relabel = np.random.default_rng(teeth).permutation(n)
+        spine, tooth = relabel[spine], relabel[tooth]
+    comb = np.arange(n, dtype=np.int64)
+    comb[spine], comb[tooth] = tooth, spine
+    assert_union_find([*flips_along([spine], n), comb], n)
+
+
+def test_label_dtype_is_int32_below_2_31():
+    assert _label_dtype(2**31 - 1) is np.int32
+    assert _label_dtype(2**31) is np.int64
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_labels_are_int32_and_leave_their_inputs_unchanged(dtype):
+    rng = np.random.default_rng(5)
+    perms = [rng.permutation(700).astype(dtype) for _ in range(3)]
+    copies = [perm.copy() for perm in perms]
+    labels = cycle_labels(perms[0])
+    assert labels.dtype == np.int32
+    assert labels.tolist() == walked_cycle_labels(perms[0].tolist())
+    labels = orbit_labels(perms)
+    assert labels.dtype == np.int32
+    assert labels.tolist() == union_find_labels([p.tolist() for p in perms], 700)
+    for perm, copy in zip(perms, copies):
+        assert perm.dtype == copy.dtype and np.array_equal(perm, copy)
