@@ -174,7 +174,7 @@ class CharacterTable:
     def degree(self, i: int) -> int:
         v = self.rows[i][0]
         deg = v.as_integer()
-        assert deg is not None and deg > 0
+        verify(deg is not None and deg > 0, f"{self.name}: row {i} has no positive degree")
         return deg
 
 
@@ -335,8 +335,9 @@ def dihedral_generators(group: GroupData) -> tuple[int, int]:
         a, b = group.gen_x, group.gen_z
     else:
         a, b = group.gen_z, group.gen_x
-    assert group.element_order(a) == n and group.element_order(b) == 2
-    assert b not in set(group.cyclic(a))
+    verify(group.element_order(a) == n and group.element_order(b) == 2,
+           f"the dihedral generators do not have orders {n} and 2")
+    verify(b not in set(group.cyclic(a)), "the dihedral flip lies in the rotation subgroup")
     return a, b
 
 
@@ -352,9 +353,10 @@ def match_classes(table: CharacterTable, group: GroupData) -> list[int]:
                 out.append(int(group.class_of[b]))
             else:
                 out.append(int(group.class_of[group.mult(b, a)]))
-        assert sorted(out) == list(range(len(group.classes)))
-        for col, cid in enumerate(out):
-            assert group.classes[cid].size == table.col_sizes[col]
+        verify(sorted(out) == list(range(len(group.classes))),
+               "the dihedral columns do not match the classes one to one")
+        verify(all(group.classes[cid].size == table.col_sizes[col] for col, cid in enumerate(out)),
+               "a dihedral column and its class differ in size")
         return out
 
     sig_cols: dict[tuple[int, int], list[int]] = {}
@@ -363,9 +365,8 @@ def match_classes(table: CharacterTable, group: GroupData) -> list[int]:
     sig_classes: dict[tuple[int, int], list[int]] = {}
     for cid, cls in enumerate(group.classes):
         sig_classes.setdefault((cls.size, cls.rep_order), []).append(cid)
-    assert {k: len(v) for k, v in sig_cols.items()} == {
-        k: len(v) for k, v in sig_classes.items()
-    }, "table does not fit this group"
+    verify({k: len(v) for k, v in sig_cols.items()} == {k: len(v) for k, v in sig_classes.items()},
+           "table does not fit this group")
 
     out = [-1] * table.n_cols
     for sig, cols in sig_cols.items():
@@ -373,15 +374,16 @@ def match_classes(table: CharacterTable, group: GroupData) -> list[int]:
         if len(cols) == 1:
             out[cols[0]] = classes[0]
             continue
-        assert len(cols) == 2, "only algebraically conjugate pairs expected"
+        verify(len(cols) == 2, "only algebraically conjugate pairs expected")
         order = sig[1]
         if group.element_order(group.gen_z) == order:
             designated = group.gen_z
         else:
             designated = group.gen_x
-        assert group.element_order(designated) == order
+        verify(group.element_order(designated) == order,
+               f"no generator has order {order} to fix a conjugate pair")
         plus = int(group.class_of[designated])
-        assert plus in classes
+        verify(plus in classes, "the designated generator's class has the wrong signature")
         out[cols[0]] = plus
         out[cols[1]] = classes[1] if classes[0] == plus else classes[0]
     return out
@@ -418,9 +420,9 @@ def multiplicity_by_H_average(
         v = table.rows[row][col_of[group.class_of[h]]]
         total = v if total is None else total + v
     value = total.as_integer()
-    assert value is not None and value % len(H) == 0, "class matching is inconsistent"
+    verify(value is not None and value % len(H) == 0, "class matching is inconsistent")
     mult = value // len(H)
-    assert mult >= 0
+    verify(mult >= 0, "a multiplicity is negative")
     return mult
 
 
@@ -435,8 +437,9 @@ def homology_character(
         for i, name in enumerate(table.row_names):
             mults[name] += multiplicity_by_H_average(table, i, H, group, matching)
     mults["chi1"] -= 1
-    assert all(v >= 0 for v in mults.values())
+    verify(all(v >= 0 for v in mults.values()), "the homology character has a negative multiplicity")
     total_dim = sum(table.degree(i) * mults[name] for i, name in enumerate(table.row_names))
     n_punctures = sum(group.class_perms(bc).shape[1] for bc in branch_classes)
-    assert total_dim == n_punctures - 1
+    verify(total_dim == n_punctures - 1,
+           f"the homology character has degree {total_dim}, not {n_punctures - 1}")
     return {name: v for name, v in mults.items() if v}

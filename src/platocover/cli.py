@@ -120,8 +120,6 @@ def render_table(cen: Census) -> str:
 
 
 def _euler_cross_check(cen: Census) -> str:
-    if cen.branch_classes != ("faces",):
-        raise ValueError("--verify-euler requires faces branching")
     checked = skipped = 0
     for d in cen.coverings:
         darts = cen.module.group.map.n_darts * cen.p**d.c
@@ -155,6 +153,8 @@ def run_classify(args, out=None) -> int:
     if args.map_name is None or args.prime is None:
         raise ValueError("classify needs --map and --prime (or --fixtures)")
     branch = parse_branch(args.branch)
+    if args.verify_euler and set(branch) != {"faces"}:
+        raise ValueError("--verify-euler requires faces branching")
     cen = census(args.map_name, branch, args.prime)
     extras = []
     if args.verify_euler:

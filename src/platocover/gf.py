@@ -17,6 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import verify
 from .linalg import cycle_labels, label_orbits, orbit_labels
 
 
@@ -380,11 +381,11 @@ class ExtField:
         raise AssertionError("no primitive element found")
 
     def nth_root_of_unity(self, n: int) -> tuple[int, ...]:
-        assert (self.order - 1) % n == 0
+        verify((self.order - 1) % n == 0, f"F_{self.order} has no primitive {n}-th root of unity")
         w = self.pow(self.primitive_element(), (self.order - 1) // n)
-        assert self.pow(w, n) == self.one()
-        for q in factorize(n):
-            assert self.pow(w, n // q) != self.one()
+        verify(self.pow(w, n) == self.one(), f"w^{n} is not 1")
+        verify(all(self.pow(w, n // q) != self.one() for q in factorize(n)),
+               f"w is not a primitive {n}-th root of unity")
         return w
 
 
@@ -394,7 +395,7 @@ def root_of_unity(n: int, p: int) -> tuple[ExtField, tuple[tuple[int, ...], ...]
     its fixed primitive n-th root of unity w.  The factors of x^n - 1 and the
     reduction of cyclotomic character values mod p both use this one w, so
     the labels of the census and of the cyclotomic report agree."""
-    assert is_prime(p) and math.gcd(n, p) == 1
+    verify(is_prime(p) and math.gcd(n, p) == 1, f"no {n}-th roots of unity over F_{p}")
     field = ExtField(p, multiplicative_order(p, n))
     w = field.nth_root_of_unity(n)
     powers = [field.one()]
@@ -422,12 +423,15 @@ def factor_xn_minus_1(n: int, p: int) -> list[tuple[CosetOrbit, list[int]]]:
                 field.sub(shifted[j], field.mul(root, poly[j]) if j < len(poly) else field.zero())
                 for j in range(len(shifted))
             ]
-        assert all(field.in_prime_field(c) for c in poly)
+        verify(all(field.in_prime_field(c) for c in poly),
+               f"the factor of the orbit of {orbit.least} leaves F_{p}")
         coeffs = [c[0] for c in poly]
-        assert coeffs[-1] == 1 and len(coeffs) == orbit.size + 1
+        verify(coeffs[-1] == 1 and len(coeffs) == orbit.size + 1,
+               f"the factor of the orbit of {orbit.least} is not monic of degree {orbit.size}")
         out.append((orbit, coeffs))
     product = [1]
     for _, f in out:
         product = poly_mul(product, f, p)
-    assert product == poly_trim([(-1) % p] + [0] * (n - 1) + [1])
+    verify(product == poly_trim([(-1) % p] + [0] * (n - 1) + [1]),
+           f"the factors do not multiply to x^{n} - 1")
     return out

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import EvenPrimeUnsupported, ModularCaseUnsupported, verify
 from .gf import is_prime
-from .linalg import as_matrix, dtype_for, left_kernel, mat_mul, reduce_rows, rref
+from .linalg import as_matrix, dtype_for, mat_mul, reduce_rows, rref
 from .maps import GroupData
 
 BRANCH_ORDER = ("vertices", "edges", "faces")
@@ -122,21 +122,6 @@ class Subspace:
         """The sum: the RREF of the stacked bases."""
         assert self.ambient == other.ambient
         return Subspace(np.vstack([self.basis, other.basis]), self.p, self.ambient)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Left-kernel construction: pairs (a, b) with a·U + b·W = 0 give
-        intersection vectors a·U."""
-        assert self.ambient == other.ambient
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.p, self.ambient)
-        stacked = np.vstack([self.basis, other.basis])
-        kern = left_kernel(stacked, self.p)
-        if kern.shape[0] == 0:
-            return Subspace.zero(self.p, self.ambient)
-        vecs = mat_mul(kern[:, : self.dim], self.basis, self.p)
-        out = Subspace(vecs, self.p, self.ambient)
-        assert out.dim == self.dim + other.dim - self.add(other).dim
-        return out
 
     def image(self, matrix: np.ndarray) -> "Subspace":
         """Row space of basis @ matrix; matrix maps this ambient to its

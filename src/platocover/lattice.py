@@ -7,29 +7,32 @@ covering descriptor: codimension, effective branch set, map type, genus,
 the character of Q/L, and regularity under the reflection.
 
 Everything but L itself is fixed by the choices, so the checks and flags are
-tabulated once per choice: each block's dimension and invariance, which
-branch classes it swallows, and which choice the reflection maps it onto.
-The lattice is walked depth-first over the menus in ascending size, so the
-largest menu comes last.  Each partial sum on the path is merged with the
-whole next menu at once, by one batched direct-sum merge
-(linalg.merge_direct_sums) per block rank; at the last menu the merged bases
-are packed straight into keys.  Each L is kept only as its packed key
-(Subspace.key), which sorts exactly as the nested tuples of its basis rows.
-The descriptor is assembled from the tables and rebuilds L from the key,
-with no row reduction, only when a reader asks for it.
+tabulated once per stack of choices of one E-rank in one component: each
+block's dimension and invariance, which branch classes it swallows, and which
+choice the reflection maps it onto.  The lattice is walked depth-first over
+the menus in ascending size, so the largest menu comes last.  Each partial
+sum on the path is merged with each rank stack of the next menu at once, by
+one batched direct-sum merge (linalg.merge_direct_sums); at the last menu
+the merged bases are packed straight into keys.  Each L is kept only as its
+packed key (Subspace.key), which sorts exactly as the nested tuples of its
+basis rows, next to its row of choice idents.  One pass over those rows
+reads every descriptor from the per-choice tables; L is rebuilt from its
+key, with no row reduction, only when a reader asks for it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .decompose import IsotypicComponent, decompose_module
 from .errors import verify
 from .homology import BRANCH_ORDER, HomologyModule, Subspace, build_homology, pack_rows
-from .linalg import mat_mul, merge_direct_sums, reduce_rows, zeros
+from .linalg import dtype_for, mat_mul, merge_direct_sums, reduce_rows, zeros
 from .maps import MapFamily, build_group, build_map, parse_family
 
 # enumerating E-subspaces of E^m touches all q = p^s field elements; every
@@ -68,35 +71,41 @@ class ComponentChoice:
     k: int
     lam: str | None  # projective label for a line in a multiplicity-2 component
     ident: int  # position in the concatenated menus of all components
-    block: Subspace = field(repr=False)
-    swallowed: tuple[str, ...] = ()  # branch classes whose punctures all project into block
+    block: Subspace = field(repr=False)  # a view on the choice's row of its rank stack
+    swallowed: int = 0  # bit b: every puncture of module.branch_classes[b] projects into block
     mirror: int | None = None  # ident of the choice whose block is block's reflection
 
 
 @dataclass
+class Lattice:
+    """Every submodule of Q as its key (Subspace.key()), with the idents of
+    its choices in component order as one row of idents; choices[i] is the
+    choice with ident i."""
+    keys: list[tuple]
+    idents: np.ndarray  # (len(keys), components)
+    choices: list[ComponentChoice]
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+
+@dataclass
 class CoveringDescriptor:
-    branch_classes: tuple[str, ...]
     p: int
     key: tuple  # Subspace.key() of L
     c: int
     effective_branch: tuple[str, ...]
     cover_type: tuple[int, int, int]
     genus: int
-    character: dict[str, int]
+    character: Mapping[str, int]  # read-only, shared by the coverings with this character
     regular: bool
     choices: tuple[ComponentChoice, ...]
-    mate_key: tuple | None = None  # ident of the mirrored combination, for chirals
     mate_index: int | None = None
 
     @property
     def L(self) -> Subspace:
         """The submodule, rebuilt from its key with no row reduction."""
         return Subspace.from_key(self.key, self.p)
-
-    @property
-    def ident(self) -> tuple:
-        """The choice idents of the combination, in component order."""
-        return tuple(ch.ident for ch in self.choices)
 
     @property
     def type_string(self) -> str:
@@ -107,27 +116,19 @@ class CoveringDescriptor:
 
     @property
     def character_string(self) -> str:
-        parts = []
-        for label, mult in sorted(self.character.items()):
-            parts.append(label if mult == 1 else f"{mult}*{label}")
-        return "+".join(parts) if parts else "0"
+        return _character_string(self.character)
 
-    def sort_key(self) -> tuple:
-        return (self.c, self.genus, self.character_string, self.key)
+
+def _character_string(character: Mapping[str, int]) -> str:
+    parts = []
+    for label, mult in sorted(character.items()):
+        parts.append(label if mult == 1 else f"{mult}*{label}")
+    return "+".join(parts) if parts else "0"
 
 
 def _field_elements(s: int, p: int):
     """Coordinate vectors of F_{p^s} in lexicographic order, zero first."""
     return list(itertools.product(range(p), repeat=s))
-
-
-def _coord_matrix(coords, commutant, p: int) -> np.ndarray:
-    d = commutant[0].shape[0]
-    out = zeros((d, d), p)
-    for c, t in zip(coords, commutant):
-        if c:
-            out = (out + c * t) % p
-    return out
 
 
 def e_subspaces(m: int, s: int, p: int):
@@ -214,192 +215,199 @@ def _lambda_label(rows, s: int) -> str | None:
     return "(" + ",".join(map(str, lam)) + ")"
 
 
-def _choice_block(comp: IsotypicComponent, rows, module: HomologyModule) -> Subspace:
-    """The submodule picked inside one component by RREF rows over E."""
-    p = module.p
-    if not rows:
-        return Subspace.zero(p, module.dim)
-    blocks = []
-    for row in rows:
-        psi = zeros(comp.hom_basis[0].shape, p)
-        for coords, x in zip(row, comp.hom_basis):
-            if any(coords):
-                psi = (psi + mat_mul(_coord_matrix(coords, comp.commutant, p), x, p)) % p
-        blocks.append(psi)
-    return Subspace(np.vstack(blocks), p, module.dim)
+def _stack_keys(bases: np.ndarray, p: int) -> list[tuple]:
+    """Subspace.key() of each RREF basis of a (batch, r, n) stack."""
+    batch, _, ambient = bases.shape
+    packed = pack_rows(bases, p)
+    size = len(packed) // batch
+    return [(ambient, packed[b * size:(b + 1) * size]) for b in range(batch)]
 
 
 def component_menus(
     components: list[IsotypicComponent], module: HomologyModule
-) -> list[list[ComponentChoice]]:
-    """Every choice of every component with its block, checks and flags.
+) -> list[list[tuple[list[ComponentChoice], np.ndarray, np.ndarray]]]:
+    """Every choice of every component, as one stack per E-rank k: for each
+    component a list of (choices, bases, pivots), bases (len(choices),
+    k*d, dim) the RREF blocks in the order of choices and pivots their pivot
+    columns.
 
     Everything a covering descriptor needs beyond L is fixed per choice, so
-    it is worked out here once per choice rather than once per submodule.
-    """
-    menus = []
+    it is worked out here once per stack rather than once per submodule.
+    One merge with an empty prefix puts each stack in RREF and verifies
+    that every block has rank k*d; the blocks are checked invariant, distinct
+    within their component, and the full choice to rebuild its component.
+    Q is the direct sum of the components, so a puncture lies in L = sum of
+    blocks exactly when each of its projections (stored on the component by
+    decompose) lies in its block: each choice records as a bitmask the
+    branch classes all of whose punctures project into its block.  The
+    reflection permutes the components, and each choice records the ident
+    of the choice its block is mapped onto."""
+    p, dim = module.p, module.dim
+    empty = zeros((0, dim), p)
+    puncture_rows = [[i for i, (cls, _) in enumerate(module.punctures) if cls == bc]
+                     for bc in module.branch_classes]
     idents = itertools.count()
+    menus, ident_of = [], []
     for comp in components:
-        menu = []
-        for k, rows in e_subspaces(comp.multiplicity, comp.endo_degree, module.p):
-            lam = _lambda_label(rows, comp.endo_degree) if comp.multiplicity == 2 else None
-            block = _choice_block(comp, rows, module)
-            verify(block.dim == k * comp.irreducible_dim,
-                   f"{comp.label}: a choice of E-rank {k} has dimension {block.dim}")
-            verify(module.invariant_under_group(block), f"{comp.label}: a choice is not invariant")
-            menu.append(ComponentChoice(comp, k, lam, next(idents), block))
-        verify(len({ch.block.key() for ch in menu}) == len(menu),
+        d, m, s = comp.irreducible_dim, comp.multiplicity, comp.endo_degree
+        # the block of an E-row (c_jt) stacks the rows of sum c_jt t x_j over
+        # the commutant basis t and the hom basis x_j
+        products = np.stack([mat_mul(t, x, p) for x in comp.hom_basis for t in comp.commutant])
+        products = products.reshape(m * s, d * dim)
+        by_rank = {}
+        for k, rows in e_subspaces(m, s, p):
+            by_rank.setdefault(k, []).append(rows)
+        menu, ident_of_key = [], {}
+        for k, rows in by_rank.items():
+            coords = np.array(rows, dtype=dtype_for(p)).reshape(len(rows), k, m * s)
+            raw = mat_mul(coords, products, p).reshape(len(rows), k * d, dim)
+            bases, pivots = merge_direct_sums(empty, [], raw, p)
+            for gen in (module.group.gen_x, module.group.gen_z):
+                images = mat_mul(bases, module.matrices[gen], p)
+                verify(not reduce_rows(bases, pivots, images, p).any(),
+                       f"{comp.label}: a choice is not invariant")
+            swallowed = np.zeros(len(rows), dtype=np.int64)
+            for bit, punctures in enumerate(puncture_rows):
+                inside = ~reduce_rows(bases, pivots, comp.punctures[punctures], p).any(axis=-1)
+                verify((inside.all(axis=1) == inside.any(axis=1)).all(),
+                       "branch effectiveness must be constant on an orbit")
+                swallowed |= inside[:, 0].astype(np.int64) << bit
+            choices = [
+                ComponentChoice(comp, k, _lambda_label(r, s) if m == 2 else None, next(idents),
+                                Subspace(basis, p, dim, _pivots=piv.tolist()), int(mask))
+                for r, basis, piv, mask in zip(rows, bases, pivots, swallowed)
+            ]
+            ident_of_key.update(zip(_stack_keys(bases, p), (ch.ident for ch in choices)))
+            menu.append((choices, bases, pivots))
+        verify(len(ident_of_key) == sum(len(choices) for choices, _, _ in menu),
                f"{comp.label}: two choices give the same submodule")
-        verify(menu[-1].k == comp.multiplicity and menu[-1].block == comp.subspace,
+        full = menu[-1][0][0]
+        verify(full.k == m and full.block == comp.subspace,
                f"{comp.label}: the full choice does not rebuild the component")
         menus.append(menu)
-    _mark_swallowed(menus, components, module)
-    _pair_mirrors(menus, components, module)
-    return menus
+        ident_of.append(ident_of_key)
 
-
-def _mark_swallowed(menus, components, module: HomologyModule) -> None:
-    """Record on each choice the branch classes whose punctures all project
-    into its block.  Q is the direct sum of the components, so a puncture lies
-    in L = sum of blocks exactly when each of its projections, stored on the
-    component by decompose, lies in its block."""
-    p = module.p
-    rows_of = {
-        bc: [i for i, (cls, _) in enumerate(module.punctures) if cls == bc]
-        for bc in module.branch_classes
-    }
-    for comp, menu in zip(components, menus):
-        for bc, rows in rows_of.items():
-            for ch in menu:
-                residue = reduce_rows(ch.block.basis, ch.block.pivots, comp.punctures[rows], p)
-                inside = {not row.any() for row in residue}
-                verify(len(inside) == 1, "branch effectiveness must be constant on an orbit")
-                if inside.pop():
-                    ch.swallowed += (bc,)
-
-
-def _pair_mirrors(menus, components, module: HomologyModule) -> None:
-    """Point each choice at the choice its block is mapped onto by the
-    reflection, which permutes the components.  All zero blocks are equal, so
-    a zero choice goes to the zero choice of its component's mirror."""
     R = module.reflection_matrix
     comp_of = {comp.subspace.key(): j for j, comp in enumerate(components)}
     for comp, menu in zip(components, menus):
-        j = comp_of.get(comp.subspace.image(R).key())
+        images = [(choices, _stack_keys(merge_direct_sums(empty, [], mat_mul(bases, R, p), p)[0], p))
+                  for choices, bases, _ in menu]
+        j = comp_of.get(images[-1][1][0])  # the image of the full choice
         verify(j is not None, f"the reflection maps {comp.label} onto no component")
-        targets = {ch.block.key(): ch.ident for ch in menus[j] if ch.k}
-        for ch in menu:
-            if ch.k == 0:
-                ch.mirror = menus[j][0].ident
-                continue
-            ch.mirror = targets.get(ch.block.image(R).key())
-            verify(ch.mirror is not None,
-                   f"the reflection maps a choice of {comp.label} onto no choice "
-                   f"of {components[j].label}")
+        for choices, keys in images:
+            for ch, key in zip(choices, keys):
+                ch.mirror = ident_of[j].get(key)
+                verify(ch.mirror is not None,
+                       f"the reflection maps a choice of {comp.label} onto no choice "
+                       f"of {components[j].label}")
+    return menus
 
 
-def enumerate_submodules(
-    components: list[IsotypicComponent], module: HomologyModule
-) -> list[tuple[tuple, tuple[ComponentChoice, ...]]]:
-    """Every G-invariant submodule of Q as its key, with its per-component
-    coordinates.
+def enumerate_submodules(components: list[IsotypicComponent], module: HomologyModule) -> Lattice:
+    """Every G-invariant submodule of Q as its key, with its choices.
 
     Every block is checked invariant, of the right dimension and distinct
     within its component, and the components form a direct sum, so every sum
     of blocks is a distinct submodule of the expected dimension.  The menus
     are walked depth-first: each partial sum on the current path is merged
-    with the whole next menu in one batch per block rank, which checks again
+    with each rank stack of the next menu in one batch, which checks again
     that each of those sums is direct, and only the path's partial sums and
     the current batches are held.  At the last menu the merged bases are
     packed straight into keys.
     """
     _check_lattice_size(components, module.p)
     menus = component_menus(components, module)
-    p, dim = module.p, module.dim
+    p = module.p
+    choices = [ch for menu in menus for stack, _, _ in menu for ch in stack]
     # the smallest menus go first and the largest last, so the merges above
     # the last level, one batch per prefix and block rank, number only the
     # product of the smaller menus, and each last batch is the largest menu
-    order = sorted(range(len(menus)), key=lambda i: len(menus[i]))
-    position = [order.index(i) for i in range(len(menus))]
-    stacks = []
-    for i in order:
-        by_rank = {}
-        for ch in menus[i]:
-            by_rank.setdefault(ch.k, []).append(ch)
-        stacks.append([(group, np.stack([ch.block.basis for ch in group]))
-                       for group in by_rank.values()])
+    order = sorted(range(len(menus)), key=lambda i: sum(len(stack) for stack, _, _ in menus[i]))
+    stacks = [[([ch.ident for ch in stack], bases) for stack, bases, _ in menus[i]] for i in order]
     last = len(order) - 1
-    out = []
+    keys, rows = [], []
 
-    def walk(depth: int, L: Subspace, picks: tuple) -> None:
-        for group, blocks in stacks[depth]:
-            bases, pivots = merge_direct_sums(L.basis, L.pivots, blocks, p)
+    def walk(depth: int, basis: np.ndarray, pivots, picks: tuple) -> None:
+        for idents, blocks in stacks[depth]:
+            bases, merged = merge_direct_sums(basis, pivots, blocks, p)
             if depth == last:
-                packed = pack_rows(bases, p)
-                size = len(packed) // len(group)
-                for b, ch in enumerate(group):
-                    combo = picks + (ch,)
-                    out.append(((dim, packed[b * size:(b + 1) * size]),
-                                tuple(combo[n] for n in position)))
+                keys.extend(_stack_keys(bases, p))
+                rows.extend(picks + (ident,) for ident in idents)
             else:
-                for b, ch in enumerate(group):
-                    walk(depth + 1, Subspace(bases[b], p, dim, _pivots=pivots[b].tolist()),
-                         picks + (ch,))
+                for b, ident in enumerate(idents):
+                    walk(depth + 1, bases[b], merged[b], picks + (ident,))
 
-    walk(0, Subspace.zero(p, dim), ())
-    return out
+    walk(0, zeros((0, module.dim), p), [], ())
+    # column i of the walk's rows is the component order[i]
+    return Lattice(keys, np.array(rows)[:, np.argsort(order)], choices)
 
 
-def describe_covering(
-    key: tuple,
-    module: HomologyModule,
-    choices: tuple[ComponentChoice, ...],
-) -> CoveringDescriptor:
-    """The descriptor of the covering given by L = the sum of the choices'
-    blocks, with key = L.key(), assembled from the per-choice tables."""
-    group = module.group
-    p = module.p
-    c = module.dim - sum(ch.block.dim for ch in choices)
-    assert c > 0, "the full module is not a proper submodule"
+def describe_covering(lattice: Lattice, module: HomologyModule) -> list[CoveringDescriptor]:
+    """The descriptors of the coverings, one per proper submodule of the
+    lattice, sorted by (c, genus, character, key) with chiral mates paired.
 
-    effective = tuple(
-        bc for bc in module.branch_classes if not all(bc in ch.swallowed for ch in choices)
-    )
-    B = sum(group.class_perms(bc).shape[1] for bc in effective)
+    Everything but L is fixed by the choices, so each field is read from
+    per-choice tables through the ident array: c from the block dimensions,
+    the swallowed classes as the AND of the choices' bitmasks, the mate
+    from the sorted mirror idents.  The branch set, type and genus are
+    worked out once per distinct (c, swallowed mask), the character once
+    per distinct row of remainders m - k."""
+    group, p, dm = module.group, module.p, module.group.map
+    choices = lattice.choices
+    dims, masks, remainders, mirrors = np.array(
+        [(ch.block.dim, ch.swallowed, ch.component.multiplicity - ch.k, ch.mirror)
+         for ch in choices]).T
+    starts = [ch.ident for i, ch in enumerate(choices)
+              if i == 0 or ch.component is not choices[i - 1].component]
+    labels = [choices[i].component.label for i in starts]
 
-    genus = 1 - p**c + (p - 1) * p ** (c - 1) * B // 2
-    assert genus >= 0
+    c = module.dim - dims[lattice.idents].sum(axis=1)
+    proper = np.flatnonzero(c)
+    verify(len(proper) == len(lattice) - 1, "the full module is not alone in codimension 0")
+    idents, c = lattice.idents[proper], c[proper]
+    swallowed = np.bitwise_and.reduce(masks[idents], axis=1)
 
-    dm = group.map
-    cover_type = (
-        dm.m * (p if "vertices" in effective else 1),
-        2 * (p if "edges" in effective else 1),
-        dm.n * (p if "faces" in effective else 1),
-    )
+    kinds = []  # (c, effective branch set, type, genus) per distinct (c, swallowed mask)
+    pairs, kind_of = np.unique(np.column_stack([c, swallowed]), axis=0, return_inverse=True)
+    for cc, mask in pairs.tolist():
+        effective = tuple(bc for b, bc in enumerate(module.branch_classes) if not mask >> b & 1)
+        B = sum(group.class_perms(bc).shape[1] for bc in effective)
+        genus = 1 - p**cc + (p - 1) * p ** (cc - 1) * B // 2
+        verify(genus >= 0, f"a covering of codimension {cc} has negative genus {genus}")
+        cover_type = (
+            dm.m * (p if "vertices" in effective else 1),
+            2 * (p if "edges" in effective else 1),
+            dm.n * (p if "faces" in effective else 1),
+        )
+        kinds.append((cc, effective, cover_type, genus))
+    rems, character_of = np.unique(remainders[idents], axis=0, return_inverse=True)
+    characters = [MappingProxyType({label: r for label, r in zip(labels, row) if r})
+                  for row in rems.tolist()]
+    strings = [_character_string(ch) for ch in characters]
 
-    character = {}
-    for ch in choices:
-        rem = ch.component.multiplicity - ch.k
-        if rem:
-            character[ch.component.label] = rem
+    kind_of, character_of = kind_of.reshape(-1), character_of.reshape(-1)
+    keys = [lattice.keys[i] for i in proper.tolist()]
+    sort_keys = [(kinds[k][0], kinds[k][3], strings[h], key)
+                 for k, h, key in zip(kind_of.tolist(), character_of.tolist(), keys)]
+    order = sorted(range(len(keys)), key=sort_keys.__getitem__)
+    idents, kind_of, character_of = idents[order], kind_of[order], character_of[order]
 
-    ident = tuple(ch.ident for ch in choices)
-    mirrored = tuple(sorted(ch.mirror for ch in choices))
-    regular = mirrored == ident
-
-    return CoveringDescriptor(
-        branch_classes=module.branch_classes,
-        p=p,
-        key=key,
-        c=c,
-        effective_branch=effective,
-        cover_type=cover_type,
-        genus=genus,
-        character=character,
-        regular=regular,
-        choices=choices,
-        mate_key=None if regular else mirrored,
-    )
+    # a row of idents, one per component in component order, is one number
+    # in the mixed radix of the menu sizes, and so is its row of mirrors
+    # once sorted, since the reflection permutes the components
+    sizes = np.diff(starts + [len(choices)])
+    position = np.full(len(lattice), -1)
+    position[np.ravel_multi_index((idents - starts).T, sizes)] = np.arange(len(order))
+    mate = position[np.ravel_multi_index((np.sort(mirrors[idents], axis=1) - starts).T, sizes)]
+    at = np.arange(len(order))
+    verify((mate >= 0).all() and (mate[mate] == at).all(), "chirality must be an involution")
+    verify((kind_of[mate] == kind_of).all(), "a chiral pair must share codimension, genus and type")
+    return [
+        CoveringDescriptor(p, keys[pos], *kinds[k], characters[h], j == i,
+                           tuple(choices[x] for x in row), None if j == i else j)
+        for i, (pos, k, h, row, j) in enumerate(zip(
+            order, kind_of.tolist(), character_of.tolist(), idents.tolist(), mate.tolist()))
+    ]
 
 
 @dataclass
@@ -437,30 +445,11 @@ def census(fam: MapFamily | str, branch_classes, p: int) -> Census:
     components = decompose_module(module)
     submodules = enumerate_submodules(components, module)
 
-    coverings = []
-    for key, combo in submodules:
-        if all(ch.k == ch.component.multiplicity for ch in combo):
-            continue  # the full module
-        coverings.append(describe_covering(key, module, combo))
-    coverings.sort(key=lambda d: d.sort_key())
-
-    index_of = {d.ident: i for i, d in enumerate(coverings)}
-    for i, d in enumerate(coverings):
-        if d.regular:
-            continue
-        j = index_of.get(d.mate_key)
-        verify(j is not None and j != i and coverings[j].mate_key == d.ident,
-               "chirality must be an involution")
-        mate = coverings[j]
-        verify((mate.c, mate.genus, mate.cover_type) == (d.c, d.genus, d.cover_type),
-               "a chiral pair must share codimension, genus and type")
-        d.mate_index = j
-
     return Census(
         family=fam,
         branch_classes=module.branch_classes,
         p=p,
-        coverings=coverings,
+        coverings=describe_covering(submodules, module),
         components=components,
         module=module,
     )

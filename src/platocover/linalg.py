@@ -43,10 +43,7 @@ def zeros(shape, p: int) -> np.ndarray:
 
 
 def identity(n: int, p: int) -> np.ndarray:
-    m = zeros((n, n), p)
-    for i in range(n):
-        m[i, i] = 1 % p
-    return m
+    return np.eye(n, dtype=dtype_for(p))
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -91,14 +88,19 @@ def rref(mat, p: int):
 
 
 def reduce_rows(basis: np.ndarray, pivots, mat, p: int) -> np.ndarray:
-    """Residue of each row of mat after elimination against an RREF basis."""
+    """Residue of each row of mat after elimination against an RREF basis.
+
+    basis (..., r, n) may also be a stack of bases, each with its row of
+    pivots (..., r); mat (..., q, n) broadcasts against the stack, and each
+    basis reads its coefficients at its own pivot columns."""
     m = np.array(mat, dtype=dtype_for(p)) % p
     if m.ndim == 1:
         m = m.reshape(1, -1)
-    if basis.shape[0] == 0:
+    m = np.broadcast_to(m, np.broadcast_shapes(basis.shape[:-2], m.shape[:-2]) + m.shape[-2:])
+    if basis.shape[-2] == 0:
         return m
-    coeff = m[:, list(pivots)]
-    return (m - np.dot(coeff, basis)) % p
+    coeff = np.take_along_axis(m, np.asarray(pivots, dtype=np.intp)[..., None, :], axis=-1)
+    return (m - np.matmul(coeff, basis)) % p
 
 
 def _inverses(x: np.ndarray, p: int) -> np.ndarray:
@@ -163,23 +165,6 @@ def merge_direct_sums(basis: np.ndarray, pivots, blocks: np.ndarray, p: int):
         old %= p
     order = np.argsort(merged_pivots, axis=1)
     return merged[at[:, None], order], merged_pivots[at[:, None], order]
-
-
-def left_kernel(mat, p: int) -> np.ndarray:
-    """RREF basis of {v : v @ mat == 0}."""
-    a = np.array(mat, dtype=dtype_for(p)) % p
-    nrows = a.shape[0]
-    r, pivots = rref(a.T, p)
-    free = [j for j in range(nrows) if j not in pivots]
-    if not free:
-        return zeros((0, nrows), p)
-    out = zeros((len(free), nrows), p)
-    for k, j in enumerate(free):
-        out[k, j] = 1
-        for i, c in enumerate(pivots):
-            out[k, c] = (-int(r[i, j])) % p
-    basis, _ = rref(out, p)
-    return basis
 
 
 def _label_dtype(n: int):

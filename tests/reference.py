@@ -12,10 +12,46 @@ import numpy as np
 
 from platocover.chartab import column_of_class
 from platocover.homology import HomologyModule, Subspace
-from platocover.linalg import as_matrix, left_kernel, mat_mul
+from platocover.lattice import CoveringDescriptor, Lattice
+from platocover.linalg import as_matrix, dtype_for, mat_mul, rref, zeros
 from platocover.maps import DartMap, GroupData
 
 BRANCH_CLASSES = ("vertices", "edges", "faces")
+
+
+# ---------------------------------------------------------------------------
+# kernels and intersections
+
+
+def left_kernel(mat, p: int) -> np.ndarray:
+    """RREF basis of {v : v @ mat == 0}."""
+    a = np.array(mat, dtype=dtype_for(p)) % p
+    nrows = a.shape[0]
+    r, pivots = rref(a.T, p)
+    free = [j for j in range(nrows) if j not in pivots]
+    if not free:
+        return zeros((0, nrows), p)
+    out = zeros((len(free), nrows), p)
+    for k, j in enumerate(free):
+        out[k, j] = 1
+        for i, c in enumerate(pivots):
+            out[k, c] = (-int(r[i, j])) % p
+    basis, _ = rref(out, p)
+    return basis
+
+
+def intersect(U: Subspace, W: Subspace) -> Subspace:
+    """Left-kernel construction: pairs (a, b) with a·U + b·W = 0 give
+    intersection vectors a·U."""
+    assert U.ambient == W.ambient
+    if U.dim == 0 or W.dim == 0:
+        return Subspace.zero(U.p, U.ambient)
+    kern = left_kernel(np.vstack([U.basis, W.basis]), U.p)
+    if kern.shape[0] == 0:
+        return Subspace.zero(U.p, U.ambient)
+    out = Subspace(mat_mul(kern[:, :U.dim], U.basis, U.p), U.p, U.ambient)
+    assert out.dim == U.dim + W.dim - U.add(W).dim
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +343,7 @@ def named_submodules(module: HomologyModule, group: GroupData) -> dict[str, Subs
             out["Qa'"] = image_of_rows(diffs)
             assert out["Qa"].dim == N // 2 - 1
             assert out["Qa'"].dim == N // 2
-            assert out["Qa"].intersect(out["Qa'"]).dim == 0
+            assert intersect(out["Qa"], out["Qa'"]).dim == 0
             assert out["Qa"].add(out["Qa'"]).dim == module.dim
 
     if (
@@ -328,9 +364,57 @@ def named_submodules(module: HomologyModule, group: GroupData) -> dict[str, Subs
         basis = left_kernel(functional.T, p)
         out["Qb'"] = image_of_rows(basis)
         assert out["Qb'"].dim == N - 2
-        out["Qa'&Qb'"] = out["Qa'"].intersect(out["Qb'"])
+        out["Qa'&Qb'"] = intersect(out["Qa'"], out["Qb'"])
         assert out["Qa'&Qb'"].dim == 3
 
     for space in out.values():
         assert module.invariant_under_group(space)
     return out
+
+
+# ---------------------------------------------------------------------------
+# covering descriptors, one submodule at a time
+
+
+def reference_descriptors(lattice: Lattice, module: HomologyModule) -> list[CoveringDescriptor]:
+    """The coverings of a lattice described one submodule at a time from its
+    own choices, then sorted by (c, genus, character, key), each chiral one
+    paired with the covering whose idents are its sorted mirror idents."""
+    group, p, dm = module.group, module.p, module.group.map
+    rows = []
+    for key, ident in zip(lattice.keys, map(tuple, lattice.idents.tolist())):
+        choices = tuple(lattice.choices[i] for i in ident)
+        if all(ch.k == ch.component.multiplicity for ch in choices):
+            continue  # the full module
+        c = module.dim - sum(ch.block.dim for ch in choices)
+        assert c > 0
+        effective = tuple(bc for b, bc in enumerate(module.branch_classes)
+                          if not all(ch.swallowed >> b & 1 for ch in choices))
+        B = sum(group.class_perms(bc).shape[1] for bc in effective)
+        genus = 1 - p**c + (p - 1) * p ** (c - 1) * B // 2
+        assert genus >= 0
+        cover_type = (
+            dm.m * (p if "vertices" in effective else 1),
+            2 * (p if "edges" in effective else 1),
+            dm.n * (p if "faces" in effective else 1),
+        )
+        character = {}
+        for ch in choices:
+            rem = ch.component.multiplicity - ch.k
+            if rem:
+                character[ch.component.label] = rem
+        mirrored = tuple(sorted(ch.mirror for ch in choices))
+        d = CoveringDescriptor(p, key, c, effective, cover_type, genus, character,
+                               mirrored == ident, choices)
+        rows.append((d, ident, mirrored))
+    rows.sort(key=lambda row: (row[0].c, row[0].genus, row[0].character_string, row[0].key))
+    index_of = {ident: i for i, (_, ident, _) in enumerate(rows)}
+    for i, (d, ident, mirrored) in enumerate(rows):
+        if d.regular:
+            continue
+        j = index_of[mirrored]
+        mate = rows[j][0]
+        assert j != i and rows[j][2] == ident, "chirality must be an involution"
+        assert (mate.c, mate.genus, mate.cover_type) == (d.c, d.genus, d.cover_type)
+        d.mate_index = j
+    return [d for d, _, _ in rows]

@@ -121,6 +121,18 @@ def test_verify_euler_rejects_other_branching(capsys):
     assert code == 2
 
 
+def test_verify_euler_rejects_other_branching_before_the_census(capsys, monkeypatch):
+    # the census of this case takes seconds; the branch set alone decides
+    def reached(*args, **kwargs):
+        pytest.fail("the census ran before the branch set was checked")
+
+    monkeypatch.setattr(cli, "census", reached)
+    code, _, err = run(["classify", "--map", "dodecahedron", "--prime", "11",
+                        "--branch", "vertices,faces", "--verify-euler"], capsys)
+    assert code == 2
+    assert "--verify-euler requires faces branching" in err
+
+
 def test_branch_parsing():
     assert cli.parse_branch("faces") == ("faces",)
     assert cli.parse_branch("vertices, faces") == ("vertices", "faces")
@@ -232,6 +244,65 @@ def test_corrupted_reflection_exits_1(flags, asserts):
     assert proc.returncode == 1, proc.stderr
     assert "internal verification failure" in proc.stderr
     assert "reflection" in proc.stderr
+
+
+# adds 1 to one entry of a hom basis map, so the blocks built from it are
+# no longer invariant
+CORRUPT_CHOICE = """
+import sys
+from platocover import cli, lattice
+
+decompose = lattice.decompose_module
+
+def corrupted(module):
+    components = decompose(module)
+    x = components[-1].hom_basis[0]
+    x[0, 0] = (x[0, 0] + 1) % module.p
+    return components
+
+lattice.decompose_module = corrupted
+print("asserts", "on" if __debug__ else "off", file=sys.stderr)
+sys.exit(cli.main(["classify", "--map", "cube", "--prime", "5"]))
+"""
+
+
+# swaps the classes matched to A4's columns 2^2 and 3, so the multiplicities
+# read from the table are no longer integers
+SWAPPED_CLASSES = """
+import sys
+from platocover import cli, decompose
+
+match = decompose.match_classes
+
+def swapped(table, group):
+    out = match(table, group)
+    i, j = table.col_labels.index("2^2"), table.col_labels.index("3")
+    out[i], out[j] = out[j], out[i]
+    return out
+
+decompose.match_classes = swapped
+print("asserts", "on" if __debug__ else "off", file=sys.stderr)
+sys.exit(cli.main(["classify", "--map", "tetrahedron", "--prime", "5"]))
+"""
+
+
+@pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
+@pytest.mark.parametrize("script, message", [
+    pytest.param(CORRUPT_CHOICE, "a choice is not invariant", id="choice"),
+    pytest.param(SWAPPED_CLASSES, "class matching is inconsistent", id="classes"),
+])
+def test_corrupted_structure_exits_1(flags, asserts, script, message):
+    # the checks raise VerificationError themselves, so they also hold under -O
+    root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert f"asserts {asserts}" in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert "internal verification failure" in proc.stderr
+    assert message in proc.stderr
 
 
 # hands the batched merge a first block that starts with a prefix row, so
@@ -392,3 +463,7 @@ def test_trace_self_test_passes():
     result = json.loads(proc.stdout)
     assert result["trace_errors"] == []
     assert result["failures"] == []
+    # two cube censuses of 4 submodules each, and one describe call per census
+    layers = result["layers"]
+    assert layers["enumerate.submodules"] == 8
+    assert layers["describe.calls"] == 2

@@ -22,9 +22,9 @@ from platocover.decompose import (
 from platocover.errors import VerificationError
 from platocover.gf import coset_orbits, factor_xn_minus_1, poly_mul
 from platocover.homology import Subspace, build_homology
-from platocover.linalg import identity, left_kernel, mat_mul, rref, zeros
+from platocover.linalg import identity, mat_mul, rref, zeros
 from platocover.maps import build_group, build_map, family
-from reference import named_submodules
+from reference import intersect, left_kernel, named_submodules
 
 
 def module_for(tag, branch, p, param=None):
@@ -193,7 +193,7 @@ def test_components_are_independent_and_fill():
         comps = decompose_module(mod)
         total = Subspace.zero(p, mod.dim)
         for c in comps:
-            assert total.intersect(c.subspace).dim == 0
+            assert intersect(total, c.subspace).dim == 0
             total = total.add(c.subspace)
         assert total.dim == mod.dim
 
@@ -282,7 +282,7 @@ def _kernel_components(mod, group, n):
         space = Subspace(left_kernel(_poly_at(f, A, p), p), p, mod.dim)
         if delta.members in ((0,), (n // 2,)):
             names = ("chi1", "chi2") if delta.members == (0,) else ("chi3", "chi4")
-            out += [((name,), space.intersect(eig)) for name, eig in zip(names, flip)]
+            out += [((name,), intersect(space, eig)) for name, eig in zip(names, flip)]
         else:
             ks = sorted({min(r, n - r) for r in delta.members})
             out.append((tuple(f"xi{k}" for k in ks), space))

@@ -12,13 +12,14 @@ from platocover.homology import Subspace, build_homology
 from platocover.lattice import (
     census,
     component_menus,
+    describe_covering,
     e_subspaces,
     enumerate_submodules,
     gaussian_binomial,
     subspace_count,
 )
 from platocover.maps import build_group, build_map, family, parse_family
-from reference import named_submodules
+from reference import named_submodules, reference_descriptors
 
 
 def test_gaussian_binomial_values():
@@ -188,7 +189,7 @@ def test_named_submodules_appear_in_lattice():
     group = build_group(build_map(family("octahedron")))
     module = build_homology(group, ["faces"], 5)
     named = named_submodules(module, group)
-    submodules = {key for key, _ in enumerate_submodules(decompose_module(module), module)}
+    submodules = set(enumerate_submodules(decompose_module(module), module).keys)
     for name in ("Qb", "Qa", "Qa'&Qb'", "Qb'"):
         assert named[name].key() in submodules, name
 
@@ -242,7 +243,7 @@ def test_effective_branch_drops_swallowed_classes():
     c = census(family("tetrahedron"), ["vertices", "faces"], 5)
     mod = c.module
     for d in c.coverings:
-        for bc in d.branch_classes:
+        for bc in c.branch_classes:
             rows = [
                 mod.projection[i]
                 for i, (cls, _) in enumerate(mod.punctures)
@@ -253,13 +254,13 @@ def test_effective_branch_drops_swallowed_classes():
                 assert not any(inside)
             else:
                 assert all(inside)
-    dropped = [d for d in c.coverings if d.effective_branch != d.branch_classes]
+    dropped = [d for d in c.coverings if d.effective_branch != c.branch_classes]
     assert dropped, "some covering must swallow a class"
 
 
 def test_census_is_sorted_and_stable():
     c = face_census("icosahedron", 7)
-    keys = [d.sort_key() for d in c.coverings]
+    keys = [(d.c, d.genus, d.character_string, d.key) for d in c.coverings]
     assert keys == sorted(keys)
     again = face_census("icosahedron", 7)
     assert [d.L.key() for d in c.coverings] == [d.L.key() for d in again.coverings]
@@ -303,7 +304,8 @@ def test_walk_matches_depth_first_reference(name, branch, p):
     # order test above checks the same on its two cases)
     module = build_homology(build_group(build_map(parse_family(name))), branch, p)
     components = decompose_module(module)
-    menus = component_menus(components, module)
+    menus = [[ch for stack, _, _ in menu for ch in stack]
+             for menu in component_menus(components, module)]
     reference = []
 
     def walk(depth, L, idents):
@@ -314,8 +316,8 @@ def test_walk_matches_depth_first_reference(name, branch, p):
             walk(depth + 1, L.add(ch.block), idents + (ch.ident,))
 
     walk(0, Subspace.zero(p, module.dim), ())
-    got = [(key, tuple(ch.ident for ch in combo))
-           for key, combo in enumerate_submodules(components, module)]
+    lattice = enumerate_submodules(components, module)
+    got = [(key, tuple(row)) for key, row in zip(lattice.keys, lattice.idents.tolist())]
     assert len(got) == len(reference) == len({key for key, _ in got})
     assert sorted(got) == sorted(reference)
 
@@ -369,7 +371,7 @@ def test_factored_descriptors_match_direct_reference(name, branch, p, total, chi
     for d in c.coverings:
         effective = tuple(
             bc
-            for bc in d.branch_classes
+            for bc in c.branch_classes
             if not all(
                 d.L.contains(mod.projection[i])
                 for i, (cls, _) in enumerate(mod.punctures)
@@ -381,4 +383,28 @@ def test_factored_descriptors_match_direct_reference(name, branch, p, total, chi
         assert d.regular == (mirrored == d.L)
         if not d.regular:
             assert c.coverings[d.mate_index].L == mirrored
-    assert any(d.effective_branch != d.branch_classes for d in c.coverings)
+    assert any(d.effective_branch != c.branch_classes for d in c.coverings)
+
+
+@pytest.mark.parametrize(
+    "name, branch, p, total, chiral",
+    [
+        ("tetrahedron", ("vertices", "edges"), 7, 79, 40),
+        ("hosohedron:6", ("vertices", "faces"), 5, 31, 0),
+        ("icosahedron", ("faces",), 11, 111, 80),
+        ("cube", ("vertices", "edges"), 7, 9279, 7680),  # chi4 has multiplicity 3
+        ("dodecahedron", ("vertices", "faces"), 7, 10399, 6240),
+    ],
+)
+def test_descriptors_match_per_submodule_reference(name, branch, p, total, chiral):
+    # one pass over the ident array must give every field, the mate
+    # included, that describing each submodule from its own choices gives
+    module = build_homology(build_group(build_map(parse_family(name))), branch, p)
+    lattice = enumerate_submodules(decompose_module(module), module)
+    got = describe_covering(lattice, module)
+    want = reference_descriptors(lattice, module)
+    assert (len(got), sum(not d.regular for d in got)) == (total, chiral)
+    assert len(want) == total
+    for d, r in zip(got, want):
+        assert d == r
+        assert list(d.character.items()) == list(r.character.items())

@@ -101,6 +101,25 @@ def test_reduce_rows_leaves_the_unique_residue(case):
     assert sympy_rank(basis + moved, p, width) == len(pivots)
 
 
+@pytest.mark.parametrize("p", [7, BIG])
+def test_reduce_rows_on_a_stack_reduces_each_basis(p):
+    # a stack of bases reads each basis's own pivots, for a stack of
+    # matrices and for one matrix shared by the whole stack
+    rng = np.random.default_rng(3)
+    bases, pivots = [], []
+    while len(bases) < 5:
+        basis, piv = rref(as_array(rng.integers(0, 5, (3, 6)).tolist(), p, 6), p)
+        if len(piv) == 3:
+            bases.append(basis)
+            pivots.append(piv)
+    mats = as_array(rng.integers(0, p, (20, 6)).tolist(), p, 6).reshape(5, 4, 6)
+    stacked = reduce_rows(np.stack(bases), np.array(pivots), mats, p)
+    shared = reduce_rows(np.stack(bases), np.array(pivots), mats[0], p)
+    for i in range(5):
+        assert stacked[i].tolist() == reduce_rows(bases[i], pivots[i], mats[i], p).tolist()
+        assert shared[i].tolist() == reduce_rows(bases[i], pivots[i], mats[0], p).tolist()
+
+
 @SETTINGS
 @given(cases(2))
 def test_subspace_add_equals_rref_of_stacked_bases(case):

@@ -21,7 +21,7 @@ def _module(name, branch, p):
 
 def _enumerated_keys(module):
     components = decompose_module(module)
-    return sorted(key for key, _ in enumerate_submodules(components, module))
+    return sorted(enumerate_submodules(components, module).keys)
 
 
 def test_tetrahedron_faces_has_only_trivial_submodules():
