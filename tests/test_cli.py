@@ -1,5 +1,6 @@
 """Command-line behavior: output formats, exit codes, fixture suite."""
 
+import hashlib
 import json
 import os
 import resource
@@ -467,3 +468,36 @@ def test_trace_self_test_passes():
     layers = result["layers"]
     assert layers["enumerate.submodules"] == 8
     assert layers["describe.calls"] == 2
+
+
+FIXTURES = Path(cli.__file__).resolve().parent / "fixtures"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+def test_json_output_is_json_dumps_of_the_payload(name, capsys, monkeypatch):
+    # json's own encoder is the reference for every byte of --format json;
+    # tetrahedron_edges_p7 and icosahedron_faces_p11 have chiral mates
+    spec = json.loads((FIXTURES / name).read_text())["args"]
+    seen = []
+
+    def recorded(*args):
+        seen.append(census(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "census", recorded)
+    code, out, _ = run(["classify", "--map", spec["map"], "--prime", str(spec["prime"]),
+                        "--branch", ",".join(spec["branch"]), "--format", "json"], capsys)
+    assert code == 0
+    assert out == json.dumps(cli.census_payload(seen[0]), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["--map", "dodecahedron", "--prime", "7", "--branch", "vertices,faces"],
+     "7f43b59dbc648458adc479e478bb4d67ecc698bc7d81f4efb2884f2764db4949"),
+    (["--map", "icosahedron", "--prime", "11"],
+     "04f6ed753315af1e5f2210d9b9ca2ced79ee6ff8f4582b67d78ff5ed098a6713"),
+])
+def test_table_output_is_pinned(argv, digest, capsys):
+    code, out, _ = run(["classify", *argv], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
