@@ -8,6 +8,8 @@ import math
 import sys
 from importlib import resources
 
+import numpy as np
+
 from .builder import DART_BUDGET, euler_verify, solve_voltages
 from .errors import verify
 from .gf import coset_orbits, factor_xn_minus_1, is_prime, poly_str
@@ -62,18 +64,21 @@ def parse_branch(text: str) -> tuple[str, ...]:
 # -- rendering ----------------------------------------------------------------
 
 
-def census_payload(cen: Census) -> dict:
+def _covering_row(cen: Census, kind: int, character: int, regular: bool, mate) -> dict:
+    """One covering of the JSON payload: the one place its fields are named."""
+    c, _, cover_type, genus = cen.columns.kinds[kind]
+    return {
+        "c": c,
+        "type": list(cover_type),
+        "genus": genus,
+        "character": dict(cen.columns.characters[character]),
+        "regular": regular,
+        "mate": mate,
+    }
+
+
+def _payload(cen: Census, coverings: list) -> dict:
     fam = cen.module.group.map.family
-    coverings = []
-    for d in cen.coverings:
-        coverings.append({
-            "c": d.c,
-            "type": list(d.cover_type),
-            "genus": d.genus,
-            "character": dict(d.character),
-            "regular": d.regular,
-            "mate": d.mate_index,
-        })
     return {
         "family": fam.name,
         "n": fam.n,
@@ -88,6 +93,47 @@ def census_payload(cen: Census) -> dict:
             "dims": cen.dimension_multiset,
         },
     }
+
+
+def census_payload(cen: Census) -> dict:
+    cols = cen.columns
+    return _payload(cen, [
+        _covering_row(cen, k, h, j == i, None if j == i else j)
+        for i, (k, h, j) in enumerate(zip(cols.kind.tolist(), cols.character.tolist(),
+                                          cols.mate.tolist()))
+    ])
+
+
+def render_json(cen: Census) -> str:
+    """The text of json.dumps(census_payload(cen), indent=2), built from the
+    census's columns.
+
+    Coverings differ in little but their mate, so each distinct row without
+    its mate is encoded once by json.dumps, indented to a covering's depth
+    and cut before the null of its "mate"; each covering is its row's text,
+    its mate and the closing brace.  The rows go into the text of the
+    payload without coverings, also encoded by json.dumps, so json chooses
+    every byte of every value."""
+    cols = cen.columns
+    regular = cols.regular
+    # one number per distinct (kind, character, regular)
+    rows, row_of = np.unique((cols.kind * len(cols.characters) + cols.character) * 2 + regular,
+                             return_inverse=True)
+    templates = []
+    for row in rows.tolist():
+        kind, character = divmod(row >> 1, len(cols.characters))
+        text = json.dumps(_covering_row(cen, kind, character, bool(row & 1), None), indent=2)
+        verify(text.endswith('"mate": null\n}'), "a covering row does not end with its mate")
+        templates.append("    " + text[:-len("null\n}")].replace("\n", "\n    "))
+    head = json.dumps(_payload(cen, []), indent=2)
+    if not templates:
+        return head
+    mates = ["null" if r else str(j) for r, j in zip(regular.tolist(), cols.mate.tolist())]
+    body = "\n    },\n".join(map(str.__add__, [templates[r] for r in row_of.reshape(-1).tolist()],
+                                    mates))
+    empty = '\n  "coverings": [],\n'
+    verify(head.count(empty) == 1, "the payload does not hold one empty covering list")
+    return head.replace(empty, '\n  "coverings": [\n' + body + '\n    }\n  ],\n')
 
 
 def _dims_text(dims: list[int]) -> str:
@@ -162,7 +208,9 @@ def run_classify(args, out=None) -> int:
     if args.oracle:
         extras.append(_oracle_cross_check(cen))
     if args.format == "json":
-        print(json.dumps(census_payload(cen), indent=2), file=out)
+        # the cross-check lines go to stderr, so stdout stays one JSON document
+        print(render_json(cen), file=out)
+        out = sys.stderr
     else:
         print(render_table(cen), file=out)
     for line in extras:

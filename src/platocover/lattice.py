@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -57,7 +58,7 @@ def gaussian_binomial(m: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (m - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    verify(num % den == 0, f"the Gaussian binomial [{m} {k}]_{q} is not an integer")
     return num // den
 
 
@@ -162,7 +163,9 @@ def e_subspaces(m: int, s: int, p: int):
                 for (i, j), val in zip(free, assignment):
                     rows[i][j] = val
                 out.append((k, tuple(tuple(r) for r in rows)))
-    assert len(out) == subspace_count(m, q)
+    verify(len(out) == subspace_count(m, q),
+           f"{len(out)} E-subspaces of E^{m} listed, the Gaussian binomials count "
+           f"{subspace_count(m, q)}")
     return out
 
 
@@ -208,7 +211,7 @@ def _lambda_label(rows, s: int) -> str | None:
     if row[0] == one:
         lam = row[1]
     else:
-        assert row[0] == tuple([0] * s)
+        verify(row[0] == tuple([0] * s), "a line in E^2 has a first coordinate neither 0 nor 1")
         return "inf"
     if s == 1:
         return str(lam[0])
@@ -342,9 +345,43 @@ def enumerate_submodules(components: list[IsotypicComponent], module: HomologyMo
     return Lattice(keys, np.array(rows)[:, np.argsort(order)], choices)
 
 
-def describe_covering(lattice: Lattice, module: HomologyModule) -> list[CoveringDescriptor]:
-    """The descriptors of the coverings, one per proper submodule of the
-    lattice, sorted by (c, genus, character, key) with chiral mates paired.
+@dataclass
+class CoveringColumns:
+    """The coverings of a census in output order, one entry per covering in
+    each array: the index of its submodule in the lattice, its row of kinds
+    (c, effective branch set, type, genus), its row of characters, and its
+    mate, which is itself for a regular covering."""
+    p: int
+    lattice: Lattice = field(repr=False)
+    submodule: np.ndarray
+    kind: np.ndarray
+    character: np.ndarray
+    mate: np.ndarray
+    kinds: list[tuple[int, tuple[str, ...], tuple[int, int, int], int]]
+    characters: list[Mapping[str, int]]
+
+    def __len__(self) -> int:
+        return len(self.submodule)
+
+    @property
+    def regular(self) -> np.ndarray:
+        return self.mate == np.arange(len(self))
+
+    def descriptors(self) -> list[CoveringDescriptor]:
+        lattice, choices = self.lattice, self.lattice.choices
+        return [
+            CoveringDescriptor(self.p, lattice.keys[pos], *self.kinds[k], self.characters[h], j == i,
+                               tuple(choices[x] for x in lattice.idents[pos].tolist()),
+                               None if j == i else j)
+            for i, (pos, k, h, j) in enumerate(zip(
+                self.submodule.tolist(), self.kind.tolist(), self.character.tolist(),
+                self.mate.tolist()))
+        ]
+
+
+def describe_covering(lattice: Lattice, module: HomologyModule) -> CoveringColumns:
+    """The coverings, one per proper submodule of the lattice, as columns
+    sorted by (c, genus, character, key) with chiral mates paired.
 
     Everything but L is fixed by the choices, so each field is read from
     per-choice tables through the ident array: c from the block dimensions,
@@ -386,10 +423,9 @@ def describe_covering(lattice: Lattice, module: HomologyModule) -> list[Covering
     strings = [_character_string(ch) for ch in characters]
 
     kind_of, character_of = kind_of.reshape(-1), character_of.reshape(-1)
-    keys = [lattice.keys[i] for i in proper.tolist()]
-    sort_keys = [(kinds[k][0], kinds[k][3], strings[h], key)
-                 for k, h, key in zip(kind_of.tolist(), character_of.tolist(), keys)]
-    order = sorted(range(len(keys)), key=sort_keys.__getitem__)
+    sort_keys = [(kinds[k][0], kinds[k][3], strings[h], lattice.keys[pos])
+                 for k, h, pos in zip(kind_of.tolist(), character_of.tolist(), proper.tolist())]
+    order = np.array(sorted(range(len(proper)), key=sort_keys.__getitem__), dtype=np.intp)
     idents, kind_of, character_of = idents[order], kind_of[order], character_of[order]
 
     # a row of idents, one per component in component order, is one number
@@ -399,15 +435,10 @@ def describe_covering(lattice: Lattice, module: HomologyModule) -> list[Covering
     position = np.full(len(lattice), -1)
     position[np.ravel_multi_index((idents - starts).T, sizes)] = np.arange(len(order))
     mate = position[np.ravel_multi_index((np.sort(mirrors[idents], axis=1) - starts).T, sizes)]
-    at = np.arange(len(order))
-    verify((mate >= 0).all() and (mate[mate] == at).all(), "chirality must be an involution")
+    verify((mate >= 0).all() and (mate[mate] == np.arange(len(order))).all(),
+           "chirality must be an involution")
     verify((kind_of[mate] == kind_of).all(), "a chiral pair must share codimension, genus and type")
-    return [
-        CoveringDescriptor(p, keys[pos], *kinds[k], characters[h], j == i,
-                           tuple(choices[x] for x in row), None if j == i else j)
-        for i, (pos, k, h, row, j) in enumerate(zip(
-            order, kind_of.tolist(), character_of.tolist(), idents.tolist(), mate.tolist()))
-    ]
+    return CoveringColumns(p, lattice, proper[order], kind_of, character_of, mate, kinds, characters)
 
 
 @dataclass
@@ -415,25 +446,31 @@ class Census:
     family: MapFamily
     branch_classes: tuple[str, ...]
     p: int
-    coverings: list[CoveringDescriptor]
+    columns: CoveringColumns
     components: list[IsotypicComponent]
     module: HomologyModule = field(repr=False)
 
+    @cached_property
+    def coverings(self) -> list[CoveringDescriptor]:
+        """One descriptor per covering, built on first read."""
+        return self.columns.descriptors()
+
     @property
     def total(self) -> int:
-        return len(self.coverings)
+        return len(self.columns)
 
     @property
     def regular_count(self) -> int:
-        return sum(1 for d in self.coverings if d.regular)
+        return int(self.columns.regular.sum())
 
     @property
     def chiral_count(self) -> int:
-        return sum(1 for d in self.coverings if not d.regular)
+        return self.total - self.regular_count
 
     @property
     def dimension_multiset(self) -> list[int]:
-        return sorted(d.c for d in self.coverings)
+        c = np.array([kind[0] for kind in self.columns.kinds])
+        return np.sort(c[self.columns.kind]).tolist()
 
 
 def census(fam: MapFamily | str, branch_classes, p: int) -> Census:
@@ -449,7 +486,7 @@ def census(fam: MapFamily | str, branch_classes, p: int) -> Census:
         family=fam,
         branch_classes=module.branch_classes,
         p=p,
-        coverings=describe_covering(submodules, module),
+        columns=describe_covering(submodules, module),
         components=components,
         module=module,
     )

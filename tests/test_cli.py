@@ -501,3 +501,42 @@ def test_table_output_is_pinned(argv, digest, capsys):
     code, out, _ = run(["classify", *argv], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_json_cross_check_lines_go_to_stderr(capsys):
+    # stdout stays one JSON document; the table keeps the lines on stdout
+    code, out, err = run(["classify", "--map", "cube", "--prime", "5", "--verify-euler",
+                          "--oracle", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out) == cli.census_payload(census("cube", ("faces",), 5))
+    assert err.splitlines() == ["euler cross-check: 3 verified, 0 skipped (dart budget)",
+                                "oracle cross-check: 4 submodules confirmed"]
+
+
+# makes the Gaussian binomials count one E-subspace more than the listing of
+# chi4's menu (multiplicity 2) holds
+MISCOUNTED_SUBSPACES = """
+import sys
+from platocover import cli, lattice
+
+count = lattice.subspace_count
+lattice.subspace_count = lambda m, q: count(m, q) + 1
+print("asserts", "on" if __debug__ else "off", file=sys.stderr)
+sys.exit(cli.main(["classify", "--map", "tetrahedron", "--prime", "5",
+                   "--branch", "vertices,faces"]))
+"""
+
+
+@pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
+def test_miscounted_subspaces_exit_1(flags, asserts):
+    # the listing's count check raises VerificationError, so it also holds under -O
+    root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", MISCOUNTED_SUBSPACES],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert f"asserts {asserts}" in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert "internal verification failure" in proc.stderr
+    assert "E-subspaces of E^2 listed" in proc.stderr

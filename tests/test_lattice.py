@@ -401,7 +401,7 @@ def test_descriptors_match_per_submodule_reference(name, branch, p, total, chira
     # included, that describing each submodule from its own choices gives
     module = build_homology(build_group(build_map(parse_family(name))), branch, p)
     lattice = enumerate_submodules(decompose_module(module), module)
-    got = describe_covering(lattice, module)
+    got = describe_covering(lattice, module).descriptors()
     want = reference_descriptors(lattice, module)
     assert (len(got), sum(not d.regular for d in got)) == (total, chiral)
     assert len(want) == total
