@@ -126,8 +126,6 @@ def render_json(cen: Census) -> str:
         verify(text.endswith('"mate": null\n}'), "a covering row does not end with its mate")
         templates.append("    " + text[:-len("null\n}")].replace("\n", "\n    "))
     head = json.dumps(_payload(cen, []), indent=2)
-    if not templates:
-        return head
     mates = ["null" if r else str(j) for r, j in zip(regular.tolist(), cols.mate.tolist())]
     body = "\n    },\n".join(map(str.__add__, [templates[r] for r in row_of.reshape(-1).tolist()],
                                     mates))

@@ -16,8 +16,9 @@ one batched direct-sum merge (linalg.merge_direct_sums); at the last menu
 the merged bases are packed straight into keys.  Each L is kept only as its
 packed key (Subspace.key), which sorts exactly as the nested tuples of its
 basis rows, next to its row of choice idents.  One pass over those rows
-reads every descriptor from the per-choice tables; L is rebuilt from its
-key, with no row reduction, only when a reader asks for it.
+reads every covering from the per-choice tables into columns; a descriptor
+object, and L rebuilt from its key with no row reduction, are made only
+when a reader asks for them.
 """
 
 from __future__ import annotations
@@ -345,7 +346,7 @@ def enumerate_submodules(components: list[IsotypicComponent], module: HomologyMo
     return Lattice(keys, np.array(rows)[:, np.argsort(order)], choices)
 
 
-@dataclass
+@dataclass(eq=False)
 class CoveringColumns:
     """The coverings of a census in output order, one entry per covering in
     each array: the index of its submodule in the lattice, its row of kinds
@@ -425,7 +426,7 @@ def describe_covering(lattice: Lattice, module: HomologyModule) -> CoveringColum
     kind_of, character_of = kind_of.reshape(-1), character_of.reshape(-1)
     sort_keys = [(kinds[k][0], kinds[k][3], strings[h], lattice.keys[pos])
                  for k, h, pos in zip(kind_of.tolist(), character_of.tolist(), proper.tolist())]
-    order = np.array(sorted(range(len(proper)), key=sort_keys.__getitem__), dtype=np.intp)
+    order = sorted(range(len(proper)), key=sort_keys.__getitem__)
     idents, kind_of, character_of = idents[order], kind_of[order], character_of[order]
 
     # a row of idents, one per component in component order, is one number
@@ -435,8 +436,8 @@ def describe_covering(lattice: Lattice, module: HomologyModule) -> CoveringColum
     position = np.full(len(lattice), -1)
     position[np.ravel_multi_index((idents - starts).T, sizes)] = np.arange(len(order))
     mate = position[np.ravel_multi_index((np.sort(mirrors[idents], axis=1) - starts).T, sizes)]
-    verify((mate >= 0).all() and (mate[mate] == np.arange(len(order))).all(),
-           "chirality must be an involution")
+    at = np.arange(len(order))
+    verify((mate >= 0).all() and (mate[mate] == at).all(), "chirality must be an involution")
     verify((kind_of[mate] == kind_of).all(), "a chiral pair must share codimension, genus and type")
     return CoveringColumns(p, lattice, proper[order], kind_of, character_of, mate, kinds, characters)
 
