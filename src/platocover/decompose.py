@@ -183,14 +183,13 @@ def _verify_decomposition(components: list[IsotypicComponent], module: HomologyM
     """Check that Q is the direct sum of the components.  The lattice checks
     its blocks one component at a time and relies on this for every sum, so
     it raises VerificationError rather than asserting."""
-    total = Subspace.zero(module.p, module.dim)
     for comp in components:
         verify(comp.subspace.dim == comp.irreducible_dim * comp.multiplicity,
                f"{comp.label}: dimension is not irreducible dimension times multiplicity")
-        before = total.dim
-        total = total.add(comp.subspace)
-        verify(total.dim == before + comp.subspace.dim, "components overlap")
-    verify(total.dim == module.dim, "the components do not span Q")
+    dims = sum(comp.subspace.dim for comp in components)
+    _, pivots = rref(np.vstack([comp.subspace.basis for comp in components]), module.p)
+    verify(len(pivots) == dims, "components overlap")
+    verify(dims == module.dim, "the components do not span Q")
 
 
 def _finish_decomposition(

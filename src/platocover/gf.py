@@ -67,12 +67,11 @@ def multiplicative_order(a: int, n: int) -> int:
 
 
 def primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group of a prime field."""
+    """Smallest generator of F_p^*: the first g with g^((p-1)/q) != 1 for every prime q | p - 1."""
     assert is_prime(p)
-    if p == 2:
-        return 1
-    for g in range(2, p):
-        if multiplicative_order(g, p) == p - 1:
+    prime_divisors = list(factorize(p - 1))
+    for g in range(1, p):
+        if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors):
             return g
     raise AssertionError("unreachable for prime p")
 
@@ -367,15 +366,13 @@ class ExtField:
     def in_prime_field(self, a) -> bool:
         return not any(a[1:])
 
-    def elements_in_counter_order(self):
-        for counter in range(1, self.order):
-            yield self.element([(counter // self.p**i) % self.p for i in range(self.e)])
-
     def primitive_element(self) -> tuple[int, ...]:
         """First element (in counter order) of multiplicative order p^e - 1."""
         n = self.order - 1
         prime_divisors = list(factorize(n))
-        for g in self.elements_in_counter_order():
+        # for e >= 2, skip the prime field constants: their orders divide p - 1
+        for counter in range(self.p if self.e >= 2 else 1, self.order):
+            g = self.element([(counter // self.p**i) % self.p for i in range(self.e)])
             if all(self.pow(g, n // q) != self.one() for q in prime_divisors):
                 return g
         raise AssertionError("no primitive element found")

@@ -57,9 +57,10 @@ class Subspace:
         self.ambient = ambient
         if _pivots is None:
             basis, _pivots = rref(as_matrix(basis, p, width=ambient), p)
+        if basis.shape[1:] != (ambient,):
+            raise ValueError(f"a basis of shape {basis.shape} in ambient dimension {ambient}")
         self.basis = basis
         self.pivots = _pivots
-        assert self.basis.shape[1] == ambient
 
     @staticmethod
     def zero(p: int, ambient: int) -> "Subspace":
@@ -120,7 +121,8 @@ class Subspace:
 
     def add(self, other: "Subspace") -> "Subspace":
         """The sum: the RREF of the stacked bases."""
-        assert self.ambient == other.ambient
+        if self.ambient != other.ambient:
+            raise ValueError(f"sum of subspaces of ambients {self.ambient} and {other.ambient}")
         return Subspace(np.vstack([self.basis, other.basis]), self.p, self.ambient)
 
     def image(self, matrix: np.ndarray) -> "Subspace":

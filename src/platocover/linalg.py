@@ -50,6 +50,47 @@ def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return np.dot(a, b) % p
 
 
+def eliminate(stack: np.ndarray, p: int) -> np.ndarray:
+    """Gauss-Jordan elimination, in place, of a (batch, rows, n) stack with
+    entries in [0, p); returns each row's pivot, n for a zero row.
+
+    Rows stay in place.  A row's pivot is its first nonzero entry: the row
+    is divided by it and the column cleared in the other rows of its matrix,
+    so every row stays zero before its pivot and on the other pivot columns.
+    A row zero in every matrix costs no step, which keeps tall matrices of
+    low rank cheap.  Entries stay unreduced between steps: the pivot row and
+    column are reduced first, so a step moves an entry by at most (p-1)^2,
+    and reducing the stack after every _DIM_CAP rows keeps it within the
+    int64 bound dtype_for sets, so the result is exact at any size."""
+    batch, rows, n = stack.shape
+    pivots = np.zeros((batch, rows), dtype=np.int64)
+    at = np.arange(batch)
+    for i in range(rows):
+        if i and i % _DIM_CAP == 0:
+            stack %= p
+        row = stack[:, i]
+        row %= p
+        nonzero = row != 0
+        if not nonzero.any():
+            continue
+        pivots[:, i] = c = nonzero.argmax(axis=1)
+        row *= _inverses(row[at, c], p)[:, None]
+        row %= p
+        col = stack[at, :, c] % p
+        col[:, i] = 0
+        stack -= col[:, :, None] * row[:, None, :]
+    stack %= p
+    pivots[(stack == 0).all(axis=2)] = n
+    return pivots
+
+
+def echelon(mat: np.ndarray, pivots: np.ndarray):
+    """(RREF, pivots) of one eliminated matrix: its rows with a pivot, in
+    pivot order; the zero rows' pivot n sorts after every column."""
+    kept = np.argsort(pivots)[: np.count_nonzero(pivots < mat.shape[1])]
+    return mat[kept], pivots[kept].tolist()
+
+
 def rref(mat, p: int):
     """Reduced row echelon form over F_p.
 
@@ -57,34 +98,8 @@ def rref(mat, p: int):
     and its column cleared everywhere else.  The result is the canonical
     representative of the row space.
     """
-    a = np.array(mat, dtype=dtype_for(p)) % p
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = None
-        for i in range(r, nrows):
-            if a[i, c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = a[r] * inv % p
-        col = a[:, c].copy()
-        col[r] = 0
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            a[nz] = (a[nz] - np.outer(col[nz], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a[:r], pivots
+    a = np.atleast_2d(np.array(mat, dtype=dtype_for(p)) % p)
+    return echelon(a, eliminate(a[None], p)[0])
 
 
 def reduce_rows(basis: np.ndarray, pivots, mat, p: int) -> np.ndarray:
@@ -93,9 +108,7 @@ def reduce_rows(basis: np.ndarray, pivots, mat, p: int) -> np.ndarray:
     basis (..., r, n) may also be a stack of bases, each with its row of
     pivots (..., r); mat (..., q, n) broadcasts against the stack, and each
     basis reads its coefficients at its own pivot columns."""
-    m = np.array(mat, dtype=dtype_for(p)) % p
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
+    m = np.atleast_2d(np.array(mat, dtype=dtype_for(p)) % p)
     m = np.broadcast_to(m, np.broadcast_shapes(basis.shape[:-2], m.shape[:-2]) + m.shape[-2:])
     if basis.shape[-2] == 0:
         return m
@@ -111,60 +124,43 @@ def _inverses(x: np.ndarray, p: int) -> np.ndarray:
     while e:
         if e & 1:
             out = out * x % p
-        x = x * x % p
         e >>= 1
+        if e:
+            x = x * x % p
     return out
 
 
 def merge_direct_sums(basis: np.ndarray, pivots, blocks: np.ndarray, p: int):
     """RREF of the sum of one RREF prefix with each block of a stack.
 
-    basis (r0, n) is in RREF with the given pivots; blocks is (batch, r, n),
-    and each block must meet the prefix's row space only in 0 and have rank
-    r, which is verified.  Returns (bases, pivots): the RREF bases
-    (batch, r0 + r, n) and their pivot columns (batch, r0 + r).
+    basis (r0, n) is in RREF with the given pivots; blocks is (batch, r, n)
+    with entries in [0, p), and each block must meet the prefix's row space
+    only in 0 and have rank r, which is verified.  Returns (bases, pivots):
+    the RREF bases (batch, r0 + r, n) and their pivot columns (batch, r0 + r).
 
-    The residues against the prefix come from one matmul.  Their rows are
-    then eliminated in step over the whole batch: a row's pivot is its first
-    nonzero entry, and clearing that column in the other rows keeps every
-    row zero before its pivot.  Entries stay unreduced between steps, since
-    the pivot row and its column are reduced first, each step adds less than
-    (p-1)^2 to their size, and r0 + r <= n steps fit the bound dtype_for
-    keeps.  The prefix rows are cleared on the new pivot columns by a second
-    matmul, and one sort puts the rows in pivot order."""
+    The residues against the prefix come from one matmul and are eliminated
+    as one stack; the sum is direct exactly when every residue row gets a
+    pivot.  A second matmul clears the prefix rows on the new pivot columns,
+    and one sort puts the rows in pivot order."""
     batch, r, n = blocks.shape
     r0 = len(pivots)
-    merged_pivots = np.empty((batch, r0 + r), dtype=np.int64)
-    merged_pivots[:, :r0] = pivots
     merged = np.empty((batch, r0 + r, n), dtype=basis.dtype)
-    merged[:, :r0] = basis
+    merged_pivots = np.empty((batch, r0 + r), dtype=np.int64)
+    merged[:, :r0], merged_pivots[:, :r0] = basis, pivots
     if r == 0:
         return merged, merged_pivots
-    fresh = blocks % p
-    if r0:
-        fresh -= np.matmul(fresh[:, :, merged_pivots[0, :r0]], basis)
-    at = np.arange(batch)
-    columns = merged_pivots[:, r0:]
-    for i in range(r):
-        row = fresh[:, i]
-        row %= p
-        c = (row != 0).argmax(axis=1)
-        lead = row[at, c]
-        verify(lead.all(), "a block meets the prefix or is rank deficient: the sum is not direct")
-        columns[:, i] = c
-        row *= _inverses(lead, p)[:, None]
-        row %= p
-        col = fresh[at, :, c] % p
-        col[:, i] = 0
-        fresh -= col[:, :, None] * row[:, None, :]
+    fresh = np.matmul(blocks[:, :, merged_pivots[0, :r0]], basis)
+    np.subtract(blocks, fresh, out=fresh)
     fresh %= p
+    merged_pivots[:, r0:] = columns = eliminate(fresh, p)
+    verify((columns < n).all(), "a block meets the prefix or is rank deficient: the sum is not direct")
     merged[:, r0:] = fresh
-    if r0:
-        old = merged[:, :r0]
-        old -= np.matmul(basis[:, columns].transpose(1, 0, 2), fresh)
-        old %= p
+    old = merged[:, :r0]
+    old -= np.matmul(basis[:, columns].transpose(1, 0, 2), fresh)
+    old %= p
+    at = np.arange(batch)[:, None]
     order = np.argsort(merged_pivots, axis=1)
-    return merged[at[:, None], order], merged_pivots[at[:, None], order]
+    return merged[at, order], merged_pivots[at, order]
 
 
 def _label_dtype(n: int):

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import verify
 from .gf import primitive_root
 from .homology import HomologyModule, Subspace
-from .linalg import orbit_labels
+from .linalg import echelon, eliminate, orbit_labels
 
 _CHUNK = 1 << 18
 # the most vectors the sweep takes on: 10^7 digit rows of at most a few
@@ -55,8 +55,8 @@ def cyclic_submodules(module: HomologyModule):
 
     The cyclic submodule of v is the row space of {v A_g : g in G}: the span
     of an orbit is invariant, and every invariant subspace containing v
-    contains it.  The images of each vector come from one einsum over the
-    stacked group matrices, and each submodule is one row reduction."""
+    contains it.  The images come in chunks of at most _CHUNK entries, each
+    one einsum over the stacked group matrices, row reduced as one stack."""
     p, dim = module.p, module.dim
     size = p**dim
     if size > VECTOR_BUDGET:
@@ -71,8 +71,13 @@ def cyclic_submodules(module: HomologyModule):
     reps = np.flatnonzero(labels == np.arange(size))[1:]  # the zero vector is its own orbit
 
     vectors = digits[reps].astype(np.int64)
-    return vectors, [Subspace(np.einsum("j,gjk->gk", v, module.matrices), p, dim)
-                     for v in vectors]
+    spaces = []
+    per_chunk = max(1, _CHUNK // (len(module.matrices) * dim))
+    for start in range(0, len(vectors), per_chunk):
+        images = np.einsum("vj,gjk->vgk", vectors[start : start + per_chunk], module.matrices) % p
+        reduced = map(echelon, images, eliminate(images, p))
+        spaces += [Subspace(basis, p, dim, _pivots=pivots) for basis, pivots in reduced]
+    return vectors, spaces
 
 
 def brute_force_submodules(module: HomologyModule) -> list[Subspace]:

@@ -349,8 +349,11 @@ def test_exact_object_dtype_census(capsys):
     code, out, _ = run(["cyclotomic", "--n", "7", "--prime", str(p)], capsys)
     assert code == 0
     assert out.strip().endswith("nu = 3, coverings = 7")
-    for family, total in [("tetrahedron", 1), ("hosohedron:7", 7)]:
-        code, out, _ = run(["classify", "--map", family, "--prime", str(p)], capsys)
+    # 65537 is on the int64 path, but x^3 - 1 splits only over F_(p^2), so
+    # the root of unity comes from a primitive element of a field of 2^32
+    # elements, found past the p - 1 prime field constants
+    for family, q, total in [("tetrahedron", p, 1), ("hosohedron:7", p, 7), ("dihedron:3", 65537, 1)]:
+        code, out, _ = run(["classify", "--map", family, "--prime", str(q)], capsys)
         assert code == 0
         assert out.strip().splitlines()[-1].startswith(f"{total} coverings, {total} regular")
 

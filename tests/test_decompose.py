@@ -317,6 +317,14 @@ def test_overlapping_components_raise_verification_error():
         _verify_decomposition(comps + comps[:1], mod)
 
 
+def test_missing_component_raises_verification_error():
+    mod, _ = module_for("octahedron", ["faces"], 5)
+    comps = decompose_module(mod)
+    assert len(comps) > 1
+    with pytest.raises(VerificationError, match="do not span Q"):
+        _verify_decomposition(comps[1:], mod)
+
+
 def _kronecker_commutant(restrictions, p):
     """Reference: every T with T R = R T for the given R, by solving the
     d^2-unknown linear system (I kron R^T - R kron I) vec(T) = 0."""

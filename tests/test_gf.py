@@ -22,6 +22,7 @@ from platocover.gf import (
     poly_mul,
     poly_str,
     poly_trim,
+    primitive_root,
     sqrt_mod_p,
 )
 from reference import walked_orbits
@@ -30,6 +31,13 @@ from reference import walked_orbits
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_primitive_root_is_the_smallest_generator():
+    for p in filter(is_prime, range(2, 200)):
+        smallest = next(g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+        assert primitive_root(p) == smallest
+    assert primitive_root(9999991) == 22
 
 
 def test_multiplicative_order():
@@ -207,6 +215,23 @@ class TestExtField:
             x = f.mul(x, g)
             seen.add(x)
         assert len(seen) == n
+
+    @pytest.mark.parametrize("p, e", [(3, 2), (5, 2), (7, 2), (11, 2), (3, 3), (5, 3)])
+    def test_primitive_element_is_the_first_in_counter_order(self, p, e):
+        # the search skips the prime field constants; a walk over every
+        # element from counter 1 finds the same first generator
+        f = ExtField(p, e)
+        n = f.order - 1
+
+        def order(x):
+            k, y = 1, x
+            while y != f.one():
+                y, k = f.mul(y, x), k + 1
+            return k
+
+        first = next(g for g in (f.element([(c // p**i) % p for i in range(e)])
+                                 for c in range(1, f.order)) if order(g) == n)
+        assert f.primitive_element() == first
 
     def test_nth_root_of_unity(self):
         f = ExtField(7, 4)  # ord_5(7) = 4

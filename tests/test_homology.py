@@ -116,6 +116,17 @@ class TestSubspace:
             assert back == s and back.pivots == s.pivots
             assert back.basis.tolist() == s.basis.tolist()
 
+    def test_vouched_basis_of_the_wrong_width_raises(self):
+        # explicit raises, so they hold under python -O too
+        with pytest.raises(ValueError, match="ambient dimension 3"):
+            Subspace(np.eye(2, dtype=np.int64), 5, 3, _pivots=[0, 1])
+        with pytest.raises(ValueError, match="ambient dimension 3"):
+            Subspace(np.ones(3, dtype=np.int64), 5, 3, _pivots=[0])
+
+    def test_sum_of_different_ambients_raises(self):
+        with pytest.raises(ValueError, match="ambients 3 and 4"):
+            Subspace.full(5, 3).add(Subspace.zero(5, 4))
+
     def test_image(self):
         p = 5
         s = Subspace([[1, 0], [0, 1]], p, 2)

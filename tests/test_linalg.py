@@ -1,10 +1,13 @@
-"""rref, reduce_rows and Subspace.add against sympy's DomainMatrix over GF(p),
-the batched direct-sum merge against Subspace.add, and the orbit-labelling
-kernels against a cycle walk and union-find.
+"""The elimination kernel on stacks, rref, reduce_rows, Subspace.add and the
+batched direct-sum merge against sympy's DomainMatrix over GF(p), the merge
+also against folded Subspace.add calls, and the orbit-labelling kernels
+against a cycle walk and union-find.
 
 Both the int64 path and the exact dtype=object path are drawn: 2^31 - 1 is
 past the int64 bound, so its arrays hold Python ints.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
+from platocover import linalg
 from platocover.errors import VerificationError
 from platocover.homology import Subspace
 from platocover.linalg import (
@@ -20,6 +24,8 @@ from platocover.linalg import (
     _label_dtype,
     cycle_labels,
     dtype_for,
+    echelon,
+    eliminate,
     joint_orbit_count,
     merge_direct_sums,
     orbit_labels,
@@ -85,6 +91,65 @@ def test_rref_matches_sympy(case):
     reduced, pivots = rref(a, p)
     assert reduced.dtype == dtype_for(p)
     assert (reduced.tolist(), list(pivots)) == sympy_rref(rows, p, width)
+
+
+@st.composite
+def stacks(draw):
+    """Matrices of one shape and different ranks: each is some random rows
+    and combinations of them, cut or padded with zero rows to the common
+    height and shuffled, so tall shapes (more rows than columns), rows that
+    vanish at their step and rows that are zero in every matrix all occur."""
+    p = draw(st.sampled_from(PRIMES))
+    width = draw(st.integers(1, 6))
+    height = draw(st.integers(0, 10))
+    mats = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(row_lists(p, width))[:height]
+        rows += [[0] * width] * (height - len(rows))
+        mats.append(draw(st.permutations(rows)))
+    return p, width, height, mats
+
+
+def check_eliminated_stack(p, width, height, mats):
+    stack = np.array(mats, dtype=dtype_for(p)).reshape(len(mats), height, width)
+    pivots = eliminate(stack, p)
+    assert pivots.shape == (len(mats), height)
+    assert stack.dtype == dtype_for(p)
+    for mat, piv, rows in zip(stack, pivots, mats):
+        # rows stay in place: a row without a pivot is zero, and each other
+        # row is its own RREF row
+        assert not mat[piv == width].any()
+        basis, kept = echelon(mat, piv)
+        assert (basis.tolist(), kept) == sympy_rref(rows, p, width)
+
+
+@SETTINGS
+@given(stacks())
+def test_eliminate_gives_each_matrix_of_a_stack_its_rref(case):
+    check_eliminated_stack(*case)
+
+
+@SETTINGS
+@given(stacks())
+def test_eliminate_reducing_every_two_rows(case):
+    # the stack is reduced after every _DIM_CAP rows; at 2 that happens
+    # within most eliminations, and must not change the result
+    with mock.patch.object(linalg, "_DIM_CAP", 2):
+        check_eliminated_stack(*case)
+
+
+def test_periodic_reduction_keeps_int64_exact():
+    # with _DIM_CAP at 2, dtype_for keeps int64 for p below about 2^30.5, and
+    # a step may move an entry by up to (p-1)^2 ~ 2^60: eight unreduced steps
+    # could overflow, so eliminating 48 rows of full rank is exact only if
+    # the stack is reduced every two rows.  The matrix is wide, so its RREF
+    # is not the identity and a wrapped entry shows in the free columns.
+    p = 1073741789  # the largest prime below 2^30
+    rows = np.random.default_rng(7).integers(0, p, (48, 64)).tolist()
+    with mock.patch.object(linalg, "_DIM_CAP", 2):
+        assert dtype_for(p) is np.int64
+        reduced, pivots = rref(np.array(rows), p)
+    assert (reduced.tolist(), pivots) == sympy_rref(rows, p, 64)
 
 
 @SETTINGS
@@ -176,6 +241,17 @@ def test_merge_direct_sums_equals_folded_adds(case):
         assert basis.tolist() == total.basis.tolist()
         assert piv == list(total.pivots)
         assert piv == rref(np.vstack([prefix.basis, block]), p)[1]
+
+
+@SETTINGS
+@given(direct_sum_stacks())
+def test_merge_direct_sums_matches_sympy(case):
+    p, prefix, blocks = case
+    width = prefix.ambient
+    bases, pivots = merge_direct_sums(prefix.basis, prefix.pivots, blocks, p)
+    for basis, piv, block in zip(bases, pivots.tolist(), blocks):
+        expected = sympy_rref(prefix.basis.tolist() + block.tolist(), p, width)
+        assert (basis.tolist(), piv) == expected
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -98,6 +98,23 @@ def test_cyclic_submodules_match_spin(name):
     assert spaces == [spin(module, v, gens) for v in vectors]
 
 
+@pytest.mark.parametrize("name", ["cube", "octahedron"])
+def test_cyclic_submodules_do_not_depend_on_the_chunk(name, monkeypatch):
+    # all representatives fit one chunk by default; a chunk of three
+    # representatives' images splits them into many stacks, which must give
+    # the same spaces
+    module = _module(name, ("faces",), 5)
+    vectors, spaces = cyclic_submodules(module)
+    images = len(module.matrices) * module.dim
+    assert len(vectors) <= oracle._CHUNK // images
+    monkeypatch.setattr(oracle, "_CHUNK", 3 * images)
+    split_vectors, split_spaces = cyclic_submodules(module)
+    assert len(vectors) > 3
+    assert np.array_equal(split_vectors, vectors)
+    assert [s.key() for s in split_spaces] == [s.key() for s in spaces]
+    assert [s.pivots for s in split_spaces] == [s.pivots for s in spaces]
+
+
 def test_oracle_shares_no_code_with_decompose():
     tree = ast.parse(inspect.getsource(oracle))
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
