@@ -47,14 +47,18 @@ class QuadValue:
     def rational(a, d: int = 1) -> "QuadValue":
         return QuadValue(Fraction(a), Fraction(0), d)
 
+    def _check_field(self, other: "QuadValue") -> None:
+        if self.b and other.b and self.d != other.d:
+            raise ValueError(f"values in Q(sqrt {self.d}) and Q(sqrt {other.d}) do not combine")
+
     def __add__(self, other: "QuadValue") -> "QuadValue":
         d = self.d if self.b else other.d
-        assert not (self.b and other.b and self.d != other.d)
+        self._check_field(other)
         return QuadValue(self.a + other.a, self.b + other.b, d)
 
     def __mul__(self, other: "QuadValue") -> "QuadValue":
         d = self.d if self.b else other.d
-        assert not (self.b and other.b and self.d != other.d)
+        self._check_field(other)
         return QuadValue(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
@@ -107,12 +111,16 @@ class CycValue:
         coeffs[k % n] = 1
         return CycValue(n, tuple(coeffs))
 
+    def _check_order(self, other: "CycValue") -> None:
+        if self.n != other.n:
+            raise ValueError(f"values in Q(zeta_{self.n}) and Q(zeta_{other.n}) do not combine")
+
     def __add__(self, other: "CycValue") -> "CycValue":
-        assert self.n == other.n
+        self._check_order(other)
         return CycValue(self.n, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "CycValue") -> "CycValue":
-        assert self.n == other.n
+        self._check_order(other)
         out = [0] * self.n
         for i, x in enumerate(self.coeffs):
             if x == 0:
@@ -246,7 +254,8 @@ def table_A5() -> CharacterTable:
 def dihedral_table(n: int) -> CharacterTable:
     """Character table of D_n, columns indexed by rotation exponent and
     flip parity; two-dimensional characters xi_k have cyclotomic entries."""
-    assert n >= 3
+    if n < 3:
+        raise ValueError(f"D_{n} is not a dihedral group of order 2n with n >= 3")
 
     def cint(c):
         return CycValue.integer(c, n)

@@ -39,7 +39,8 @@ def is_prime(n: int) -> bool:
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization by trial division; {prime: exponent}."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"cannot factorize {n}: it is not a positive integer")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -54,10 +55,12 @@ def factorize(n: int) -> dict[int, int]:
 
 def multiplicative_order(a: int, n: int) -> int:
     """Order of a in (Z/n)^*; requires gcd(a, n) = 1."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"no multiplicative group modulo {n}")
     if n == 1:
         return 1
-    assert math.gcd(a, n) == 1
+    if math.gcd(a, n) != 1:
+        raise ValueError(f"{a} is not a unit modulo {n}")
     k = 1
     x = a % n
     while x != 1:
@@ -68,7 +71,8 @@ def multiplicative_order(a: int, n: int) -> int:
 
 def primitive_root(p: int) -> int:
     """Smallest generator of F_p^*: the first g with g^((p-1)/q) != 1 for every prime q | p - 1."""
-    assert is_prime(p)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     prime_divisors = list(factorize(p - 1))
     for g in range(1, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors):
@@ -112,9 +116,11 @@ def poly_divmod(a, b, p=None):
     """Quotient and remainder.  Over the integers (p=None) the divisor must
     be monic so the division is exact in Z."""
     b = poly_trim(b)
-    assert b, "division by zero polynomial"
+    if not b:
+        raise ValueError("division by zero polynomial")
     if p is None:
-        assert b[-1] == 1, "integer polynomial division needs a monic divisor"
+        if b[-1] != 1:
+            raise ValueError("integer polynomial division needs a monic divisor")
         lead_inv = 1
     else:
         lead_inv = pow(b[-1], -1, p)
@@ -184,12 +190,13 @@ def poly_str(coeffs) -> str:
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients (little-endian) of the m-th cyclotomic polynomial,
     by exact division of x^m - 1 by the lower cyclotomics."""
-    assert m >= 1
+    if m < 1:
+        raise ValueError(f"no {m}-th cyclotomic polynomial")
     num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
             num, rem = poly_divmod(num, list(cyclotomic_polynomial(d)))
-            assert rem == []
+            verify(rem == [], f"Phi_{d} does not divide x^{m} - 1")
     return tuple(num)
 
 
@@ -199,7 +206,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 def sqrt_mod_p(a: int, p: int):
     """Tonelli-Shanks.  Returns the even representative of a square root of
     a mod p, or None when a is not a quadratic residue."""
-    assert is_prime(p) and p % 2 == 1
+    if not (is_prime(p) and p % 2 == 1):
+        raise ValueError(f"{p} is not an odd prime")
     a %= p
     if a == 0:
         return 0
@@ -225,7 +233,7 @@ def sqrt_mod_p(a: int, p: int):
             b = pow(c, 1 << (m - i - 1), p)
             m, c = i, b * b % p
             t, r = t * c % p, r * b % p
-    assert r * r % p == a
+    verify(r * r % p == a, f"{r} is not a square root of {a} modulo {p}")
     return r if r % 2 == 0 else p - r
 
 
@@ -258,15 +266,21 @@ def _annotate(n: int, p: int, members: tuple[int, ...]) -> CosetOrbit:
     r = members[0]
     m = n // math.gcd(r, n) if r else 1
     for other in members:
-        assert n // math.gcd(other, n) == (m if other else 1)
+        verify(n // math.gcd(other, n) == (m if other else 1),
+               f"the orbit of {r} in Z_{n} mixes elements of different orders")
     e = multiplicative_order(p, m) if m > 1 else 1
     paired = set((-i) % n for i in members) == set(members)
     return CosetOrbit(n=n, members=members, m=m, e=e, self_paired=paired)
 
 
+def _check_unit(n: int, p: int) -> None:
+    if n < 1 or math.gcd(n, p) != 1:
+        raise ValueError(f"{p} is not a unit modulo {n}")
+
+
 def frobenius_orbits(n: int, p: int) -> list[CosetOrbit]:
     """Orbits of multiplication by p on Z_n, sorted by least member."""
-    assert n >= 1 and math.gcd(n, p) == 1
+    _check_unit(n, p)
     orbits = label_orbits(cycle_labels(np.arange(n) * (p % n) % n))
     return [_annotate(n, p, o) for o in orbits]
 
@@ -274,11 +288,11 @@ def frobenius_orbits(n: int, p: int) -> list[CosetOrbit]:
 def coset_orbits(n: int, p: int) -> list[CosetOrbit]:
     """Orbits of the group generated by multiplication by p and negation on
     Z_n, sorted by least member.  The orbit of 0 is included."""
-    assert n >= 1 and math.gcd(n, p) == 1
+    _check_unit(n, p)
     residues = np.arange(n)
     orbits = label_orbits(orbit_labels([residues * (p % n) % n, -residues % n]))
     out = [_annotate(n, p, o) for o in orbits]
-    assert all(o.self_paired for o in out)
+    verify(all(o.self_paired for o in out), "an orbit under p and negation is not closed under negation")
     return out
 
 
@@ -294,7 +308,8 @@ class ExtField:
     """
 
     def __init__(self, p: int, e: int):
-        assert is_prime(p) and e >= 1
+        if not (is_prime(p) and e >= 1):
+            raise ValueError(f"no field of {p}^{e} elements")
         self.p = p
         self.e = e
         self.defining = self._first_irreducible()
@@ -349,7 +364,8 @@ class ExtField:
         return result
 
     def inv(self, a):
-        assert any(a), "inverse of zero"
+        if not any(a):
+            raise ValueError("inverse of zero")
         # extended Euclid in F_p[x] against the defining polynomial
         r0, r1 = self.defining, poly_trim(list(a))
         s0, s1 = [], [1]
@@ -360,7 +376,7 @@ class ExtField:
         lead = pow(r0[-1], -1, self.p)
         inv = [c * lead % self.p for c in s0]
         out = self.element(inv)
-        assert self.mul(out, a) == self.one()
+        verify(self.mul(out, a) == self.one(), f"{out} is not the inverse of {a}")
         return out
 
     def in_prime_field(self, a) -> bool:

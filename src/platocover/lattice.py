@@ -9,11 +9,12 @@ the character of Q/L, and regularity under the reflection.
 Everything but L itself is fixed by the choices, so the checks and flags are
 tabulated once per stack of choices of one E-rank in one component: each
 block's dimension and invariance, which branch classes it swallows, and which
-choice the reflection maps it onto.  The lattice is walked depth-first over
-the menus in ascending size, so the largest menu comes last.  Each partial
-sum on the path is merged with each rank stack of the next menu at once, by
-one batched direct-sum merge (linalg.merge_direct_sums); at the last menu
-the merged bases are packed straight into keys.  Each L is kept only as its
+choice the reflection maps it onto.  The lattice is walked over the menus in
+ascending size, so the largest menu comes last, and over stacks of partial
+sums of one rank rather than single ones: each stack is merged with each
+rank stack of the next menu by batched direct-sum merges
+(linalg.merge_direct_sums) in chunks of bounded size, and at the last menu
+each chunk is packed straight into keys.  Each L is kept only as its
 packed key (Subspace.key), which sorts exactly as the nested tuples of its
 basis rows, next to its row of choice idents.  One pass over those rows
 reads every covering from the per-choice tables into columns; a descriptor
@@ -43,6 +44,11 @@ _FIELD_CAP = 1 << 14
 # every submodule is listed; the largest lattice in scope is dodecahedron
 # vertices,faces at p = 11 with 76,832 submodules
 _LATTICE_CAP = 1 << 18
+# the walk merges the sums of prefixes and blocks in chunks of at most this
+# many entries (1 MiB of int64); on dodecahedron vertices,faces at p = 7,
+# chunks of 2^17 to 2^18 entries walk fastest, and the smaller one holds
+# the least memory
+_MERGE_ENTRIES = 1 << 17
 # the group is held as |G| dart permutations of |G| darts and Q's action as
 # |G| matrices of dim^2 entries; the largest case in scope, hosohedron:95
 # faces, needs 190 * (190 + 94^2) = 1,714,940 entries.  Under the cap |G|
@@ -227,6 +233,13 @@ def _stack_keys(bases: np.ndarray, p: int) -> list[tuple]:
     return [(ambient, packed[b * size:(b + 1) * size]) for b in range(batch)]
 
 
+def _rref_stack(blocks: np.ndarray, p: int):
+    """(bases, pivots) of each block of a (batch, r, n) stack in RREF, by
+    one merge with a stack of empty prefixes, which verifies rank r."""
+    batch, _, n = blocks.shape
+    return merge_direct_sums(zeros((batch, 0, n), p), np.zeros((batch, 0), dtype=np.int64), blocks, p)
+
+
 def component_menus(
     components: list[IsotypicComponent], module: HomologyModule
 ) -> list[list[tuple[list[ComponentChoice], np.ndarray, np.ndarray]]]:
@@ -247,7 +260,6 @@ def component_menus(
     reflection permutes the components, and each choice records the ident
     of the choice its block is mapped onto."""
     p, dim = module.p, module.dim
-    empty = zeros((0, dim), p)
     puncture_rows = [[i for i, (cls, _) in enumerate(module.punctures) if cls == bc]
                      for bc in module.branch_classes]
     idents = itertools.count()
@@ -265,7 +277,7 @@ def component_menus(
         for k, rows in by_rank.items():
             coords = np.array(rows, dtype=dtype_for(p)).reshape(len(rows), k, m * s)
             raw = mat_mul(coords, products, p).reshape(len(rows), k * d, dim)
-            bases, pivots = merge_direct_sums(empty, [], raw, p)
+            bases, pivots = _rref_stack(raw, p)
             for gen in (module.group.gen_x, module.group.gen_z):
                 images = mat_mul(bases, module.matrices[gen], p)
                 verify(not reduce_rows(bases, pivots, images, p).any(),
@@ -294,7 +306,7 @@ def component_menus(
     R = module.reflection_matrix
     comp_of = {comp.subspace.key(): j for j, comp in enumerate(components)}
     for comp, menu in zip(components, menus):
-        images = [(choices, _stack_keys(merge_direct_sums(empty, [], mat_mul(bases, R, p), p)[0], p))
+        images = [(choices, _stack_keys(_rref_stack(mat_mul(bases, R, p), p)[0], p))
                   for choices, bases, _ in menu]
         j = comp_of.get(images[-1][1][0])  # the image of the full choice
         verify(j is not None, f"the reflection maps {comp.label} onto no component")
@@ -313,37 +325,47 @@ def enumerate_submodules(components: list[IsotypicComponent], module: HomologyMo
     Every block is checked invariant, of the right dimension and distinct
     within its component, and the components form a direct sum, so every sum
     of blocks is a distinct submodule of the expected dimension.  The menus
-    are walked depth-first: each partial sum on the current path is merged
-    with each rank stack of the next menu in one batch, which checks again
-    that each of those sums is direct, and only the path's partial sums and
-    the current batches are held.  At the last menu the merged bases are
-    packed straight into keys.
+    are walked over stacks of same-rank prefixes: the product of a prefix
+    stack with each rank stack of the next menu is merged in chunks of at
+    most _MERGE_ENTRIES entries, which checks again that each of those sums
+    is direct, and each chunk is walked on to the next menu before the next
+    chunk is merged, so only one chunk per level is held.  The rank-0
+    choice passes the prefix stack on unmerged.  At the last menu each chunk
+    is packed straight into keys.
     """
     _check_lattice_size(components, module.p)
     menus = component_menus(components, module)
     p = module.p
     choices = [ch for menu in menus for stack, _, _ in menu for ch in stack]
     # the smallest menus go first and the largest last, so the merges above
-    # the last level, one batch per prefix and block rank, number only the
-    # product of the smaller menus, and each last batch is the largest menu
+    # the last level number only the product of the smaller menus
     order = sorted(range(len(menus)), key=lambda i: sum(len(stack) for stack, _, _ in menus[i]))
-    stacks = [[([ch.ident for ch in stack], bases) for stack, bases, _ in menus[i]] for i in order]
+    stacks = [[(np.array([ch.ident for ch in stack]), bases) for stack, bases, _ in menus[i]]
+              for i in order]
     last = len(order) - 1
     keys, rows = [], []
 
-    def walk(depth: int, basis: np.ndarray, pivots, picks: tuple) -> None:
+    def walk(depth: int, bases: np.ndarray, pivots: np.ndarray, picks: np.ndarray) -> None:
+        """picks (len(bases), depth): the idents of each prefix's choices."""
+        if depth > last:
+            keys.extend(_stack_keys(bases, p))
+            rows.append(picks)
+            return
+        prefixes, r0, n = bases.shape
         for idents, blocks in stacks[depth]:
-            bases, merged = merge_direct_sums(basis, pivots, blocks, p)
-            if depth == last:
-                keys.extend(_stack_keys(bases, p))
-                rows.extend(picks + (ident,) for ident in idents)
-            else:
-                for b, ident in enumerate(idents):
-                    walk(depth + 1, bases[b], merged[b], picks + (ident,))
+            size, r = blocks.shape[:2]
+            if r == 0:
+                walk(depth + 1, bases, pivots, np.column_stack([picks, np.repeat(idents, prefixes)]))
+                continue
+            step = max(1, _MERGE_ENTRIES // ((r0 + r) * n))
+            for start in range(0, prefixes * size, step):
+                prefix, block = np.divmod(np.arange(start, min(start + step, prefixes * size)), size)
+                merged, merged_pivots = merge_direct_sums(bases[prefix], pivots[prefix], blocks[block], p)
+                walk(depth + 1, merged, merged_pivots, np.column_stack([picks[prefix], idents[block]]))
 
-    walk(0, zeros((0, module.dim), p), [], ())
+    walk(0, zeros((1, 0, module.dim), p), np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))
     # column i of the walk's rows is the component order[i]
-    return Lattice(keys, np.array(rows)[:, np.argsort(order)], choices)
+    return Lattice(keys, np.concatenate(rows)[:, np.argsort(order)], choices)
 
 
 @dataclass(eq=False)

@@ -19,6 +19,10 @@ from .errors import verify
 # covers every operation.
 _DIM_CAP = 4096
 _INT64_CAP = 2**62
+# numpy's int64 % runs a general division per entry, while // by a scalar
+# divides through a precomputed multiplier; past about a thousand entries
+# x - p*(x // p) is the faster reduction
+_FLOOR_MIN = 1024
 
 
 def dtype_for(p: int):
@@ -35,7 +39,19 @@ def as_matrix(rows, p: int, width: int | None = None) -> np.ndarray:
         a = a.reshape(1, -1)
     if width is not None and a.shape[1] != width:
         raise ValueError(f"rows of width {a.shape[1]}, expected {width}")
-    return a % p
+    return mod(a, p)
+
+
+def mod(x: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """x mod p into [0, p), entrywise, written to out when given.
+
+    Large int64 arrays are reduced as x - p*(x // p), exact for |x| up to
+    2^62; small arrays and dtype=object ones use %."""
+    if x.size < _FLOOR_MIN or x.dtype.hasobject:
+        return np.remainder(x, p, out=out)
+    q = np.floor_divide(x, p)
+    q *= p
+    return np.subtract(x, q, out=q if out is None else out)
 
 
 def zeros(shape, p: int) -> np.ndarray:
@@ -47,7 +63,7 @@ def identity(n: int, p: int) -> np.ndarray:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return np.dot(a, b) % p
+    return mod(np.dot(a, b), p)
 
 
 def eliminate(stack: np.ndarray, p: int) -> np.ndarray:
@@ -67,19 +83,19 @@ def eliminate(stack: np.ndarray, p: int) -> np.ndarray:
     at = np.arange(batch)
     for i in range(rows):
         if i and i % _DIM_CAP == 0:
-            stack %= p
+            mod(stack, p, out=stack)
         row = stack[:, i]
-        row %= p
+        mod(row, p, out=row)
         nonzero = row != 0
         if not nonzero.any():
             continue
         pivots[:, i] = c = nonzero.argmax(axis=1)
         row *= _inverses(row[at, c], p)[:, None]
-        row %= p
-        col = stack[at, :, c] % p
+        mod(row, p, out=row)
+        col = mod(stack[at, :, c], p)
         col[:, i] = 0
         stack -= col[:, :, None] * row[:, None, :]
-    stack %= p
+    mod(stack, p, out=stack)
     pivots[(stack == 0).all(axis=2)] = n
     return pivots
 
@@ -98,7 +114,7 @@ def rref(mat, p: int):
     and its column cleared everywhere else.  The result is the canonical
     representative of the row space.
     """
-    a = np.atleast_2d(np.array(mat, dtype=dtype_for(p)) % p)
+    a = np.atleast_2d(mod(np.array(mat, dtype=dtype_for(p)), p))
     return echelon(a, eliminate(a[None], p)[0])
 
 
@@ -108,56 +124,58 @@ def reduce_rows(basis: np.ndarray, pivots, mat, p: int) -> np.ndarray:
     basis (..., r, n) may also be a stack of bases, each with its row of
     pivots (..., r); mat (..., q, n) broadcasts against the stack, and each
     basis reads its coefficients at its own pivot columns."""
-    m = np.atleast_2d(np.array(mat, dtype=dtype_for(p)) % p)
+    m = np.atleast_2d(mod(np.array(mat, dtype=dtype_for(p)), p))
     m = np.broadcast_to(m, np.broadcast_shapes(basis.shape[:-2], m.shape[:-2]) + m.shape[-2:])
     if basis.shape[-2] == 0:
         return m
     coeff = np.take_along_axis(m, np.asarray(pivots, dtype=np.intp)[..., None, :], axis=-1)
-    return (m - np.matmul(coeff, basis)) % p
+    return mod(m - np.matmul(coeff, basis), p)
 
 
 def _inverses(x: np.ndarray, p: int) -> np.ndarray:
     """x^(p-2) mod p, entrywise, by square and multiply: the inverse of
-    every nonzero entry, on either dtype."""
-    out = np.ones_like(x)
-    e = p - 2
+    every nonzero entry, on either dtype.  The first factor is taken as it
+    is, which saves a product and a reduction per call."""
+    out, e = None, p - 2
     while e:
         if e & 1:
-            out = out * x % p
+            out = x if out is None else mod(out * x, p)
         e >>= 1
         if e:
-            x = x * x % p
-    return out
+            x = mod(x * x, p)
+    return np.ones_like(x) if out is None else out
 
 
-def merge_direct_sums(basis: np.ndarray, pivots, blocks: np.ndarray, p: int):
-    """RREF of the sum of one RREF prefix with each block of a stack.
+def merge_direct_sums(bases: np.ndarray, pivots: np.ndarray, blocks: np.ndarray, p: int):
+    """RREF of the sum of each RREF prefix of a stack with its block.
 
-    basis (r0, n) is in RREF with the given pivots; blocks is (batch, r, n)
-    with entries in [0, p), and each block must meet the prefix's row space
-    only in 0 and have rank r, which is verified.  Returns (bases, pivots):
-    the RREF bases (batch, r0 + r, n) and their pivot columns (batch, r0 + r).
+    bases (batch, r0, n) are in RREF with pivot columns pivots (batch, r0);
+    blocks is (batch, r, n) with entries in [0, p), and each block must meet
+    its prefix's row space only in 0 and have rank r, which is verified.
+    Returns (bases, pivots): the RREF sums (batch, r0 + r, n) and their pivot
+    columns (batch, r0 + r).
 
-    The residues against the prefix come from one matmul and are eliminated
-    as one stack; the sum is direct exactly when every residue row gets a
-    pivot.  A second matmul clears the prefix rows on the new pivot columns,
-    and one sort puts the rows in pivot order."""
+    The residues against the prefixes come from one batched matmul, each
+    block reading its coefficients at its own prefix's pivot columns, and
+    are eliminated as one stack; the sum is direct exactly when every
+    residue row gets a pivot.  A second matmul clears the prefix rows on the
+    new pivot columns, and one sort puts the rows in pivot order."""
     batch, r, n = blocks.shape
-    r0 = len(pivots)
-    merged = np.empty((batch, r0 + r, n), dtype=basis.dtype)
+    r0 = pivots.shape[1]
+    merged = np.empty((batch, r0 + r, n), dtype=bases.dtype)
     merged_pivots = np.empty((batch, r0 + r), dtype=np.int64)
-    merged[:, :r0], merged_pivots[:, :r0] = basis, pivots
+    merged[:, :r0], merged_pivots[:, :r0] = bases, pivots
     if r == 0:
         return merged, merged_pivots
-    fresh = np.matmul(blocks[:, :, merged_pivots[0, :r0]], basis)
+    fresh = np.matmul(np.take_along_axis(blocks, pivots[:, None, :], axis=2), bases)
     np.subtract(blocks, fresh, out=fresh)
-    fresh %= p
+    mod(fresh, p, out=fresh)
     merged_pivots[:, r0:] = columns = eliminate(fresh, p)
     verify((columns < n).all(), "a block meets the prefix or is rank deficient: the sum is not direct")
     merged[:, r0:] = fresh
     old = merged[:, :r0]
-    old -= np.matmul(basis[:, columns].transpose(1, 0, 2), fresh)
-    old %= p
+    old -= np.matmul(np.take_along_axis(bases, columns[:, None, :], axis=2), fresh)
+    mod(old, p, out=old)
     at = np.arange(batch)[:, None]
     order = np.argsort(merged_pivots, axis=1)
     return merged[at, order], merged_pivots[at, order]

@@ -209,3 +209,16 @@ def test_p_power_orbits_match_walk(tag, param):
     for p in (3, 5, 7, 11, 13, 19, 29, 31, 101):
         if g.order % p:
             assert p_power_orbits(table, g, matching, p) == walked_p_power_orbits(table, g, matching, p)
+
+
+def test_values_of_different_fields_do_not_combine():
+    # raised explicitly, so the checks also hold under python -O
+    root2, root3 = QuadValue(Fraction(0), Fraction(1), 2), QuadValue(Fraction(0), Fraction(1), 3)
+    for op in (QuadValue.__add__, QuadValue.__mul__):
+        with pytest.raises(ValueError, match="do not combine"):
+            op(root2, root3)
+    for op in (CycValue.__add__, CycValue.__mul__):
+        with pytest.raises(ValueError, match="do not combine"):
+            op(CycValue.zeta_power(1, 5), CycValue.zeta_power(1, 7))
+    with pytest.raises(ValueError, match="D_2"):
+        dihedral_table(2)

@@ -306,19 +306,20 @@ def test_corrupted_structure_exits_1(flags, asserts, script, message):
     assert message in proc.stderr
 
 
-# hands the batched merge a first block that starts with a prefix row, so
-# that block meets the prefix and the sum is not direct
+# hands the batched merge, wherever its prefixes are not empty, a first
+# block that starts with the first row of its own prefix, so that block
+# meets its prefix and the sum is not direct
 OVERLAPPING_BLOCK = """
 import sys
 from platocover import cli, lattice
 
 merge = lattice.merge_direct_sums
 
-def overlapping(basis, pivots, blocks, p):
-    if basis.shape[0] and blocks.shape[1]:
+def overlapping(bases, pivots, blocks, p):
+    if bases.shape[1] and blocks.shape[1]:
         blocks = blocks.copy()
-        blocks[0, 0] = basis[0]
-    return merge(basis, pivots, blocks, p)
+        blocks[0, 0] = bases[0, 0]
+    return merge(bases, pivots, blocks, p)
 
 lattice.merge_direct_sums = overlapping
 print("asserts", "on" if __debug__ else "off", file=sys.stderr)

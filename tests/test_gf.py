@@ -279,3 +279,25 @@ class TestFactorXnMinus1:
         for i in range(len(factors)):
             for j in range(i + 1, len(factors)):
                 assert poly_gcd(factors[i][1], factors[j][1], 7) == [1]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: multiplicative_order(2, 0), "no multiplicative group modulo 0"),
+        (lambda: multiplicative_order(6, 9), "6 is not a unit modulo 9"),
+        (lambda: primitive_root(15), "15 is not prime"),
+        (lambda: poly_divmod([1, 1], [0, 0]), "division by zero polynomial"),
+        (lambda: poly_divmod([1, 1], [1, 2]), "needs a monic divisor"),
+        (lambda: cyclotomic_polynomial(0), "no 0-th cyclotomic polynomial"),
+        (lambda: sqrt_mod_p(3, 9), "9 is not an odd prime"),
+        (lambda: frobenius_orbits(6, 3), "3 is not a unit modulo 6"),
+        (lambda: coset_orbits(10, 5), "5 is not a unit modulo 10"),
+        (lambda: ExtField(4, 1), "no field of 4"),
+        (lambda: ExtField(5, 2).inv((0, 0)), "inverse of zero"),
+    ],
+)
+def test_bad_arguments_raise_value_error(call, message):
+    # raised explicitly, so the checks also hold under python -O
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 
 from platocover import cli
+from platocover import lattice as lattice_module
 from platocover.decompose import decompose_module
 from platocover.homology import Subspace, build_homology
 from platocover.lattice import (
@@ -320,6 +323,57 @@ def test_walk_matches_depth_first_reference(name, branch, p):
     got = [(key, tuple(row)) for key, row in zip(lattice.keys, lattice.idents.tolist())]
     assert len(got) == len(reference) == len({key for key, _ in got})
     assert sorted(got) == sorted(reference)
+
+
+def sorted_walk(components, module):
+    lattice = enumerate_submodules(components, module)
+    return sorted(zip(lattice.keys, map(tuple, lattice.idents.tolist())))
+
+
+@pytest.mark.parametrize(
+    "name, branch, p, entries, splits",
+    [
+        ("cube", ("vertices", "edges"), 7, 1000, True),  # chunks of 2 to 52 sums
+        # every menu has a single choice per rank, so each merge is one sum
+        # and no chunk size can split it
+        ("hosohedron:6", ("vertices", "faces"), 5, 1, False),
+    ],
+)
+def test_walk_does_not_depend_on_the_chunk(name, branch, p, entries, splits):
+    # the same cases as the depth-first reference above, with the merges
+    # cut into far smaller chunks than the walk's default
+    module = build_homology(build_group(build_map(parse_family(name))), branch, p)
+    components = decompose_module(module)
+    merges = []
+
+    def counted(*args):
+        merges.append(None)
+        return merge(*args)
+
+    merge = lattice_module.merge_direct_sums
+    with mock.patch.object(lattice_module, "merge_direct_sums", counted):
+        whole = sorted_walk(components, module)
+        calls = len(merges)
+        with mock.patch.object(lattice_module, "_MERGE_ENTRIES", entries):
+            chunked = sorted_walk(components, module)
+    assert (len(merges) - calls > calls) == splits
+    assert chunked == whole
+
+
+def test_walk_memory_stays_bounded():
+    # the walk holds one chunk of at most _MERGE_ENTRIES entries per level
+    # next to the keys, not the merged bases of a whole level
+    module = build_homology(build_group(build_map(family("dodecahedron"))),
+                            ("vertices", "faces"), 7)
+    components = decompose_module(module)
+    tracemalloc.start()
+    try:
+        lattice = enumerate_submodules(components, module)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(lattice) == 10400
+    assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_mixed_dodecahedral_count_and_asymptotic_ratio():

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
@@ -41,6 +41,45 @@ SETTINGS = settings(max_examples=80, deadline=None)
 def test_primes_cover_both_dtypes():
     assert dtype_for(3) is np.int64 and dtype_for(7) is np.int64
     assert dtype_for(BIG) is object
+
+
+# mod reduces large int64 arrays by floor division and the rest by %; it
+# must equal % everywhere, whichever way it goes.  Entries are drawn up to
+# 2^62 in magnitude and shifted right by random amounts, so both small and
+# huge values of both signs occur, next to a few values hypothesis picks.
+
+@SETTINGS
+@given(st.sampled_from((3, 7, 11, 1073741789)), st.integers(1, 4 * linalg._FLOOR_MIN),
+       st.integers(0, 2**32 - 1), st.lists(st.integers(-(2**62), 2**62), max_size=8))
+@example(7, linalg._FLOOR_MIN - 1, 0, [2**62, -(2**62), -1, 0])
+@example(7, linalg._FLOOR_MIN, 0, [2**62, -(2**62), -1, 0])
+def test_mod_equals_remainder_on_int64(p, size, seed, picked):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(-(2**62), 2**62, size, endpoint=True) >> rng.integers(0, 63, size)
+    x[: len(picked)] = picked[:size]
+    before = x.copy()
+    want = x % p
+    got = linalg.mod(x, p)
+    assert got.dtype == np.int64 and (got == want).all()
+    assert (x == before).all()
+    # into a strided view of a larger buffer, and in place
+    buf = np.full(2 * size, -1, dtype=np.int64)
+    view = buf[::2]
+    assert linalg.mod(x, p, out=view) is view
+    assert (view == want).all() and (buf[1::2] == -1).all()
+    linalg.mod(x, p, out=x)
+    assert (x == want).all()
+
+
+@SETTINGS
+@given(st.lists(st.integers(-(2**80), 2**80), min_size=1, max_size=20))
+def test_mod_equals_remainder_on_object_arrays(values):
+    x = np.array(values, dtype=object)
+    want = [v % BIG for v in values]
+    assert linalg.mod(x, BIG).tolist() == want
+    out = np.zeros(2 * len(values), dtype=object)
+    linalg.mod(x, BIG, out=out[::2])
+    assert out[::2].tolist() == want and not out[1::2].any()
 
 
 @st.composite
@@ -200,41 +239,75 @@ def test_subspace_add_equals_rref_of_stacked_bases(case):
 
 
 # ---------------------------------------------------------------------------
-# merge_direct_sums: each block of a stack is a complement of rank r to the
-# prefix, built as R + C @ prefix with its rows shuffled.  R vanishes on the
-# prefix's pivot columns and is upper triangular with a nonzero diagonal on r
-# distinct free columns, so R has rank r and meets the prefix only in 0.
+# merge_direct_sums: each block of a stack is a complement of rank r to its
+# own prefix, built as R + C @ prefix with its rows shuffled.  The prefixes
+# are random RREF bases of one rank r0, either one shared by the whole stack
+# or one per block with pivots of its own.  R vanishes on its prefix's pivot
+# columns and is upper triangular with a nonzero diagonal on r distinct free
+# columns, so R has rank r and meets the prefix only in 0.
+
+@st.composite
+def rref_rows(draw, p, width, rank):
+    pivots = sorted(draw(st.permutations(range(width)))[:rank])
+    return [[1 if j == c else 0 if j < c or j in pivots else draw(st.integers(0, p - 1))
+             for j in range(width)] for c in pivots]
+
 
 @st.composite
 def direct_sum_stacks(draw):
     p = draw(st.sampled_from(PRIMES))
     width = draw(st.integers(1, 7))
-    prefix = Subspace(as_array(draw(row_lists(p, width)), p, width), p, width)
-    free = [j for j in range(width) if j not in prefix.pivots]
-    r = draw(st.integers(0, len(free)))
+    r0 = draw(st.integers(0, width))
+    r = draw(st.integers(0, width - r0))
+    shared = draw(st.booleans())
     entry = st.integers(0, p - 1)
-    blocks = []
+    prefixes, blocks = [], []
     for _ in range(draw(st.integers(1, 8))):
+        if not prefixes or not shared:
+            prefix = Subspace(as_array(draw(rref_rows(p, width, r0)), p, width), p, width)
+        free = [j for j in range(width) if j not in prefix.pivots]
         rows = [[draw(entry) if j in free else 0 for j in range(width)] for _ in range(r)]
         for i, j in enumerate(draw(st.permutations(free))[:r]):
             for k in range(i + 1, r):
                 rows[k][j] = 0
             rows[i][j] = draw(st.integers(1, p - 1))
-        mix = as_array([[draw(entry) for _ in range(prefix.dim)] for _ in range(r)], p, prefix.dim)
+        mix = as_array([[draw(entry) for _ in range(r0)] for _ in range(r)], p, r0)
         block = (as_array(rows, p, width) + np.dot(mix, prefix.basis)) % p
+        prefixes.append(prefix)
         blocks.append(block[draw(st.permutations(range(r)))])
-    return p, prefix, np.stack(blocks).reshape(len(blocks), r, width)
+    return p, prefixes, np.stack(blocks).reshape(len(blocks), r, width)
+
+
+def prefix_stack(prefixes):
+    """The (batch, r0, n) bases and (batch, r0) pivots of a list of prefixes
+    of one rank."""
+    r0, width = prefixes[0].dim, prefixes[0].ambient
+    bases = np.stack([prefix.basis for prefix in prefixes]).reshape(len(prefixes), r0, width)
+    return bases, np.array([prefix.pivots for prefix in prefixes], dtype=np.int64).reshape(len(prefixes), r0)
+
+
+# three prefixes of rank 2 in F_7^5 with pivots (0, 1), (0, 3) and (2, 4),
+# each with a block of rank 1 outside it
+DISTINCT_PIVOTS = (
+    7,
+    [Subspace(np.array(rows, dtype=np.int64), 7, 5) for rows in (
+        [[1, 0, 2, 0, 3], [0, 1, 4, 0, 5]],
+        [[1, 3, 0, 0, 2], [0, 0, 0, 1, 6]],
+        [[0, 0, 1, 2, 0], [0, 0, 0, 0, 1]],
+    )],
+    np.array([[[3, 1, 5, 2, 0]], [[0, 2, 1, 5, 3]], [[2, 0, 1, 2, 4]]], dtype=np.int64),
+)
 
 
 @SETTINGS
 @given(direct_sum_stacks())
 def test_merge_direct_sums_equals_folded_adds(case):
-    p, prefix, blocks = case
-    width = prefix.ambient
-    bases, pivots = merge_direct_sums(prefix.basis, prefix.pivots, blocks, p)
-    assert bases.shape == (blocks.shape[0], prefix.dim + blocks.shape[1], width)
+    p, prefixes, blocks = case
+    width = prefixes[0].ambient
+    bases, pivots = merge_direct_sums(*prefix_stack(prefixes), blocks, p)
+    assert bases.shape == (blocks.shape[0], prefixes[0].dim + blocks.shape[1], width)
     assert bases.dtype == dtype_for(p)
-    for basis, piv, block in zip(bases, pivots.tolist(), blocks):
+    for basis, piv, prefix, block in zip(bases, pivots.tolist(), prefixes, blocks):
         total = prefix
         for row in block:
             total = total.add(Subspace(row, p, width))
@@ -245,11 +318,12 @@ def test_merge_direct_sums_equals_folded_adds(case):
 
 @SETTINGS
 @given(direct_sum_stacks())
+@example(case=DISTINCT_PIVOTS)
 def test_merge_direct_sums_matches_sympy(case):
-    p, prefix, blocks = case
-    width = prefix.ambient
-    bases, pivots = merge_direct_sums(prefix.basis, prefix.pivots, blocks, p)
-    for basis, piv, block in zip(bases, pivots.tolist(), blocks):
+    p, prefixes, blocks = case
+    width = prefixes[0].ambient
+    bases, pivots = merge_direct_sums(*prefix_stack(prefixes), blocks, p)
+    for basis, piv, prefix, block in zip(bases, pivots.tolist(), prefixes, blocks):
         expected = sympy_rref(prefix.basis.tolist() + block.tolist(), p, width)
         assert (basis.tolist(), piv) == expected
 
@@ -262,10 +336,10 @@ def test_merge_direct_sums_rejects_a_block_meeting_the_prefix(p):
                 [[0, 0, 0, 0]]):  # rank deficient
         blocks = as_array(good + bad, p, 4).reshape(2, 1, 4)
         with pytest.raises(VerificationError, match="not direct"):
-            merge_direct_sums(prefix.basis, prefix.pivots, blocks, p)
+            merge_direct_sums(*prefix_stack([prefix, prefix]), blocks, p)
     twice = as_array([[0, 0, 1, 0], [0, 0, 2, 0]], p, 4).reshape(1, 2, 4)
     with pytest.raises(VerificationError, match="not direct"):
-        merge_direct_sums(prefix.basis, prefix.pivots, twice, p)
+        merge_direct_sums(*prefix_stack([prefix]), twice, p)
 
 
 # ---------------------------------------------------------------------------
