@@ -145,9 +145,12 @@ def euler_verify(va: VoltageAssignment):
     the cycles of sigma', alpha' and phi', counted as the darts that are
     their cycle's least point (linalg.Labeller.cycles, whose early stop is
     exact); a bincount of the face labels gives each face's length at its
-    least dart.  Connectivity is one orbit of <sigma', alpha'>.  One
-    labeller serves all four counts, and each permutation is consumed as a
-    doubling buffer once nothing else reads it."""
+    least dart.  Connectivity is one orbit of <sigma', alpha'>, which is
+    <phi', alpha'> since sigma' = phi' alpha'^-1: the face labels are joined
+    along alpha' alone (linalg.Labeller.join), so the hooking starts from
+    one label per face instead of one per dart.  One labeller serves all
+    four counts, and each permutation is consumed as a doubling buffer once
+    nothing else reads it."""
     dm = va.dart_map
     p, c = va.p, va.c
     size = p**c
@@ -159,7 +162,8 @@ def euler_verify(va: VoltageAssignment):
     labeller = Labeller(total)
 
     # phi' is spent as a doubling buffer and dropped before the bincount,
-    # which reads the face labels from the labeller's intp index buffer
+    # which reads the face labels from the labeller's intp index buffer; the
+    # labels themselves stay in the labeller for the join
     phi_big = sigma_big[alpha_big]
     faces = labeller.index
     np.copyto(faces, labeller.cycles(phi_big, consume=True))
@@ -167,7 +171,7 @@ def euler_verify(va: VoltageAssignment):
     lengths = np.bincount(faces)
     lengths = lengths[lengths > 0]
     f_count = int(lengths.size)
-    orbit_count = labeller.count(labeller.orbits([sigma_big, alpha_big]))
+    orbit_count = labeller.count(labeller.join([alpha_big]))
     v_count = labeller.count(labeller.cycles(sigma_big, consume=True))
     e_count = labeller.count(labeller.cycles(alpha_big, consume=True))
 

@@ -316,11 +316,16 @@ class ExtField:
         self.order = p**e
 
     def _is_irreducible(self, f) -> bool:
+        """Ben-Or's test: a monic f of degree e is irreducible iff it shares
+        no factor with x^(p^k) - x for k <= e/2, since a reducible f has an
+        irreducible factor of degree at most e/2 and x^(p^k) - x is the
+        product of the monic irreducibles whose degree divides k.  Each
+        x^(p^k) mod f is the p-th power of the one before."""
         p, e = self.p, self.e
-        for k in range(1, e):
-            xpk = poly_pow_mod([0, 1], p**k, f, p)
-            g = poly_gcd(poly_sub(xpk, [0, 1], p), f, p)
-            if g != [1]:
+        xpk = [0, 1]
+        for _ in range(e // 2):
+            xpk = poly_pow_mod(xpk, p, f, p)
+            if poly_gcd(poly_sub(xpk, [0, 1], p), f, p) != [1]:
                 return False
         return True
 

@@ -241,31 +241,49 @@ class Labeller:
 
     def orbits(self, perms) -> np.ndarray:
         """The least point of each point's orbit under the group generated
-        by the given permutation arrays, by hooking and pointer jumping
-        (Shiloach-Vishkin).
+        by the given permutation arrays: the cycles of the first, joined
+        along the rest."""
+        self.cycles(perms[0])
+        return self.join(perms[1:])
+
+    def join(self, perms) -> np.ndarray:
+        """The labels left by this labeller's last call, coarsened to
+        orbits by hooking and pointer jumping (Shiloach-Vishkin).
+
+        The labels must be the least points of a partition finer than the
+        orbits (a cycles call leaves them so); they are joined to the least
+        points of the orbits of that partition together with the given
+        permutation arrays.  So a caller holding the cycles of one
+        generator hooks only along the others, from one label per cycle.
 
         Each round reads every generator's labels at once.  Where a point's
         neighbour along a generator carries the smaller label, that label
         is hooked onto the root the point's label names: np.minimum.at
         through the index buffer, a copy of the labels from the start of
-        the round, so the least of several hooks wins.  Then labels jump to
-        their own labels until labels[labels] == labels.  A round that
-        lowers nothing ends the loop; 5 rounds on the 878,460-dart derived
-        maps of the icosahedron at p = 11.
+        the round, so the least of several hooks wins.  Only roots, the
+        points labelled by themselves at the start of the round, change in
+        a round, and every label written is such a root.  So the jump
+        resolves the roots' label chains among the roots alone, and one
+        gather of the labels through the index buffer hands each point the
+        resolved label of its root.  A round that lowers nothing ends the
+        loop: the third on the 878,460-dart derived maps of the icosahedron
+        at p = 11, hooking along alpha' from their 26,620 face cycles.
 
-        Both moves keep a point's label in its orbit and no larger than the
-        point.  A hook writes the label of a neighbour, which is in the same
-        orbit; it lowers a root only where that label is below the root,
-        since within a round only roots change and every other point still
-        carries the root it names.  In the last round label[x] <=
-        label[perm[x]] for every generator, so labels are constant along
-        each generator's cycles and hence on each orbit; a label that is in
-        the orbit, constant on it and no larger than any of its points is
-        the orbit's least point."""
+        At every round start each label is a root in its point's orbit and
+        no larger than the point.  A hook writes the label of a neighbour,
+        which is in the same orbit; it lowers a root only where that label
+        is below the root, since within a round every point other than a
+        root still carries the root it names.  Points that share a root
+        keep sharing it, so the labels stay constant on the blocks of the
+        starting partition.  In the last round label[x] <= label[perm[x]]
+        for every generator, so labels are constant along each generator's
+        cycles as well, and hence on each orbit; a label that is in the
+        orbit, constant on it and no larger than any of its points is the
+        orbit's least point."""
         labels, buf, flags, index = self.labels, self.buf, self.flags, self.index
-        np.copyto(labels, self.points)
-        np.copyto(index, labels)
+        roots = np.flatnonzero(np.equal(labels, self.points, out=flags))
         while True:
+            np.copyto(index, labels)
             hooked = False
             for perm in perms:
                 np.take(labels, perm, out=buf, mode="clip")
@@ -275,12 +293,15 @@ class Labeller:
             if not hooked:
                 self.labels, self.buf = labels, buf
                 return labels
+            chains = labels[roots]
             while True:
-                np.copyto(index, labels)
-                np.take(labels, index, out=buf, mode="clip")
-                if not np.not_equal(buf, labels, out=flags).any():
+                jumped = labels[chains]
+                if np.array_equal(jumped, chains):
                     break
-                labels, buf = buf, labels
+                labels[roots] = chains = jumped
+            np.take(labels, index, out=buf, mode="clip")
+            labels, buf = buf, labels
+            roots = roots[labels[roots] == roots]
 
 
 def cycle_labels(perm: np.ndarray) -> np.ndarray:

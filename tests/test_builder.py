@@ -23,6 +23,7 @@ from platocover.builder import (
 from platocover.errors import VerificationError
 from platocover.homology import Subspace, build_homology
 from platocover.lattice import census
+from platocover.linalg import Labeller, joint_orbit_count
 from platocover.maps import build_group, build_map, parse_family
 from reference import k_encoding, reference_derived_permutations
 
@@ -156,21 +157,29 @@ def test_bad_voltage_input_raises_value_error(flags, asserts, case, message):
 
 
 def test_disconnected_derived_map_is_rejected():
-    # a valid c = 1 assignment embedded into c = 2 as (beta, 0): the derived
-    # map is p disjoint copies of the c = 1 covering, so V', E', F' and the
-    # face lengths all come out right and only connectivity can catch it
+    # a valid c = 1 assignment embedded into c = 2 and c = 3 as (beta, 0)
+    # and (beta, 0, 0): the derived map is p or p^2 disjoint copies of the
+    # c = 1 covering, so V', E', F' and the face lengths all come out right
+    # and only connectivity can catch it; the face cycles joined along
+    # alpha' count the copies, as the orbits of <sigma', alpha'> do
     cen = census("octahedron", ("faces",), 5)
     cov = next(cv for cv in cen.coverings if cv.c == 1)
     va = solve_voltages(cen.module, cov.L)
     assert euler_verify(va)[3] == 12
 
-    def pad(a):
-        return np.concatenate([a, np.zeros_like(a)], axis=1)
+    def pad(a, zeros):
+        return np.concatenate([a] + [np.zeros_like(a)] * zeros, axis=1)
 
-    split = VoltageAssignment(dart_map=va.dart_map, p=va.p, c=2,
-                              beta=pad(va.beta), monodromy=pad(va.monodromy))
-    with pytest.raises(VerificationError, match="connected"):
-        euler_verify(split)
+    for zeros in (1, 2):
+        split = VoltageAssignment(dart_map=va.dart_map, p=va.p, c=1 + zeros,
+                                  beta=pad(va.beta, zeros), monodromy=pad(va.monodromy, zeros))
+        sigma_big, alpha_big = derived_permutations(split)
+        labeller = Labeller(sigma_big.size)
+        labeller.cycles(sigma_big[alpha_big], consume=True)
+        assert labeller.count(labeller.join([alpha_big])) == va.p**zeros
+        assert joint_orbit_count(sigma_big, alpha_big) == va.p**zeros
+        with pytest.raises(VerificationError, match="connected"):
+            euler_verify(split)
 
 
 # breaks one check of the voltage construction at a time on the cube at

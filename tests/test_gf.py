@@ -8,6 +8,7 @@ degrees from the order of p in (Z/n)^*.
 import math
 
 import pytest
+from sympy import Poly, Symbol
 
 from platocover.gf import (
     ExtField,
@@ -242,6 +243,25 @@ class TestExtField:
             x = f.mul(x, w)
             powers.add(x)
         assert len(powers) == 5 and f.one() in powers
+
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("e", [1, 2, 3, 4])
+    def test_defining_poly_is_the_first_irreducible_by_sympy(self, p, e):
+        # Ben-Or's test stops at k <= e/2; sympy's own irreducibility test
+        # must accept the defining polynomial and reject every monic
+        # polynomial of degree e whose lower coefficients count below it
+        x = Symbol("x")
+
+        def irreducible(coeffs):
+            return Poly(coeffs[::-1], x, modulus=p).is_irreducible
+
+        defining = ExtField(p, e).defining
+        assert len(defining) == e + 1 and defining[-1] == 1
+        assert irreducible(defining)
+        first = sum(c * p**i for i, c in enumerate(defining[:e]))
+        for counter in range(first):
+            assert not irreducible([(counter // p**i) % p for i in range(e)] + [1])
 
 
 class TestFactorXnMinus1:

@@ -343,9 +343,10 @@ def test_merge_direct_sums_rejects_a_block_meeting_the_prefix(p):
 
 
 # ---------------------------------------------------------------------------
-# orbit labels: cycle_labels stops its doubling early and orbit_labels jumps
-# labels along themselves; both must still give the least point of each cycle
-# or orbit, which a plain walk and a union-find compute directly.
+# orbit labels: cycle_labels stops its doubling early, and orbit_labels joins
+# the cycles of its first permutation along the rest, jumping only the roots;
+# both must still give the least point of each cycle or orbit, which a plain
+# walk and a union-find compute directly.
 
 def walked_cycle_labels(perm):
     labels = [None] * len(perm)
@@ -440,6 +441,60 @@ def test_long_cycles_and_paths(n):
     flips = flips_along([order], n)
     assert orbit_labels(flips).tolist() == [int(order.min())] * n
     assert joint_orbit_count(*flips) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(generator_sets))
+def test_join_from_cycle_labels_matches_union_find(case):
+    # the seed is the cycle partition of the first permutation; joining it
+    # along the rest gives the orbits of all of them
+    n, perms = case
+    arrays = [as_perm(perm) for perm in perms]
+    labeller = Labeller(n)
+    seed = labeller.cycles(arrays[0]).tolist()
+    assert seed == walked_cycle_labels(perms[0])
+    labels = labeller.join(arrays[1:])
+    assert labels.tolist() == union_find_labels(perms, n)
+    assert labeller.count(labels) == len(set(labels.tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets(1))
+def test_join_of_nothing_returns_the_seed(case):
+    n, (perm,) = case
+    labeller = Labeller(n)
+    seed = labeller.cycles(as_perm(perm)).copy()
+    assert np.array_equal(labeller.join([]), seed)
+
+
+@pytest.mark.parametrize("n", [2, 33, 1000, 1025])
+def test_join_along_a_long_path(n):
+    # the path of test_long_cycles_and_paths, seeded by the cycles of one
+    # flip (pairs along the path) and joined along the other
+    order = np.random.default_rng(n).permutation(n)
+    first, second = flips_along([order], n)
+    labeller = Labeller(n)
+    labeller.cycles(first)
+    assert labeller.join([second]).tolist() == [int(order.min())] * n
+
+
+def test_a_labeller_serves_calls_of_every_kind_in_turn():
+    # one labeller, as in builder.euler_verify: each call must start from
+    # its own input, whatever an earlier call left in the buffers
+    n = 600
+    rng = np.random.default_rng(11)
+    perms = [rng.permutation(n) for _ in range(3)]
+    order = rng.permutation(n)
+    pairs = flips_along([order[:250], order[250:290]], n)
+    lists = [p.tolist() for p in perms + pairs]
+    labeller = Labeller(n)
+    for _ in range(2):
+        assert labeller.orbits(pairs).tolist() == union_find_labels(lists[3:], n)
+        assert labeller.cycles(perms[0]).tolist() == walked_cycle_labels(lists[0])
+        assert labeller.join(perms[1:2]).tolist() == union_find_labels(lists[:2], n)
+        assert labeller.join(pairs).tolist() == union_find_labels(lists[:2] + lists[3:], n)
+        assert labeller.cycles(perms[2].copy(), consume=True).tolist() == walked_cycle_labels(lists[2])
+        assert labeller.orbits(perms).tolist() == union_find_labels(lists[:3], n)
 
 
 # shapes that stress hooking: each orbit graph is drawn by involutions or
