@@ -166,14 +166,14 @@ def euler_verify(va: VoltageAssignment):
     # labels themselves stay in the labeller for the join
     phi_big = sigma_big[alpha_big]
     faces = labeller.index
-    np.copyto(faces, labeller.cycles(phi_big, consume=True))
+    np.copyto(faces, labeller.cycles(phi_big))
     del phi_big
     lengths = np.bincount(faces)
     lengths = lengths[lengths > 0]
     f_count = int(lengths.size)
     orbit_count = labeller.count(labeller.join([alpha_big]))
-    v_count = labeller.count(labeller.cycles(sigma_big, consume=True))
-    e_count = labeller.count(labeller.cycles(alpha_big, consume=True))
+    v_count = labeller.count(labeller.cycles(sigma_big))
+    e_count = labeller.count(labeller.cycles(alpha_big))
 
     verify(v_count == dm.V * size, f"derived map has {v_count} vertices, not {dm.V * size}")
     verify(e_count == dm.E * size, f"derived map has {e_count} edges, not {dm.E * size}")

@@ -53,7 +53,7 @@ from . import chartab
 from .chartab import CharacterTable, match_classes, table_for_group
 from .errors import VerificationError, verify
 from .homology import HomologyModule, Subspace
-from .linalg import as_matrix, identity, mat_mul, rref, zeros
+from .linalg import as_matrix, eliminate, identity, mat_mul, rref, zeros
 from .maps import GroupData
 
 
@@ -101,14 +101,13 @@ def _class_values_mod_p(table: CharacterTable, rows, p: int):
 
 
 def _idempotent_matrix(module: HomologyModule, values_by_class, degree: int) -> np.ndarray:
-    """(degree / |G|) sum_g chi(g^-1) A_g, as one contraction over the stacked
-    group matrices.  The |G| products of entries below p are summed before
-    reducing, which stays exact since |G| is at most linalg._DIM_CAP."""
+    """(degree / |G|) sum_g chi(g^-1) A_g, as one product of the scaled
+    coefficients with the stacked group matrices."""
     group = module.group
     p = module.p
-    coeffs = np.asarray(values_by_class, dtype=module.dtype)[group.class_of[group.inverse]]
     scale = degree * pow(group.order, -1, p) % p
-    return scale * (np.tensordot(coeffs, module.matrices, axes=1) % p) % p
+    coeffs = np.asarray(values_by_class, dtype=module.dtype)[group.class_of[group.inverse]] * scale % p
+    return mat_mul(coeffs, module.matrices.reshape(group.order, -1), p).reshape(module.dim, module.dim)
 
 
 def decompose_idempotent(
@@ -142,7 +141,8 @@ def decompose_idempotent(
             continue
 
         verify(mat_mul(e, e, p).tolist() == e.tolist(), f"{label}: e is not idempotent")
-        verify(module.invariant_under_group(comp_space), f"{label}: not invariant")
+        verify(module.invariant_under_group(comp_space.basis, comp_space.pivots),
+               f"{label}: not invariant")
         # trace of g on the isotypic equals multiplicity times character
         # value; tr(A_g e) summed elementwise, as a matrix product per class
         # costs far more, and reduced first so the int64 sum cannot overflow
@@ -213,13 +213,8 @@ def _restrictions(space: Subspace, module: HomologyModule) -> np.ndarray:
     """The matrices R_g with B A_g = R_g B for the subspace basis B, stacked
     in group order.  B is in RREF, so R_g is the pivot columns of B A_g once
     the space is checked invariant under the generators, hence under G."""
-    p = module.p
-    restr = np.matmul(space.basis, module.matrices[:, :, space.pivots]) % p
-    for g in (module.group.gen_x, module.group.gen_z):
-        moved = mat_mul(space.basis, module.matrices[g], p)
-        verify(mat_mul(restr[g], space.basis, p).tolist() == moved.tolist(),
-               "the seed is not invariant")
-    return restr
+    verify(module.invariant_under_group(space.basis, space.pivots), "the seed is not invariant")
+    return mat_mul(space.basis, module.matrices[:, :, space.pivots], module.p)
 
 
 def _endo_field(restr: np.ndarray, group: GroupData, p: int) -> list[np.ndarray]:
@@ -233,27 +228,27 @@ def _endo_field(restr: np.ndarray, group: GroupData, p: int) -> list[np.ndarray]
     theorem gives dim A * s = d^2 exactly when W is irreducible, which also
     rejects a reducible seed such as U+U."""
     d = restr.shape[1]
-    sums = [identity(d, p)] + [restr[list(cls.members)].sum(axis=0) % p for cls in group.classes]
-    _, independent = rref(np.vstack([t.reshape(1, -1) for t in sums]).T, p)
-    basis = [sums[i] for i in independent]
+    flat = restr.reshape(len(restr), d * d)
+    members = (group.class_of == np.arange(len(group.classes))[:, None]).astype(restr.dtype)
+    sums = np.concatenate([identity(d, p)[None], mat_mul(members, flat, p).reshape(-1, d, d)])
+    _, independent = rref(sums.reshape(len(sums), -1).T, p)
+    basis = sums[independent]
     s = len(basis)
 
     verify(independent[0] == 0, "the identity must come first in the endomorphism basis")
-    for t in basis:
-        for u in basis:
-            verify(mat_mul(t, u, p).tolist() == mat_mul(u, t, p).tolist(),
-                   "the endomorphism ring is not commutative")
-    verify(all(rref(t, p)[1] == list(range(d)) for t in basis[1:]),
-           "a nonzero endomorphism is not invertible")
-    for g in (group.gen_x, group.gen_z):
-        r = restr[g]
-        verify(all(mat_mul(t, r, p).tolist() == mat_mul(r, t, p).tolist() for t in basis),
-               "a class sum does not commute with the group")
-    image = Subspace(restr.reshape(len(restr), d * d), p, d * d)
+    products = mat_mul(basis[:, None], basis, p)
+    verify((products == products.transpose(1, 0, 2, 3)).all(),
+           "the endomorphism ring is not commutative")
+    del products  # s^2 d^2 entries, not to be held while the group image is row reduced
+    verify((eliminate(basis[1:].copy(), p) < d).all(), "a nonzero endomorphism is not invertible")
+    gens = restr[[group.gen_x, group.gen_z]]
+    verify((mat_mul(basis[:, None], gens, p) == mat_mul(gens, basis[:, None], p)).all(),
+           "a class sum does not commute with the group")
+    image = Subspace(flat, p, d * d)
     verify(image.dim * s == d * d,
            f"the seed is not irreducible: rank {image.dim} of the group image, "
            f"field degree {s}, dimension {d}")
-    return basis
+    return list(basis)
 
 
 def _hom_space(restr: np.ndarray, module: HomologyModule) -> np.ndarray:
@@ -264,11 +259,11 @@ def _hom_space(restr: np.ndarray, module: HomologyModule) -> np.ndarray:
     every v in Q, and these span the hom space: averaging maps onto it, and
     the first coordinate function generates the dual of W, so averaging any
     X reduces to averaging ones whose only nonzero row is the first.  Over
-    the basis v = e_i the averages are one contraction over the stacked
-    group matrices, exact since |G| is at most linalg._DIM_CAP."""
+    the basis v = e_i the averages are one product of those first columns
+    with the stacked group matrices."""
     p = module.p
     first = restr[module.group.inverse, :, 0]
-    averages = np.einsum("gj,gik->ijk", first, module.matrices) % p
+    averages = mat_mul(first.T, module.matrices.transpose(1, 0, 2), p)
     return rref(averages.reshape(module.dim, -1), p)[0]
 
 

@@ -368,22 +368,6 @@ class ExtField:
             k >>= 1
         return result
 
-    def inv(self, a):
-        if not any(a):
-            raise ValueError("inverse of zero")
-        # extended Euclid in F_p[x] against the defining polynomial
-        r0, r1 = self.defining, poly_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = poly_divmod(r0, r1, self.p)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_sub(s0, poly_mul(q, s1, self.p), self.p)
-        lead = pow(r0[-1], -1, self.p)
-        inv = [c * lead % self.p for c in s0]
-        out = self.element(inv)
-        verify(self.mul(out, a) == self.one(), f"{out} is not the inverse of {a}")
-        return out
-
     def in_prime_field(self, a) -> bool:
         return not any(a[1:])
 

@@ -226,11 +226,13 @@ class HomologyModule:
             k >>= 1
         return out
 
-    def invariant_under_group(self, space: Subspace) -> bool:
-        for gen in (self.group.gen_x, self.group.gen_z):
-            if space.image(self.matrices[gen]) != space:
-                return False
-        return True
+    def invariant_under_group(self, basis: np.ndarray, pivots) -> bool:
+        """Whether the row space of an RREF basis with the given pivot
+        columns is G-invariant, or of every basis of a (batch, r, dim) stack
+        with its (batch, r) pivots: the images under x and z, which generate
+        G, leave no residue against their basis."""
+        return not any(reduce_rows(basis, pivots, mat_mul(basis, self.matrices[gen], self.p), self.p).any()
+                       for gen in (self.group.gen_x, self.group.gen_z))
 
 
 def build_homology(group: GroupData, branch_classes, p: int) -> HomologyModule:

@@ -52,8 +52,8 @@ _MERGE_ENTRIES = 1 << 17
 # the group is held as |G| dart permutations of |G| darts and Q's action as
 # |G| matrices of dim^2 entries; the largest case in scope, hosohedron:95
 # faces, needs 190 * (190 + 94^2) = 1,714,940 entries.  Under the cap |G|
-# and dim stay below linalg._DIM_CAP, which keeps the sums over the stacked
-# group matrices exact
+# and dim stay below linalg._DIM_CAP, the longest product linalg takes
+# exactly in int64
 _ACTION_CAP = 1 << 23
 
 
@@ -278,10 +278,7 @@ def component_menus(
             coords = np.array(rows, dtype=dtype_for(p)).reshape(len(rows), k, m * s)
             raw = mat_mul(coords, products, p).reshape(len(rows), k * d, dim)
             bases, pivots = _rref_stack(raw, p)
-            for gen in (module.group.gen_x, module.group.gen_z):
-                images = mat_mul(bases, module.matrices[gen], p)
-                verify(not reduce_rows(bases, pivots, images, p).any(),
-                       f"{comp.label}: a choice is not invariant")
+            verify(module.invariant_under_group(bases, pivots), f"{comp.label}: a choice is not invariant")
             swallowed = np.zeros(len(rows), dtype=np.int64)
             for bit, punctures in enumerate(puncture_rows):
                 inside = ~reduce_rows(bases, pivots, comp.punctures[punctures], p).any(axis=-1)

@@ -13,10 +13,9 @@ import numpy as np
 
 from .errors import verify
 
-# A matrix product with inner dimension k needs k*(p-1)^2 < 2^63 to stay
-# exact in int64.  Nothing in this package multiplies matrices with inner
-# dimension anywhere near _DIM_CAP, so the single per-modulus check below
-# covers every operation.
+# A product of inner length k of entries in [0, p) stays below k*(p-1)^2:
+# dtype_for keeps int64 only where that is below 2^62 at k = _DIM_CAP, and
+# _product checks every int64 product's inner length against it.
 _DIM_CAP = 4096
 _INT64_CAP = 2**62
 # numpy's int64 % runs a general division per entry, while // by a scalar
@@ -62,8 +61,21 @@ def identity(n: int, p: int) -> np.ndarray:
     return np.eye(n, dtype=dtype_for(p))
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b with np.matmul's rules for stacks, unreduced: every product
+    over F_p in the package is taken here, exact in int64 while the inner
+    length is at most _DIM_CAP, which is checked."""
+    verify(a.dtype.hasobject or a.shape[-1] <= _DIM_CAP,
+           f"an int64 product of inner length {a.shape[-1]} is not exact past {_DIM_CAP}")
+    return np.matmul(a, b)
+
+
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return mod(np.dot(a, b), p)
+    """a @ b mod p, on single matrices or stacks.  The product is reduced in
+    place by %, which takes no second array the size of the product, as the
+    floor division in mod would."""
+    prod = _product(a, b)
+    return np.remainder(prod, p, out=prod)
 
 
 def eliminate(stack: np.ndarray, p: int) -> np.ndarray:
@@ -129,7 +141,7 @@ def reduce_rows(basis: np.ndarray, pivots, mat, p: int) -> np.ndarray:
     if basis.shape[-2] == 0:
         return m
     coeff = np.take_along_axis(m, np.asarray(pivots, dtype=np.intp)[..., None, :], axis=-1)
-    return mod(m - np.matmul(coeff, basis), p)
+    return mod(m - _product(coeff, basis), p)
 
 
 def _inverses(x: np.ndarray, p: int) -> np.ndarray:
@@ -167,14 +179,14 @@ def merge_direct_sums(bases: np.ndarray, pivots: np.ndarray, blocks: np.ndarray,
     merged[:, :r0], merged_pivots[:, :r0] = bases, pivots
     if r == 0:
         return merged, merged_pivots
-    fresh = np.matmul(np.take_along_axis(blocks, pivots[:, None, :], axis=2), bases)
+    fresh = _product(np.take_along_axis(blocks, pivots[:, None, :], axis=2), bases)
     np.subtract(blocks, fresh, out=fresh)
     mod(fresh, p, out=fresh)
     merged_pivots[:, r0:] = columns = eliminate(fresh, p)
     verify((columns < n).all(), "a block meets the prefix or is rank deficient: the sum is not direct")
     merged[:, r0:] = fresh
     old = merged[:, :r0]
-    old -= np.matmul(np.take_along_axis(bases, columns[:, None, :], axis=2), fresh)
+    old -= _product(np.take_along_axis(bases, columns[:, None, :], axis=2), fresh)
     mod(old, p, out=old)
     at = np.arange(batch)[:, None]
     order = np.argsort(merged_pivots, axis=1)
@@ -205,13 +217,12 @@ class Labeller:
         self.buf = np.empty_like(self.points)
         self.flags = np.empty(n, dtype=bool)
         self.index = np.empty(n, dtype=np.intp)
-        self.spare = None
 
     def count(self, labels: np.ndarray) -> int:
         """Number of points labelled by themselves: one per cycle or orbit."""
         return int(np.count_nonzero(np.equal(labels, self.points, out=self.flags)))
 
-    def cycles(self, perm: np.ndarray, consume: bool = False) -> np.ndarray:
+    def cycles(self, perm: np.ndarray) -> np.ndarray:
         """The least point of each point's cycle, by min-label doubling.
 
         After k steps a point's label is the least of the 2^k points
@@ -220,29 +231,24 @@ class Labeller:
         cycle is longer than 2^k, the point 2^k steps before that cycle's
         least point still gains a smaller label.  So the number of steps
         follows log2 of the longest cycle, not of the number of points.
-        The doubled permutations alternate between the index buffer and a
-        spare one, or perm itself when the caller lets it be consumed."""
+        The doubled permutations alternate between the index buffer and perm
+        itself, so perm is consumed; one of another dtype than intp is
+        converted first, and only its copy is."""
         labels, buf, flags = self.labels, self.buf, self.flags
         np.copyto(labels, self.points)
-        if perm.dtype != np.intp:
-            perm, consume = perm.astype(np.intp), True
-        nxt, target = perm, self.index
+        nxt, target = perm.astype(np.intp, copy=False), self.index
         while True:
             np.take(labels, nxt, out=buf, mode="clip")
             if not np.less(buf, labels, out=flags).any():
                 return labels
             np.minimum(labels, buf, out=labels)
             np.take(nxt, nxt, out=target, mode="clip")
-            if nxt is perm and not consume:
-                if self.spare is None:
-                    self.spare = np.empty_like(self.index)
-                nxt = self.spare
             nxt, target = target, nxt
 
     def orbits(self, perms) -> np.ndarray:
         """The least point of each point's orbit under the group generated
-        by the given permutation arrays: the cycles of the first, joined
-        along the rest."""
+        by the given permutation arrays: the cycles of the first, which is
+        consumed, joined along the rest."""
         self.cycles(perms[0])
         return self.join(perms[1:])
 
@@ -305,21 +311,23 @@ class Labeller:
 
 
 def cycle_labels(perm: np.ndarray) -> np.ndarray:
-    """The least point of each point's cycle (Labeller.cycles); the caller's
-    array is never written."""
-    return Labeller(perm.shape[0]).cycles(perm)
+    """The least point of each point's cycle (Labeller.cycles), from a copy
+    of perm."""
+    return Labeller(perm.shape[0]).cycles(perm.astype(np.intp))
 
 
 def orbit_labels(perms) -> np.ndarray:
     """The least point of each point's orbit under the group generated by
-    the given permutation arrays (Labeller.orbits)."""
-    return Labeller(perms[0].shape[0]).orbits(perms)
+    the given permutation arrays (Labeller.orbits), from a copy of the
+    first."""
+    return Labeller(perms[0].shape[0]).orbits([perms[0].astype(np.intp), *perms[1:]])
 
 
 def joint_orbit_count(perm_a: np.ndarray, perm_b: np.ndarray) -> int:
-    """Number of orbits of the group generated by two permutations."""
+    """Number of orbits of the group generated by two permutations, from a
+    copy of the first."""
     labeller = Labeller(perm_a.shape[0])
-    return labeller.count(labeller.orbits([perm_a, perm_b]))
+    return labeller.count(labeller.orbits([perm_a.astype(np.intp), perm_b]))
 
 
 def label_orbits(labels: np.ndarray) -> list[tuple[int, ...]]:

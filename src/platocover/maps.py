@@ -134,10 +134,6 @@ class DartMap:
     def m(self) -> int:
         return self.family.m
 
-    def phi(self, d: int) -> int:
-        """One step along the face boundary: sigma after alpha."""
-        return self.sigma[self.alpha[d]]
-
 
 def _orbits_of(step, n_darts: int) -> list[tuple[int, ...]]:
     seen = [False] * n_darts

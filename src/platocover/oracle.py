@@ -4,7 +4,7 @@ Every invariant subspace is the sum of the cyclic submodules it contains, so
 building the cyclic submodule of every vector and closing under pairwise sums
 finds them all.  The cyclic submodule is constant on orbits under the group
 action and under scalars, which cuts the p^dim vector sweep down to one per
-orbit; orbits are labelled by their least vector (linalg.orbit_labels).  Each
+orbit; orbits are labelled by their least vector (linalg.Labeller).  Each
 cyclic submodule is the row space of the vector's images under every group
 matrix, so this check shares no code with the decomposition it tests.  Cost
 still grows like p^dim, hence the budget guard; this cross-checks the
@@ -18,11 +18,14 @@ import numpy as np
 from .errors import verify
 from .gf import primitive_root
 from .homology import HomologyModule, Subspace
-from .linalg import echelon, eliminate, orbit_labels
+from .linalg import Labeller, echelon, eliminate, mat_mul
 
 _CHUNK = 1 << 18
-# the most vectors the sweep takes on: 10^7 digit rows of at most a few
-# bytes each, and int64 products below dim * (p-1)^2 <= 10^14
+# the most vectors the sweep takes on.  Its tracemalloc peak is 55 bytes per
+# vector on tetrahedron faces at p = 131 (dim 3) and 82 on hosohedron:7
+# edges,faces at p = 3 (dim 13): the digit rows, three int64 permutations and
+# the labeller's buffers, then the orbit labels next to the cyclic submodules,
+# so under 1 GiB at the budget
 VECTOR_BUDGET = 10**7
 
 
@@ -38,14 +41,13 @@ def _all_digits(size: int, dim: int, p: int) -> np.ndarray:
 
 
 def _linear_permutation(digits: np.ndarray, matrix: np.ndarray, p: int) -> np.ndarray:
-    """The index of v @ matrix for the vector v of each digit row, with the
-    products taken in int64, which VECTOR_BUDGET keeps exact."""
+    """The index of v @ matrix for the vector v of each digit row."""
     powers = np.array([p**j for j in range(matrix.shape[0])], dtype=np.int64)
-    mat = np.asarray(matrix, dtype=np.int64) % p
+    mat = np.asarray(matrix, dtype=np.int64)
     out = np.empty(digits.shape[0], dtype=np.int64)
     for start in range(0, digits.shape[0], _CHUNK):
         block = digits[start : start + _CHUNK].astype(np.int64)
-        out[start : start + _CHUNK] = (block @ mat) % p @ powers
+        out[start : start + _CHUNK] = mat_mul(block, mat, p) @ powers
     return out
 
 
@@ -56,7 +58,8 @@ def cyclic_submodules(module: HomologyModule):
     The cyclic submodule of v is the row space of {v A_g : g in G}: the span
     of an orbit is invariant, and every invariant subspace containing v
     contains it.  The images come in chunks of at most _CHUNK entries, each
-    one einsum over the stacked group matrices, row reduced as one stack."""
+    one product with the group matrices side by side, row reduced as one
+    stack.  The orbit labelling consumes the sweep's own permutations."""
     p, dim = module.p, module.dim
     size = p**dim
     if size > VECTOR_BUDGET:
@@ -67,14 +70,17 @@ def cyclic_submodules(module: HomologyModule):
     scalar = np.eye(dim, dtype=np.int64) * primitive_root(p)
     gens = [module.matrices[group.gen_x], module.matrices[group.gen_z]]
     perms = [_linear_permutation(digits, m, p) for m in (*gens, scalar)]
-    labels = orbit_labels(perms)
+    labels = Labeller(size).orbits(perms)
+    del perms  # spent: the first was the doubling buffer, and nothing reads the rest
     reps = np.flatnonzero(labels == np.arange(size))[1:]  # the zero vector is its own orbit
 
     vectors = digits[reps].astype(np.int64)
     spaces = []
-    per_chunk = max(1, _CHUNK // (len(module.matrices) * dim))
+    order = len(module.matrices)
+    side_by_side = module.matrices.transpose(1, 0, 2).reshape(dim, order * dim)
+    per_chunk = max(1, _CHUNK // (order * dim))
     for start in range(0, len(vectors), per_chunk):
-        images = np.einsum("vj,gjk->vgk", vectors[start : start + per_chunk], module.matrices) % p
+        images = mat_mul(vectors[start : start + per_chunk], side_by_side, p).reshape(-1, order, dim)
         reduced = map(echelon, images, eliminate(images, p))
         spaces += [Subspace(basis, p, dim, _pivots=pivots) for basis, pivots in reduced]
     return vectors, spaces
@@ -102,6 +108,6 @@ def brute_force_submodules(module: HomologyModule) -> list[Subspace]:
         frontier = fresh
 
     out = sorted(found.values(), key=lambda s: (s.dim, s.key()))
-    verify(all(module.invariant_under_group(s) for s in out),
+    verify(all(module.invariant_under_group(s.basis, s.pivots) for s in out),
            "a brute-force submodule is not invariant")
     return out

@@ -368,7 +368,7 @@ def named_submodules(module: HomologyModule, group: GroupData) -> dict[str, Subs
         assert out["Qa'&Qb'"].dim == 3
 
     for space in out.values():
-        assert module.invariant_under_group(space)
+        assert module.invariant_under_group(space.basis, space.pivots)
     return out
 
 

@@ -1,6 +1,7 @@
 """Isotypic decomposition against independently known module structures."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ def test_seeds_are_irreducible_copies():
         for c in decompose_module(mod):
             assert c.seed.dim == c.irreducible_dim
             assert c.subspace.contains_space(c.seed)
-            assert mod.invariant_under_group(c.seed)
+            assert mod.invariant_under_group(c.seed.basis, c.seed.pivots)
             assert len(c.hom_basis) == c.multiplicity
 
 
@@ -363,6 +364,26 @@ def test_reducible_seed_raises_verification_error():
     assert c.multiplicity == 2 and c.endo_degree == 2
     with pytest.raises(VerificationError, match="not irreducible"):
         _endo_field(_restrictions(c.subspace, mod), group, mod.p)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ([[[1, 0, 0], [0, 0, 0], [0, 0, 0]], [[0, 1, 0], [0, 0, 0], [0, 0, 0]]], "not commutative"),
+    ([[[1, 0, 0], [0, 0, 0], [0, 0, 0]]], "not invertible"),
+    ([[[1, 0, 0], [0, 2, 0], [0, 0, 3]]], "does not commute with the group"),
+])
+def test_endo_field_rejects_a_bad_class_sum(extra, message):
+    # cube faces at p = 5: chi5 has d = 3 and s = 1, so its class sums are
+    # scalars; each extra element is a class of its own, whose sum joins the
+    # basis: two that do not commute, one singular, or one invertible that
+    # commutes with the scalars but not with the generators
+    mod, group = module_for("cube", ["faces"], 5)
+    restr = _restrictions(by_label(decompose_module(mod))["chi5"].seed, mod)
+    extra = np.array(extra, dtype=restr.dtype)
+    mutated = SimpleNamespace(
+        class_of=np.concatenate([group.class_of, len(group.classes) + np.arange(len(extra))]),
+        classes=group.classes + [None] * len(extra), gen_x=group.gen_x, gen_z=group.gen_z)
+    with pytest.raises(VerificationError, match=message):
+        _endo_field(np.concatenate([restr, extra]), mutated, mod.p)
 
 
 def _kronecker_hom(restr, mod, group):

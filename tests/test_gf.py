@@ -196,12 +196,7 @@ class TestExtField:
 
     def test_field_axioms_f49(self):
         f = ExtField(7, 2)
-        elements = [f.element([a, b]) for a in range(7) for b in range(7)]
         one = f.one()
-        for x in elements:
-            if x == f.zero():
-                continue
-            assert f.mul(x, f.inv(x)) == one
         # multiplicative group order divides 48
         x = f.element([1, 1])
         assert f.pow(x, 48) == one
@@ -314,7 +309,6 @@ class TestFactorXnMinus1:
         (lambda: frobenius_orbits(6, 3), "3 is not a unit modulo 6"),
         (lambda: coset_orbits(10, 5), "5 is not a unit modulo 10"),
         (lambda: ExtField(4, 1), "no field of 4"),
-        (lambda: ExtField(5, 2).inv((0, 0)), "inverse of zero"),
     ],
 )
 def test_bad_arguments_raise_value_error(call, message):

@@ -213,6 +213,22 @@ class TestBuildHomology:
                 img = mat_mul(v, mod.matrices[gen], mod.p)
                 assert img.tolist() == v.tolist()
 
+    def test_invariance_of_a_stack_is_invariance_of_each_basis(self):
+        # octahedron faces at p = 7: Qa and Qa'&Qb' are invariant and of
+        # dimension 3, the span of the first three coordinates is not; the
+        # reference maps each space by every group matrix
+        mod = build_homology(group_for("octahedron"), ["faces"], 7)
+        named = named_submodules(mod, mod.group)
+        spaces = [named["Qa"], Subspace(np.eye(3, mod.dim, dtype=mod.dtype), mod.p, mod.dim),
+                  named["Qa'&Qb'"]]
+        verdicts = [mod.invariant_under_group(s.basis, s.pivots) for s in spaces]
+        assert verdicts == [all(s.contains_space(s.image(A)) for A in mod.matrices) for s in spaces]
+        assert verdicts == [True, False, True]
+        bases = np.stack([s.basis for s in spaces])
+        pivots = np.array([s.pivots for s in spaces])
+        assert not mod.invariant_under_group(bases, pivots)
+        assert mod.invariant_under_group(bases[[0, 2]], pivots[[0, 2]])
+
     def test_puncture_classes_sum_to_zero(self):
         mod = build_homology(group_for("octahedron"), ["faces"], 7)
         total = sum(mod.projection[i] for i in range(mod.N)) % mod.p

@@ -82,6 +82,48 @@ def test_mod_equals_remainder_on_object_arrays(values):
     assert out[::2].tolist() == want and not out[1::2].any()
 
 
+# every product over F_p is linalg._product, which verifies that an int64
+# product's inner length is at most _DIM_CAP, where it is exact; the check
+# raises VerificationError, so it also holds under python -O
+
+def test_an_int64_product_past_the_cap_raises():
+    a = np.ones((2, 3), dtype=np.int64)
+    basis = np.eye(3, 4, dtype=np.int64)
+    with mock.patch.object(linalg, "_DIM_CAP", 2):
+        for call in (lambda: linalg.mat_mul(a, a.T, 7),
+                     lambda: reduce_rows(basis, [0, 1, 2], np.ones((1, 4), dtype=np.int64), 7)):
+            with pytest.raises(VerificationError, match="inner length 3 is not exact"):
+                call()
+        assert linalg.mat_mul(a.T, a, 7).tolist() == [[2] * 3] * 3
+        assert linalg.mat_mul(a.astype(object), a.T.astype(object), BIG).tolist() == [[3, 3], [3, 3]]
+
+
+@st.composite
+def product_cases(draw):
+    """A stack of matrices and a right factor that is either one matrix for
+    the whole stack or one per matrix, every dimension possibly 0."""
+    p = draw(st.sampled_from(PRIMES))
+    batch, n, k, m = (draw(st.integers(0, 4)) for _ in range(4))
+    entry = st.integers(0, p - 1)
+    a = [[[draw(entry) for _ in range(k)] for _ in range(n)] for _ in range(batch)]
+    shared = draw(st.booleans())
+    b = [[[draw(entry) for _ in range(m)] for _ in range(k)] for _ in range(1 if shared else batch)]
+    return p, (batch, n, k, m), a, b, shared
+
+
+@SETTINGS
+@given(product_cases())
+def test_mat_mul_on_stacks_matches_python_ints(case):
+    p, (batch, n, k, m), a, b, shared = case
+    left = np.array(a, dtype=dtype_for(p)).reshape(batch, n, k)
+    right = np.array(b, dtype=dtype_for(p)).reshape(len(b), k, m)
+    got = linalg.mat_mul(left, right[0] if shared else right, p)
+    assert got.shape == (batch, n, m) and got.dtype == dtype_for(p)
+    want = [[[sum(row[t] * b[0 if shared else i][t][j] for t in range(k)) % p for j in range(m)]
+             for row in a[i]] for i in range(batch)]
+    assert got.tolist() == want
+
+
 @st.composite
 def row_lists(draw, p, width):
     """Up to four random rows plus up to three combinations of them, so
@@ -412,7 +454,7 @@ def test_cycle_labels_match_a_cycle_walk(case):
     expected = walked_cycle_labels(perm)
     assert cycle_labels(as_perm(perm)).tolist() == expected
     labeller = Labeller(n)
-    assert labeller.count(labeller.cycles(as_perm(perm), consume=True)) == len(set(expected))
+    assert labeller.count(labeller.cycles(as_perm(perm))) == len(set(expected))
 
 
 @settings(max_examples=150, deadline=None)
@@ -436,7 +478,7 @@ def test_long_cycles_and_paths(n):
     cycle[order] = np.roll(order, -1)
     assert cycle_labels(cycle).tolist() == [int(order.min())] * n
     labeller = Labeller(n)
-    assert labeller.count(labeller.cycles(cycle, consume=True)) == 1
+    assert labeller.count(labeller.cycles(cycle)) == 1
 
     flips = flips_along([order], n)
     assert orbit_labels(flips).tolist() == [int(order.min())] * n
@@ -489,12 +531,12 @@ def test_a_labeller_serves_calls_of_every_kind_in_turn():
     lists = [p.tolist() for p in perms + pairs]
     labeller = Labeller(n)
     for _ in range(2):
-        assert labeller.orbits(pairs).tolist() == union_find_labels(lists[3:], n)
-        assert labeller.cycles(perms[0]).tolist() == walked_cycle_labels(lists[0])
+        assert labeller.orbits([q.copy() for q in pairs]).tolist() == union_find_labels(lists[3:], n)
+        assert labeller.cycles(perms[0].copy()).tolist() == walked_cycle_labels(lists[0])
         assert labeller.join(perms[1:2]).tolist() == union_find_labels(lists[:2], n)
         assert labeller.join(pairs).tolist() == union_find_labels(lists[:2] + lists[3:], n)
-        assert labeller.cycles(perms[2].copy(), consume=True).tolist() == walked_cycle_labels(lists[2])
-        assert labeller.orbits(perms).tolist() == union_find_labels(lists[:3], n)
+        assert labeller.cycles(perms[2].copy()).tolist() == walked_cycle_labels(lists[2])
+        assert labeller.orbits([q.copy() for q in perms]).tolist() == union_find_labels(lists[:3], n)
 
 
 # shapes that stress hooking: each orbit graph is drawn by involutions or

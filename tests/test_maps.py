@@ -157,7 +157,7 @@ def test_generator_z_rotates_base_face():
         base_face = dm.face_of[0]
         assert dm.face_of[zperm[0]] == base_face
         # one step along the face boundary, against phi
-        assert dm.phi(zperm[0]) == 0
+        assert dm.sigma[dm.alpha[zperm[0]]] == 0
 
 
 def test_duality_exchanges_vertices_and_faces():
