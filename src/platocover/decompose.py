@@ -212,9 +212,11 @@ def _finish_decomposition(
 def _restrictions(space: Subspace, module: HomologyModule) -> np.ndarray:
     """The matrices R_g with B A_g = R_g B for the subspace basis B, stacked
     in group order.  B is in RREF, so R_g is the pivot columns of B A_g once
-    the space is checked invariant under the generators, hence under G."""
+    the space is checked invariant under the generators, hence under G.  The
+    product gathers those columns of the group matrices chunk by chunk, so
+    no copy of the whole stack's pivot columns is made."""
     verify(module.invariant_under_group(space.basis, space.pivots), "the seed is not invariant")
-    return mat_mul(space.basis, module.matrices[:, :, space.pivots], module.p)
+    return mat_mul(space.basis, module.matrices, module.p, columns=space.pivots)
 
 
 def _endo_field(restr: np.ndarray, group: GroupData, p: int) -> list[np.ndarray]:

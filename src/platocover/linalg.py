@@ -5,19 +5,35 @@ throughout the package.  For moduli small enough that every intermediate
 product fits in int64 the fast integer dtype is used; otherwise arrays fall
 back to dtype=object (arbitrary-precision Python ints), so results are exact
 for any modulus.
+
+Every product over F_p is one function, _product, on factors reduced into
+[0, p).  numpy multiplies int64 without BLAS, so where a product of inner
+length k is exact in float64 (k*(p-1)^2 < 2^53) and is not a vector product,
+its factors go through float64 BLAS in chunks of at most _FLOAT_CHUNK
+entries and the result comes back as the same int64 integers; past that
+bound int64 is kept, and dtype=object is multiplied as it is.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import verify
 
-# A product of inner length k of entries in [0, p) stays below k*(p-1)^2:
-# dtype_for keeps int64 only where that is below 2^62 at k = _DIM_CAP, and
-# _product checks every int64 product's inner length against it.
+# A product of inner length k of entries in [0, p) stays below k*(p-1)^2,
+# and so does every partial sum of it.  dtype_for keeps int64 only where that
+# is below _INT64_CAP = 2^62 at k = _DIM_CAP, and _product checks every int64
+# product's inner length against _DIM_CAP.  Every integer below _FLOAT_CAP =
+# 2^53 is exact in float64, so _product takes the float64 path while
+# k*(p-1)^2 < _FLOAT_CAP: inner length up to 2^53 / 36 at p = 7, but only 8
+# at p = 2^25 - 39, the largest prime dtype_for keeps in int64.  Each float64
+# copy holds at most _FLOAT_CHUNK entries of a chunk of the stack.
 _DIM_CAP = 4096
 _INT64_CAP = 2**62
+_FLOAT_CAP = 2**53
+_FLOAT_CHUNK = 2**16
 # numpy's int64 % runs a general division per entry, while // by a scalar
 # divides through a precomputed multiplier; past about a thousand entries
 # x - p*(x // p) is the faster reduction
@@ -61,20 +77,60 @@ def identity(n: int, p: int) -> np.ndarray:
     return np.eye(n, dtype=dtype_for(p))
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b with np.matmul's rules for stacks, unreduced: every product
-    over F_p in the package is taken here, exact in int64 while the inner
-    length is at most _DIM_CAP, which is checked."""
-    verify(a.dtype.hasobject or a.shape[-1] <= _DIM_CAP,
-           f"an int64 product of inner length {a.shape[-1]} is not exact past {_DIM_CAP}")
-    return np.matmul(a, b)
+def _product(a: np.ndarray, b: np.ndarray, p: int, columns=None) -> np.ndarray:
+    """a @ b[..., columns] (a @ b when columns is None) with np.matmul's
+    rules for stacks, unreduced: every product over F_p in the package is
+    taken here.  Both factors must have their entries in [0, p).
+
+    The path follows from p and the shapes alone.  dtype=object multiplies
+    as it is.  An int64 product is exact while its inner length k is at
+    most _DIM_CAP, which is checked; where k*(p-1)^2 < _FLOAT_CAP and the
+    product has at least two rows and two columns, it goes through float64
+    BLAS and back to the same int64 integers.  A product with one row or
+    one column (a 1-D factor counts as one) stays int64: it does about one
+    multiply-add per converted entry, so converting cannot pay.
+
+    The float64 path runs in chunks along the first axis of the result: the
+    first batch axis of a stack, or the rows of a when neither factor is a
+    stack.  Each chunk converts its part of every factor that has that axis,
+    gathering the columns of b first, and holds at most _FLOAT_CHUNK entries
+    of those parts and of its product, or a single index of that axis where
+    that alone is more.  A factor without that axis is shared by every chunk
+    and converted whole, once.  The int64 path gathers the columns of b
+    whole."""
+    k, m = a.shape[-1], b.shape[-1] if columns is None else len(columns)
+    verify(a.dtype.hasobject or k <= _DIM_CAP,
+           f"an int64 product of inner length {k} is not exact past {_DIM_CAP}")
+    if (a.dtype.hasobject or k * (p - 1) ** 2 >= _FLOAT_CAP
+            or min(a.ndim, b.ndim) < 2 or min(a.shape[-2], m) < 2):
+        return np.matmul(a, b if columns is None else b[..., columns])
+    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.empty(batch + (a.shape[-2], m), dtype=np.int64)
+    a = a.reshape((1,) * (out.ndim - a.ndim) + a.shape)
+    b = b.reshape((1,) * (out.ndim - b.ndim) + b.shape)
+    split_a, split_b = not batch or a.shape[0] > 1, bool(batch) and b.shape[0] > 1
+
+    def part_b(x):
+        return (x if columns is None else x[..., columns]).astype(np.float64)
+
+    shared_a = None if split_a else a.astype(np.float64)
+    shared_b = None if split_b else part_b(b)
+    per_index = (math.prod(out.shape[1:]) + split_a * math.prod(a.shape[1:])
+                 + split_b * math.prod(b.shape[1:-1]) * m)
+    step = max(1, _FLOAT_CHUNK // max(per_index, 1))
+    for start in range(0, out.shape[0], step):
+        chunk = slice(start, start + step)
+        out[chunk] = np.matmul(a[chunk].astype(np.float64) if split_a else shared_a,
+                               part_b(b[chunk]) if split_b else shared_b)
+    return out
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p, on single matrices or stacks.  The product is reduced in
-    place by %, which takes no second array the size of the product, as the
-    floor division in mod would."""
-    prod = _product(a, b)
+def mat_mul(a: np.ndarray, b: np.ndarray, p: int, columns=None) -> np.ndarray:
+    """a @ b mod p, or a @ b[..., columns] mod p, on single matrices or
+    stacks with entries in [0, p), through _product.  The product is reduced
+    in place by %, which takes no second array the size of the product, as
+    the floor division in mod would."""
+    prod = _product(a, b, p, columns)
     return np.remainder(prod, p, out=prod)
 
 
@@ -141,7 +197,7 @@ def reduce_rows(basis: np.ndarray, pivots, mat, p: int) -> np.ndarray:
     if basis.shape[-2] == 0:
         return m
     coeff = np.take_along_axis(m, np.asarray(pivots, dtype=np.intp)[..., None, :], axis=-1)
-    return mod(m - _product(coeff, basis), p)
+    return mod(m - _product(coeff, basis, p), p)
 
 
 def _inverses(x: np.ndarray, p: int) -> np.ndarray:
@@ -179,14 +235,14 @@ def merge_direct_sums(bases: np.ndarray, pivots: np.ndarray, blocks: np.ndarray,
     merged[:, :r0], merged_pivots[:, :r0] = bases, pivots
     if r == 0:
         return merged, merged_pivots
-    fresh = _product(np.take_along_axis(blocks, pivots[:, None, :], axis=2), bases)
+    fresh = _product(np.take_along_axis(blocks, pivots[:, None, :], axis=2), bases, p)
     np.subtract(blocks, fresh, out=fresh)
     mod(fresh, p, out=fresh)
     merged_pivots[:, r0:] = columns = eliminate(fresh, p)
     verify((columns < n).all(), "a block meets the prefix or is rank deficient: the sum is not direct")
     merged[:, r0:] = fresh
     old = merged[:, :r0]
-    old -= _product(np.take_along_axis(bases, columns[:, None, :], axis=2), fresh)
+    old -= _product(np.take_along_axis(bases, columns[:, None, :], axis=2), fresh, p)
     mod(old, p, out=old)
     at = np.arange(batch)[:, None]
     order = np.argsort(merged_pivots, axis=1)

@@ -1,5 +1,6 @@
 """Isotypic decomposition against independently known module structures."""
 
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -166,6 +167,22 @@ def test_hosohedron_95():
     assert all(c.multiplicity == 1 for c in comps)
     firsts = sorted(c.labels[0] for c in comps)
     assert firsts == ["xi1", "xi10", "xi19", "xi2", "xi20", "xi4", "xi5"]
+
+
+def test_hosohedron_95_memory_stays_bounded():
+    # the float64 products convert their factors chunk by chunk and the
+    # restrictions gather their pivot columns chunk by chunk, so no copy of
+    # the whole (190, 94, 94) stack of group matrices, 13.4 MiB in int64 or
+    # float64, or of its pivot columns is made; with a float64 copy of each
+    # whole factor the peak was 15.4 MiB
+    mod, _ = module_for("hosohedron", ["faces"], 7, 95)
+    tracemalloc.start()
+    try:
+        decompose_module(mod)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, f"{peak / 2**20:.2f} MiB"
 
 
 def test_hosohedron_self_paired_multiplicity_two():

@@ -3,8 +3,10 @@ batched direct-sum merge against sympy's DomainMatrix over GF(p), the merge
 also against folded Subspace.add calls, and the orbit-labelling kernels
 against a cycle walk and union-find.
 
-Both the int64 path and the exact dtype=object path are drawn: 2^31 - 1 is
-past the int64 bound, so its arrays hold Python ints.
+Every path of the product is drawn: int64 products through float64 at
+small primes, int64 ones at 2^25 - 39 past inner length 8, and the exact
+dtype=object path at 2^31 - 1, which is past the int64 bound, so its arrays
+hold Python ints.
 """
 
 from unittest import mock
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import GF
+from sympy import GF, nextprime
 from sympy.polys.matrices import DomainMatrix
 
 from platocover import linalg
@@ -27,6 +29,7 @@ from platocover.linalg import (
     echelon,
     eliminate,
     joint_orbit_count,
+    mat_mul,
     merge_direct_sums,
     orbit_labels,
     reduce_rows,
@@ -34,12 +37,17 @@ from platocover.linalg import (
 )
 
 BIG = 2**31 - 1
-PRIMES = (3, 7, BIG)
+# the largest prime dtype_for keeps in int64; float64 is exact for its
+# products only up to inner length 8
+EDGE = 2**25 - 39
+PRIMES = (3, 7, EDGE, BIG)
 SETTINGS = settings(max_examples=80, deadline=None)
 
 
 def test_primes_cover_both_dtypes():
     assert dtype_for(3) is np.int64 and dtype_for(7) is np.int64
+    assert dtype_for(EDGE) is np.int64 and dtype_for(nextprime(EDGE)) is object
+    assert 8 * (EDGE - 1) ** 2 < linalg._FLOAT_CAP <= 9 * (EDGE - 1) ** 2
     assert dtype_for(BIG) is object
 
 
@@ -122,6 +130,80 @@ def test_mat_mul_on_stacks_matches_python_ints(case):
     want = [[[sum(row[t] * b[0 if shared else i][t][j] for t in range(k)) % p for j in range(m)]
              for row in a[i]] for i in range(batch)]
     assert got.tolist() == want
+
+
+# The products at EDGE on both sides of the float64 bound, against
+# Python-int products.  Sums of (p-1)^2 have few significant bits and stay
+# exact in float64 past the bound too, so each example is also filled with
+# p - 2, whose square is odd: nine of them sum to an odd integer above 2^53,
+# which float64 would round.
+
+def python_product(a, b):
+    return np.matmul(np.asarray(a, dtype=object), np.asarray(b, dtype=object))
+
+
+@pytest.mark.parametrize("fill", [EDGE - 1, EDGE - 2])
+@pytest.mark.parametrize("k", [8, 9])
+def test_mat_mul_at_the_float_bound(k, fill):
+    a = np.full((3, 2, k), fill, dtype=np.int64)
+    b = np.full((3, k, 4), fill, dtype=np.int64)
+    with mock.patch("numpy.matmul", wraps=np.matmul) as spy:
+        stacked = mat_mul(a, b, EDGE)
+    assert spy.call_args.args[0].dtype == (np.float64 if k == 8 else np.int64)
+    assert stacked.tolist() == (python_product(a, b) % EDGE).tolist()
+    # a right factor shared by the whole stack, and a gather of its columns
+    assert mat_mul(a, b[1], EDGE).tolist() == (python_product(a, b[1]) % EDGE).tolist()
+    picked = mat_mul(a, b, EDGE, columns=[3, 0])
+    assert picked.tolist() == (python_product(a, b[:, :, [3, 0]]) % EDGE).tolist()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2**16])
+def test_float_chunks_match_python_ints(chunk):
+    # the float64 path cut into chunks of every size, down to one index of
+    # the chunked axis, along each kind of first axis of the result
+    rng = np.random.default_rng(5)
+    shapes = [((9, 5), (5, 6)),  # the rows of a single matrix
+              ((4, 3, 5), (5, 6)),  # a stack against a shared right factor
+              ((5, 6), (4, 6, 3)),  # a shared left factor against a stack
+              ((3, 1, 4, 5), (2, 5, 6)),  # broadcast batch axes
+              ((0, 4, 5), (0, 5, 6))]  # an empty batch
+    with mock.patch.object(linalg, "_FLOAT_CHUNK", chunk):
+        for shape_a, shape_b in shapes:
+            a, b = rng.integers(0, 7, shape_a), rng.integers(0, 7, shape_b)
+            assert mat_mul(a, b, 7).tolist() == (python_product(a, b) % 7).tolist()
+            picked = mat_mul(a, b, 7, columns=[2, 0, 2])
+            assert picked.tolist() == (python_product(a, b[..., [2, 0, 2]]) % 7).tolist()
+
+
+def rref_at_the_bound(k, fill):
+    """Two (k, 2k + 1) RREF bases with pivots 0..k-1 and every other entry
+    fill, stacked, and their pivots."""
+    basis = np.full((2, k, 2 * k + 1), fill, dtype=np.int64)
+    basis[:, :, :k] = np.eye(k, dtype=np.int64)
+    return basis, np.tile(np.arange(k), (2, 1))
+
+
+@pytest.mark.parametrize("fill", [EDGE - 1, EDGE - 2])
+@pytest.mark.parametrize("k", [8, 9])
+def test_reduce_rows_at_the_float_bound(k, fill):
+    bases, pivots = rref_at_the_bound(k, fill)
+    mats = np.full((2, 3, 2 * k + 1), fill, dtype=np.int64)
+    want = (mats - python_product(mats[:, :, :k], bases)) % EDGE
+    assert reduce_rows(bases, pivots, mats, EDGE).tolist() == want.tolist()
+    # one matrix broadcast against the stack of bases
+    assert reduce_rows(bases, pivots, mats[0], EDGE).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("fill", [EDGE - 1, EDGE - 2])
+@pytest.mark.parametrize("k", [8, 9])
+def test_merge_direct_sums_at_the_float_bound(k, fill):
+    # prefixes and blocks of rank k, so both products have inner length k
+    bases, pivots = rref_at_the_bound(k, fill)
+    blocks = np.full((2, k, 2 * k + 1), fill, dtype=np.int64)
+    blocks[:, :, k:2 * k] = np.eye(k, dtype=np.int64)
+    merged, merged_pivots = merge_direct_sums(bases, pivots, blocks, EDGE)
+    for basis, piv, prefix, block in zip(merged, merged_pivots.tolist(), bases, blocks):
+        assert (basis.tolist(), piv) == sympy_rref(prefix.tolist() + block.tolist(), EDGE, 2 * k + 1)
 
 
 @st.composite
