@@ -10,7 +10,9 @@ the orbits of the p-power map chi -> (g -> chi(g^p)) (``p_power_orbits``):
 the conjugate pairs of A4 (p = 2 mod 3) and A5 (p = +-2 mod 5), and for D_n
 the xi_k with k in one orbit of <p, -1> on Z_n.  Values reduce mod p with
 sqrt(d) sent to its even root and zeta_n to the w of ``gf.root_of_unity``,
-the same w that labels the factors of x^n - 1.
+the same w that labels the factors of x^n - 1; ``decompose`` reduces the
+summed coefficient rows of a dihedral table, whose entries are one shared
+value object per distinct value, with one product.
 
 Class-matching conventions.  The two algebraically conjugate classes of A4
 (3-cycles) and A5 (5-cycles) cannot be told apart by size and element order;
@@ -26,11 +28,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import verify
-from .gf import cyclotomic_polynomial, poly_divmod, root_of_unity, sqrt_mod_p
+from .gf import cyclotomic_polynomial, poly_divmod, sqrt_mod_p
 from .linalg import cycle_labels, label_orbits
 from .maps import GroupData, stabilizer_H
 
@@ -135,33 +138,26 @@ class CycValue:
     def conj(self) -> "CycValue":
         return CycValue(self.n, tuple(self.coeffs[(-i) % self.n] for i in range(self.n)))
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # a table's rows share their value objects and are hashed whole
+        return hash((self.n, self.coeffs))
+
     def as_integer(self):
         """The rational integer this value equals, or None.
 
         Coordinates in the power basis are the remainder mod the n-th
         cyclotomic polynomial, computed exactly over Z."""
+        if not any(self.coeffs[1:]):
+            return self.coeffs[0]
         phi = list(cyclotomic_polynomial(self.n))
         _, rem = poly_divmod(list(self.coeffs), phi)
         if any(rem[1:]):
             return None
         return rem[0] if rem else 0
-
-    def mod_p(self, p: int):
-        """Image in F_p with zeta sent to the root w of gf.root_of_unity, or
-        None when the image lies outside the prime field."""
-        field, powers = root_of_unity(self.n, p)
-        image = [0] * field.e
-        for c, w in zip(self.coeffs, powers):
-            if c:
-                for i, x in enumerate(w):
-                    image[i] += c * x
-        if any(x % p for x in image[1:]):
-            return None
-        return image[0] % p
-
-
-def _alpha(j: int, k: int, n: int) -> CycValue:
-    return CycValue.zeta_power(j * k, n) + CycValue.zeta_power(-j * k, n)
 
 
 @dataclass
@@ -257,8 +253,15 @@ def dihedral_table(n: int) -> CharacterTable:
     if n < 3:
         raise ValueError(f"D_{n} is not a dihedral group of order 2n with n >= 3")
 
-    def cint(c):
-        return CycValue.integer(c, n)
+    # one value object per distinct entry: the integers, and zeta^r + zeta^-r
+    # for each residue r, its coefficient tuple written directly
+    cint = {c: CycValue.integer(c, n) for c in (-1, 0, 1)}
+    alpha = []
+    for r in range(n):
+        coeffs = [0] * n
+        coeffs[r] += 1
+        coeffs[-r % n] += 1
+        alpha.append(CycValue(n, tuple(coeffs)))
 
     spec: list = [("rot", 0)]
     labels, sizes, orders = ["1"], [1], [1]
@@ -300,17 +303,17 @@ def dihedral_table(n: int) -> CharacterTable:
     # rows in the order of the least exponent k of the eigenvalues zeta^k of
     # the rotation: chi1, chi2 (k = 0), xi1, xi2, ..., chi3, chi4 (k = n/2)
     row_names.append("chi1")
-    rows.append(build_row(lambda j: cint(1), [cint(1), cint(1)]))
+    rows.append(build_row(lambda j: cint[1], [cint[1], cint[1]]))
     row_names.append("chi2")
-    rows.append(build_row(lambda j: cint(1), [cint(-1), cint(-1)]))
+    rows.append(build_row(lambda j: cint[1], [cint[-1], cint[-1]]))
     for k in range(1, (n + 1) // 2 if n % 2 else half):
         row_names.append(f"xi{k}")
-        rows.append(build_row(lambda j, k=k: _alpha(j, k, n), [cint(0), cint(0)]))
+        rows.append(build_row(lambda j, k=k: alpha[j * k % n], [cint[0], cint[0]]))
     if n % 2 == 0:
         row_names.append("chi3")
-        rows.append(build_row(lambda j: cint((-1) ** j), [cint(1), cint(-1)]))
+        rows.append(build_row(lambda j: cint[(-1) ** j], [cint[1], cint[-1]]))
         row_names.append("chi4")
-        rows.append(build_row(lambda j: cint((-1) ** j), [cint(-1), cint(1)]))
+        rows.append(build_row(lambda j: cint[(-1) ** j], [cint[-1], cint[1]]))
 
     return CharacterTable(
         name=f"D{n}",

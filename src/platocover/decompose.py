@@ -10,6 +10,10 @@ component.  Each idempotent is checked to be idempotent, with an invariant
 image of the predicted dimension and class traces, and the idempotents to be
 orthogonal and to sum to 1.  The orbit length is the degree s of the
 endomorphism field E = F_{p^s}, which the field found below must match.
+The work is per census, not per orbit: the character values of every orbit
+reduce mod p by one product, every idempotent is one slice of one product
+with the group matrices, their images go into RREF by one elimination of
+the stack, and every class trace is one slice of one more product.
 
 The components then go through one tail.  It checks that Q is the direct sum
 of the components, stores on each component the projection of every puncture
@@ -53,7 +57,8 @@ from . import chartab
 from .chartab import CharacterTable, match_classes, table_for_group
 from .errors import VerificationError, verify
 from .homology import HomologyModule, Subspace
-from .linalg import as_matrix, eliminate, identity, mat_mul, rref, zeros
+from .gf import root_of_unity
+from .linalg import as_matrix, echelon, eliminate, identity, mat_mul, mod, rref
 from .maps import GroupData
 
 
@@ -93,85 +98,130 @@ def spin(module: HomologyModule, vectors, gens) -> Subspace:
 # ---------------------------------------------------------------------------
 # central idempotents
 
-def _class_values_mod_p(table: CharacterTable, rows, p: int):
-    """Values of the summed characters per table column, in F_p; None when a
-    value does not reduce into the prime field."""
-    first, rest = table.rows[rows[0]], [table.rows[r] for r in rows[1:]]
-    return [sum((row[col] for row in rest), first[col]).mod_p(p) for col in range(table.n_cols)]
+def _class_values_mod_p(table: CharacterTable, orbits, p: int):
+    """Each orbit's summed character per table column, reduced into F_p,
+    as an (orbits, columns) array, and per orbit whether every value lies
+    in F_p.
+
+    Entries in Z[zeta_n] are summed over each orbit as coefficient rows,
+    which one product with the (n, e) powers of the w of gf.root_of_unity
+    sends to F_{p^e}; a value lies in F_p when its image has no coordinate
+    past the first.  Quadratic entries are summed and reduced one by one."""
+    if not isinstance(table.rows[0][0], chartab.CycValue):
+        sums = [[sum((table.rows[r][col] for r in rows[1:]), table.rows[rows[0]][col]).mod_p(p)
+                 for col in range(table.n_cols)] for rows in orbits]
+        return (np.array([[0 if v is None else v for v in row] for row in sums], dtype=np.int64),
+                np.array([None not in row for row in sums]))
+    n = table.rows[0][0].n
+    field, powers = root_of_unity(n, p)
+    # the entries are shared value objects: one coefficient row per distinct one
+    distinct: dict = {}
+    index = np.array([[distinct.setdefault(v, len(distinct)) for v in row] for row in table.rows])
+    coeffs = np.array([v.coeffs for v in distinct], dtype=np.int64)
+    sums = np.stack([coeffs[index[list(rows)]].sum(axis=0) for rows in orbits])
+    images = mat_mul(as_matrix(sums.reshape(-1, n), p), powers, p)
+    images = images.reshape(len(orbits), table.n_cols, field.e)
+    return images[..., 0], ~images[..., 1:].any(axis=(1, 2))
 
 
-def _idempotent_matrix(module: HomologyModule, values_by_class, degree: int) -> np.ndarray:
-    """(degree / |G|) sum_g chi(g^-1) A_g, as one product of the scaled
-    coefficients with the stacked group matrices."""
+def _idempotents(module: HomologyModule, values_by_class: np.ndarray, degrees) -> np.ndarray:
+    """(degree / |G|) sum_g chi(g^-1) A_g for each row chi of values_by_class
+    (orbits, classes), as one product of the scaled coefficient stack with
+    the group matrices; (orbits, dim, dim).  The product is stacked over the
+    rows of the group matrices, so they are converted chunk by chunk."""
     group = module.group
     p = module.p
-    scale = degree * pow(group.order, -1, p) % p
-    coeffs = np.asarray(values_by_class, dtype=module.dtype)[group.class_of[group.inverse]] * scale % p
-    return mat_mul(coeffs, module.matrices.reshape(group.order, -1), p).reshape(module.dim, module.dim)
+    scale = np.array([d * pow(group.order, -1, p) % p for d in degrees], dtype=module.dtype)
+    values = np.asarray(values_by_class, dtype=module.dtype)
+    coeffs = mod(values[:, group.class_of[group.inverse]] * scale[:, None], p)
+    stack = mat_mul(coeffs, module.matrices.transpose(1, 0, 2), p)
+    return np.ascontiguousarray(stack.transpose(1, 0, 2))
+
+
+def _class_traces(module: HomologyModule, idempotents: np.ndarray) -> np.ndarray:
+    """tr(A_g e) for each idempotent e of the stack and the representative g
+    of each class, (idempotents, classes).  The trace is the sum over i of
+    row i of A_g times column i of e, so the product is stacked over i and
+    each inner length is dim."""
+    reps = [cls.rep for cls in module.group.classes]
+    rows = mat_mul(idempotents.transpose(2, 0, 1), module.matrices.transpose(1, 2, 0), module.p,
+                   columns=reps)
+    return mod(rows.sum(axis=0), module.p)
 
 
 def decompose_idempotent(
     module: HomologyModule, group: GroupData, table: CharacterTable
 ) -> list[IsotypicComponent]:
+    return _finish_decomposition(_isotypic_components(module, group, table), module)
+
+
+def _isotypic_components(
+    module: HomologyModule, group: GroupData, table: CharacterTable
+) -> list[IsotypicComponent]:
+    """The components cut out by the central idempotents of the orbits,
+    with every idempotent checked."""
     p = module.p
     matching = match_classes(table, group)
-    col_of = chartab.column_of_class(matching)
     expected = chartab.homology_character(group, table, matching, list(module.branch_classes))
+    orbits = chartab.p_power_orbits(table, group, matching, p)
+    labels = [tuple(table.row_names[i] for i in rows) for rows in orbits]
+    values, in_prime_field = _class_values_mod_p(table, orbits, p)
 
-    components: list[IsotypicComponent] = []
-    for rows in chartab.p_power_orbits(table, group, matching, p):
-        labels = tuple(table.row_names[i] for i in rows)
-        label = "+".join(labels)
-        values = _class_values_mod_p(table, rows, p)
-        verify(None not in values, f"{label}: the summed character is not F_p-valued")
-        mults = {expected.get(table.row_names[i], 0) for i in rows}
-        verify(len(mults) == 1,
-               f"{label}: the merged characters have multiplicities {sorted(mults)}")
-        mult = mults.pop()
+    mults, degrees = [], []
+    for rows, names, valued in zip(orbits, labels, in_prime_field):
+        label = "+".join(names)
+        verify(valued, f"{label}: the summed character is not F_p-valued")
+        found = {expected.get(table.row_names[i], 0) for i in rows}
+        verify(len(found) == 1, f"{label}: the merged characters have multiplicities {sorted(found)}")
+        mults.append(found.pop())
         # the p-power map fixes the identity class, so the merged characters
         # share one degree; the idempotent of the orbit is the sum of theirs
-        degree = table.degree(rows[0])
-        by_class = [values[col_of[cid]] for cid in range(len(group.classes))]
-        e = _idempotent_matrix(module, by_class, degree)
-        comp_space = Subspace(e, p, module.dim)
-        dim = degree * len(rows)
-        verify(comp_space.dim == dim * mult,
-               f"{label}: dimension {comp_space.dim} is not {dim} times {mult}")
+        degrees.append(table.degree(rows[0]))
+    by_class = values[:, np.argsort(matching)]
+    idempotents = _idempotents(module, by_class, degrees)
+    echelons = idempotents.copy()
+    pivots = eliminate(echelons, p)
+
+    components: list[IsotypicComponent] = []
+    kept = []
+    for o, (rows, names, mult) in enumerate(zip(orbits, labels, mults)):
+        label = "+".join(names)
+        basis, basis_pivots = echelon(echelons[o], pivots[o])
+        dim = degrees[o] * len(rows)
+        verify(len(basis) == dim * mult, f"{label}: dimension {len(basis)} is not {dim} times {mult}")
         if mult == 0:
             continue
-
-        verify(mat_mul(e, e, p).tolist() == e.tolist(), f"{label}: e is not idempotent")
+        comp_space = Subspace(basis, p, module.dim, _pivots=basis_pivots)
         verify(module.invariant_under_group(comp_space.basis, comp_space.pivots),
                f"{label}: not invariant")
-        # trace of g on the isotypic equals multiplicity times character
-        # value; tr(A_g e) summed elementwise, as a matrix product per class
-        # costs far more, and reduced first so the int64 sum cannot overflow
-        for cid, cls in enumerate(group.classes):
-            tr = int((module.matrices[cls.rep] * e.T % p).sum()) % p
-            verify(tr == mult * values[col_of[cid]] % p,
-                   f"{label}: trace on class {cid} is not the multiplicity times the character")
-
+        kept.append(o)
         components.append(
             IsotypicComponent(
-                labels=labels,
+                labels=names,
                 subspace=comp_space,
                 irreducible_dim=dim,
                 multiplicity=mult,
                 endo_degree=len(rows),
-                projector=e,
+                projector=idempotents[o],
             )
         )
 
-    total = zeros((module.dim, module.dim), p)
-    for comp in components:
-        total = (total + comp.projector) % p
-    verify(total.tolist() == identity(module.dim, p).tolist(), "the idempotents do not sum to 1")
-    for i, a in enumerate(components):
-        for b in components[i + 1:]:
-            verify(not mat_mul(a.projector, b.projector, p).any(),
-                   "two idempotents are not orthogonal")
-
-    return _finish_decomposition(components, module)
+    projectors = idempotents[kept]
+    # trace of g on the isotypic equals multiplicity times character value
+    wrong = _class_traces(module, projectors) != mod(np.array(mults)[kept, None] * by_class[kept], p)
+    for comp, classes in zip(components, wrong):
+        verify(not classes.any(), f"{comp.label}: trace on class {classes.argmax()} is not the "
+                                  "multiplicity times the character")
+    verify((mod(projectors.sum(axis=0), p) == identity(module.dim, p)).all(),
+           "the idempotents do not sum to 1")
+    # e_i e_j is e_i for j = i and 0 otherwise: e_i times every e_j side by side
+    columns = projectors.transpose(1, 0, 2).reshape(module.dim, -1)
+    for i, comp in enumerate(components):
+        blocks = mat_mul(comp.projector, columns, p).reshape(module.dim, len(kept), module.dim)
+        verify((blocks[:, i] == comp.projector).all(), f"{comp.label}: e is not idempotent")
+        blocks[:, i] = 0
+        verify(not blocks.any(), "two idempotents are not orthogonal")
+    return components
 
 
 def decompose_module(module: HomologyModule) -> list[IsotypicComponent]:

@@ -18,7 +18,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import verify
-from .linalg import cycle_labels, label_orbits, orbit_labels
+from .linalg import (cycle_labels, dtype_for, eliminate, identity, label_orbits, mat_mul, mod,
+                     orbit_labels, zeros)
+
+# the largest trial divisor factorize tries: the primitive element of
+# F_(7^60), which hosohedron:61 at p = 7 needs, takes divisors up to
+# 6,568,801, the second largest prime factor of 7^60 - 1
+TRIAL_DIVISION_BUDGET = 10**7
 
 
 def is_prime(n: int) -> bool:
@@ -38,16 +44,20 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; {prime: exponent}."""
+    """Prime factorization by trial division; {prime: exponent}.  A ValueError
+    once the trial divisors would pass TRIAL_DIVISION_BUDGET."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}: it is not a positive integer")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
+    d, whole = 2, n
+    while d * d <= n and d <= TRIAL_DIVISION_BUDGET:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
+    if d * d <= n:
+        raise ValueError(f"factoring {whole} needs trial divisors past the budget of "
+                         f"{TRIAL_DIVISION_BUDGET}")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -88,14 +98,6 @@ def poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def poly_sub(a, b, p=None):
-    n = max(len(a), len(b))
-    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    if p is not None:
-        out = [x % p for x in out]
-    return poly_trim(out)
 
 
 def poly_mul(a, b, p=None):
@@ -155,17 +157,6 @@ def poly_gcd(a, b, p):
         inv = pow(a[-1], -1, p)
         a = [x * inv % p for x in a]
     return a
-
-
-def poly_pow_mod(base, exp: int, mod, p):
-    result = [1]
-    base = poly_mod(base, mod, p)
-    while exp:
-        if exp & 1:
-            result = poly_mod(poly_mul(result, base, p), mod, p)
-        base = poly_mod(poly_mul(base, base, p), mod, p)
-        exp >>= 1
-    return result
 
 
 def poly_str(coeffs) -> str:
@@ -298,13 +289,147 @@ def coset_orbits(n: int, p: int) -> list[CosetOrbit]:
 
 # ---------------------------------------------------------------------------
 # extension fields
+#
+# A residue modulo a monic f of degree e is a little-endian coefficient row
+# of length e; stacks of residues are (..., m, e) arrays.  The product of a
+# and b is their polynomial product, the rows x^i b weighted by a_i and
+# summed, reduced by one product with the table of x^k mod f for
+# k < 2e - 1.  A stack of C moduli has a stack of tables, (C, 2e - 1, e),
+# and then its residues are (C, m, e): m residues for each modulus.
+
+# the searches for the first irreducible and the first primitive element
+# test candidates in blocks of doubling size, up to the size whose largest
+# stack holds this many entries
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _reduction_table(lower: np.ndarray, p: int) -> np.ndarray:
+    """x^k mod f for k < 2e - 1, row k, for f = x^e + lower; lower is (e,)
+    or a stack (C, e) of moduli, and the table (2e - 1, e) or (C, 2e - 1, e)."""
+    e = lower.shape[-1]
+    table = zeros(lower.shape[:-1] + (2 * e - 1, e), p)
+    table[..., :e, :] = identity(e, p)
+    minus = mod(-lower, p)
+    for k in range(e, 2 * e - 1):
+        # x^k = x * x^(k-1), its top coefficient folded back by x^e = -lower
+        prev = table[..., k - 1, :]
+        table[..., k, 1:] = prev[..., :-1]
+        table[..., k, :] = mod(table[..., k, :] + prev[..., -1:] * minus, p)
+    return table
+
+
+def _shifts(b: np.ndarray, p: int) -> np.ndarray:
+    """(..., e, 2e - 1): row i is x^i b before reduction."""
+    e = b.shape[-1]
+    spread = zeros(b.shape[:-1] + (e, 2 * e), p)
+    spread[..., :e] = b[..., None, :]
+    # rows of length 2e read with stride 2e - 1 shift row i right by i
+    return spread.reshape(b.shape[:-1] + (2 * e * e,))[..., : e * (2 * e - 1)].reshape(
+        b.shape[:-1] + (e, 2 * e - 1))
+
+
+def _mul(a: np.ndarray, b: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise products of two stacks of residues, broadcast."""
+    poly = (a[..., :, None] * _shifts(b, p)).sum(axis=-2)
+    return mat_mul(mod(poly, p), table, p)
+
+
+def _squares(a: np.ndarray, count: int, table: np.ndarray, p: int) -> np.ndarray:
+    """a, a^2, a^4, ..., a^(2^(count-1)) along the residue axis of a (..., 1, e)."""
+    out = [a]
+    for _ in range(count - 1):
+        out.append(_mul(out[-1], out[-1], table, p))
+    return np.concatenate(out, axis=-2)
+
+
+def _power(squares: np.ndarray, k: int, table: np.ndarray, p: int) -> np.ndarray:
+    """a^k, (..., 1, e), from the squares of a (..., count, e), k < 2^count:
+    the squares at the set bits of k, multiplied pairwise."""
+    chosen = squares[..., [j for j in range(k.bit_length()) if k >> j & 1], :]
+    if not k:
+        chosen = zeros(squares.shape[:-2] + (1, squares.shape[-1]), p)
+        chosen[..., 0] = 1
+    while chosen.shape[-2] > 1:
+        half = chosen.shape[-2] // 2
+        paired = _mul(chosen[..., :half, :], chosen[..., half:2 * half, :], table, p)
+        chosen = np.concatenate([paired, chosen[..., 2 * half:, :]], axis=-2)
+    return chosen
+
+
+def _pow(a: np.ndarray, k: int, table: np.ndarray, p: int) -> np.ndarray:
+    """a^k for every residue of a (..., 1, e)."""
+    return _power(_squares(a, max(k.bit_length(), 1), table, p), k, table, p)
+
+
+def _powers(a: np.ndarray, count: int, table: np.ndarray, p: int) -> np.ndarray:
+    """a^0, ..., a^(count-1) along the residue axis of a (..., 1, e), by
+    doubling: the first m powers times a^m are the next m."""
+    e = table.shape[-1]
+    out = zeros(a.shape[:-2] + (count, e), p)
+    out[..., 0, 0] = 1
+    m, base = 1, a
+    while m < count:
+        take = min(m, count - m)
+        out[..., m:m + take, :] = _mul(out[..., :take, :], base, table, p)
+        m *= 2
+        if m < count:
+            base = _mul(base, base, table, p)
+    return out
+
+
+def _counter_residues(counters: range, p: int, e: int) -> np.ndarray:
+    """(len(counters), 1, e): the residues whose little-endian base-p digits
+    are the counters."""
+    places = np.array([p**i for i in range(e)], dtype=object)
+    return mod(np.array(counters, dtype=object)[:, None] // places, p).astype(dtype_for(p))[:, None]
+
+
+def _blocks(start: int, stop: int, size: int, entries: int):
+    """Consecutive ranges covering [start, stop), of doubling size from the
+    given one up to the size at which candidates of the given entries fill
+    _BLOCK_ENTRIES."""
+    cap = max(1, _BLOCK_ENTRIES // entries)
+    size = min(size, cap)
+    while start < stop:
+        yield range(start, min(start + size, stop))
+        start += size
+        size = min(2 * size, cap)
+
+
+def _irreducible(lower: np.ndarray, p: int) -> np.ndarray:
+    """Ben-Or's test on each monic f = x^e + lower of a stack (C, e): f is
+    irreducible iff it shares no factor with x^(p^k) - x for k <= e/2, since
+    a reducible f has an irreducible factor of degree at most e/2 and
+    x^(p^k) - x is the product of the monic irreducibles whose degree
+    divides k.  Each x^(p^k) mod f is the p-th power of the one before, and
+    g shares a factor with f iff multiplication by g mod f, the matrix whose
+    rows are x^i g mod f, is singular.  A modulus found reducible leaves the
+    stack."""
+    count, e = lower.shape
+    table = _reduction_table(lower, p)
+    x = zeros((count, 1, e), p)
+    x[:, 0, 1] = 1
+    alive = np.arange(count)
+    xpk = x
+    for _ in range(e // 2):
+        xpk = _pow(xpk, p, table, p)
+        times = mat_mul(_shifts(mod(xpk - x[:1], p), p)[:, 0], table, p)
+        keep = (eliminate(times, p) < e).all(axis=1)
+        alive, table, xpk = alive[keep], table[keep], xpk[keep]
+        if not len(alive):
+            break
+    irreducible = np.zeros(count, dtype=bool)
+    irreducible[alive] = True
+    return irreducible
+
 
 class ExtField:
     """F_{p^e} as residues modulo a deterministically chosen irreducible.
 
     The defining polynomial is the first monic irreducible of degree e in
     the little-endian counter order of its lower coefficients.  Elements are
-    coefficient tuples of length e.
+    coefficient tuples of length e; the arithmetic behind them runs on
+    stacks, through one reduction table.
     """
 
     def __init__(self, p: int, e: int):
@@ -314,30 +439,18 @@ class ExtField:
         self.e = e
         self.defining = self._first_irreducible()
         self.order = p**e
-
-    def _is_irreducible(self, f) -> bool:
-        """Ben-Or's test: a monic f of degree e is irreducible iff it shares
-        no factor with x^(p^k) - x for k <= e/2, since a reducible f has an
-        irreducible factor of degree at most e/2 and x^(p^k) - x is the
-        product of the monic irreducibles whose degree divides k.  Each
-        x^(p^k) mod f is the p-th power of the one before."""
-        p, e = self.p, self.e
-        xpk = [0, 1]
-        for _ in range(e // 2):
-            xpk = poly_pow_mod(xpk, p, f, p)
-            if poly_gcd(poly_sub(xpk, [0, 1], p), f, p) != [1]:
-                return False
-        return True
+        self._table = _reduction_table(np.array(self.defining[:e], dtype=dtype_for(p)), p)
 
     def _first_irreducible(self):
         p, e = self.p, self.e
         if e == 1:
             return [0, 1]
-        for counter in range(p**e):
-            lower = [(counter // p**i) % p for i in range(e)]
-            f = lower + [1]
-            if self._is_irreducible(f):
-                return f
+        # about one monic polynomial of degree e in e is irreducible
+        for block in _blocks(0, p**e, 8 * e, 4 * e**2):
+            lower = _counter_residues(block, p, e)[:, 0]
+            found = _irreducible(lower, p)
+            if found.any():
+                return lower[found.argmax()].tolist() + [1]
         raise AssertionError("no irreducible polynomial found")
 
     def element(self, coeffs) -> tuple[int, ...]:
@@ -345,41 +458,45 @@ class ExtField:
         c = c[: self.e] + [0] * (self.e - len(c))
         return tuple(c)
 
-    def zero(self) -> tuple[int, ...]:
-        return self.element([])
-
     def one(self) -> tuple[int, ...]:
         return self.element([1])
 
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+    def _array(self, a) -> np.ndarray:
+        return np.array(a, dtype=dtype_for(self.p))[None]
 
     def mul(self, a, b):
-        prod = poly_mod(poly_mul(list(a), list(b), self.p), self.defining, self.p)
-        return self.element(prod)
+        return tuple(_mul(self._array(a), self._array(b), self._table, self.p)[0].tolist())
 
     def pow(self, a, k: int):
-        result = self.one()
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return tuple(_pow(self._array(a), k, self._table, self.p)[0].tolist())
 
-    def in_prime_field(self, a) -> bool:
-        return not any(a[1:])
+    def powers(self, a, count: int) -> np.ndarray:
+        """The (count, e) array of a^0, ..., a^(count-1)."""
+        return _powers(self._array(a), count, self._table, self.p)
 
     def primitive_element(self) -> tuple[int, ...]:
-        """First element (in counter order) of multiplicative order p^e - 1."""
+        """First element (in counter order) of multiplicative order p^e - 1.
+
+        The candidates go in blocks.  Each block squares its candidates
+        once; then each prime divisor q of p^e - 1 in turn drops the
+        candidates whose (p^e - 1)/q-th power, a product of those squares,
+        is 1."""
         n = self.order - 1
-        prime_divisors = list(factorize(n))
+        prime_divisors = sorted(factorize(n))
+        one = self._array(self.one())
         # for e >= 2, skip the prime field constants: their orders divide p - 1
-        for counter in range(self.p if self.e >= 2 else 1, self.order):
-            g = self.element([(counter // self.p**i) % self.p for i in range(self.e)])
-            if all(self.pow(g, n // q) != self.one() for q in prime_divisors):
-                return g
+        start = self.p if self.e >= 2 else 1
+        for block in _blocks(start, self.order, 8, n.bit_length() * self.e**2):
+            candidates = _counter_residues(block, self.p, self.e)
+            squares = _squares(candidates, n.bit_length(), self._table, self.p)
+            alive = np.arange(len(candidates))
+            for q in prime_divisors:
+                power = _power(squares[alive], n // q, self._table, self.p)
+                alive = alive[(power != one).any(axis=(1, 2))]
+                if not len(alive):
+                    break
+            if len(alive):
+                return tuple(candidates[alive[0], 0].tolist())
         raise AssertionError("no primitive element found")
 
     def nth_root_of_unity(self, n: int) -> tuple[int, ...]:
@@ -392,18 +509,17 @@ class ExtField:
 
 
 @lru_cache(maxsize=None)
-def root_of_unity(n: int, p: int) -> tuple[ExtField, tuple[tuple[int, ...], ...]]:
-    """The field F_{p^e'}, e' = ord_n(p), and the powers w^0, ..., w^(n-1) of
-    its fixed primitive n-th root of unity w.  The factors of x^n - 1 and the
-    reduction of cyclotomic character values mod p both use this one w, so
-    the labels of the census and of the cyclotomic report agree."""
+def root_of_unity(n: int, p: int) -> tuple[ExtField, np.ndarray]:
+    """The field F_{p^e'}, e' = ord_n(p), and the (n, e') array of the powers
+    w^0, ..., w^(n-1) of its fixed primitive n-th root of unity w, read-only.
+    The factors of x^n - 1 and the reduction of cyclotomic character values
+    mod p both use this one w, so the labels of the census and of the
+    cyclotomic report agree."""
     verify(is_prime(p) and math.gcd(n, p) == 1, f"no {n}-th roots of unity over F_{p}")
     field = ExtField(p, multiplicative_order(p, n))
-    w = field.nth_root_of_unity(n)
-    powers = [field.one()]
-    for _ in range(n - 1):
-        powers.append(field.mul(powers[-1], w))
-    return field, tuple(powers)
+    powers = field.powers(field.nth_root_of_unity(n), n)
+    powers.flags.writeable = False
+    return field, powers
 
 
 def factor_xn_minus_1(n: int, p: int) -> list[tuple[CosetOrbit, list[int]]]:
@@ -416,18 +532,14 @@ def factor_xn_minus_1(n: int, p: int) -> list[tuple[CosetOrbit, list[int]]]:
     field, w_powers = root_of_unity(n, p)
     out = []
     for orbit in frobenius_orbits(n, p):
-        # polynomial over the extension field, little-endian
-        poly = [field.one()]
+        # polynomial over the extension field, one coefficient row per degree
+        poly = field._array(field.one())
         for i in orbit.members:
-            root = w_powers[i]
-            shifted = [field.zero()] + poly
-            poly = [
-                field.sub(shifted[j], field.mul(root, poly[j]) if j < len(poly) else field.zero())
-                for j in range(len(shifted))
-            ]
-        verify(all(field.in_prime_field(c) for c in poly),
-               f"the factor of the orbit of {orbit.least} leaves F_{p}")
-        coeffs = [c[0] for c in poly]
+            shifted = np.concatenate([zeros((1, field.e), p), poly])
+            shifted[:-1] -= _mul(poly, w_powers[i], field._table, p)
+            poly = mod(shifted, p)
+        verify(not poly[:, 1:].any(), f"the factor of the orbit of {orbit.least} leaves F_{p}")
+        coeffs = poly[:, 0].tolist()
         verify(coeffs[-1] == 1 and len(coeffs) == orbit.size + 1,
                f"the factor of the orbit of {orbit.least} is not monic of degree {orbit.size}")
         out.append((orbit, coeffs))

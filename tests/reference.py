@@ -10,7 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from platocover.chartab import column_of_class
+from platocover.chartab import CycValue, column_of_class
+from platocover.gf import root_of_unity
 from platocover.homology import HomologyModule, Subspace
 from platocover.lattice import CoveringDescriptor, Lattice
 from platocover.linalg import as_matrix, dtype_for, mat_mul, rref, zeros
@@ -257,6 +258,32 @@ def verify_orthogonality(table) -> None:
             value = total.as_integer()
             expected = order if i == j else 0
             assert value == expected, (table.name, i, j, value)
+
+
+def cyc_value_mod_p(value: CycValue, p: int):
+    """Image in F_p of a value in Z[zeta_n] with zeta sent to the w of
+    gf.root_of_unity, coefficient by coefficient, or None when the image
+    lies outside the prime field."""
+    field, powers = root_of_unity(value.n, p)
+    image = [0] * field.e
+    for c, w in zip(value.coeffs, powers.tolist()):
+        if c:
+            for i, x in enumerate(w):
+                image[i] += c * x
+    if any(x % p for x in image[1:]):
+        return None
+    return image[0] % p
+
+
+def summed_values_mod_p(table, rows, p: int) -> list:
+    """The summed characters of the given table rows per column, each sum
+    folded value by value and reduced on its own; None where a value does
+    not reduce into F_p."""
+    out = []
+    for col in range(table.n_cols):
+        total = sum((table.rows[r][col] for r in rows[1:]), table.rows[rows[0]][col])
+        out.append(cyc_value_mod_p(total, p) if isinstance(total, CycValue) else total.mod_p(p))
+    return out
 
 
 def permutation_character(group: GroupData, branch_class: str) -> list[int]:

@@ -68,6 +68,9 @@ def test_cyclotomic_report(capsys):
     code, out, _ = run(["cyclotomic", "--n", "95", "--prime", "7"], capsys)
     assert code == 0
     assert out.strip().endswith("nu = 7, coverings = 127")
+    # the factors are listed and labelled through w, so the report pins it
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "552c05ac280a1ed56e861ad9c92f9905724c8740c284dfc44f722f9ef4554862")
 
 
 def test_exit_code_modular(capsys):
@@ -96,6 +99,14 @@ def test_exit_code_bad_map(capsys):
 def test_exit_code_missing_args(capsys):
     code, _, err = run(["classify"], capsys)
     assert code == 2
+
+
+def test_exit_code_factorization_budget(capsys):
+    # F_(5^96) needs the prime factors of 5^96 - 1, two of which lie past
+    # the trial-division budget: rejected, not left to run for hours
+    code, _, err = run(["classify", "--map", "hosohedron:97", "--prime", "5"], capsys)
+    assert code == 2
+    assert "trial divisors past the budget of 10000000" in err
 
 
 def test_exit_code_internal_failure(capsys, monkeypatch):

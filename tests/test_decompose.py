@@ -12,10 +12,14 @@ from platocover.chartab import (
     QuadValue,
     dihedral_generators,
     dihedral_table,
+    match_classes,
+    p_power_orbits,
+    table_for_group,
 )
 from platocover.decompose import (
     decompose_idempotent,
     decompose_module,
+    _class_values_mod_p,
     _endo_field,
     _hom_space,
     _restrictions,
@@ -26,7 +30,7 @@ from platocover.gf import coset_orbits, factor_xn_minus_1, poly_mul
 from platocover.homology import Subspace, build_homology
 from platocover.linalg import identity, mat_mul, rref, zeros
 from platocover.maps import build_group, build_map, family
-from reference import intersect, left_kernel, named_submodules
+from reference import intersect, left_kernel, named_submodules, summed_values_mod_p
 
 
 def module_for(tag, branch, p, param=None):
@@ -268,6 +272,29 @@ def test_dihedral_backend_matches_idempotents():
         for c in comps
     ]
     assert key(from_generated) == key(from_hand)
+
+
+@pytest.mark.parametrize("tag, param", [
+    *(("hosohedron", n) for n in range(3, 13)), ("hosohedron", 19), ("hosohedron", 95),
+    ("tetrahedron", None), ("cube", None), ("dodecahedron", None),
+])
+def test_class_values_match_the_per_value_reduction(tag, param):
+    # every p-power orbit, whose sums lie in F_p, and every single row,
+    # whose values need not, against sums folded value by value and reduced
+    # one by one
+    group = build_group(build_map(family(tag, param)))
+    table = table_for_group(group)
+    matching = match_classes(table, group)
+    for p in (3, 5, 7, 11, 13):
+        if group.order % p == 0:
+            continue
+        orbits = p_power_orbits(table, group, matching, p) + [(r,) for r in range(len(table.rows))]
+        values, in_prime_field = _class_values_mod_p(table, orbits, p)
+        for rows, got, valued in zip(orbits, values.tolist(), in_prime_field):
+            expected = summed_values_mod_p(table, rows, p)
+            assert valued == (None not in expected)
+            if valued:
+                assert got == expected
 
 
 def _poly_at(coeffs, A, p):

@@ -15,6 +15,7 @@ from platocover.gf import (
     coset_orbits,
     cyclotomic_polynomial,
     factor_xn_minus_1,
+    factorize,
     frobenius_orbits,
     is_prime,
     multiplicative_order,
@@ -24,6 +25,7 @@ from platocover.gf import (
     poly_str,
     poly_trim,
     primitive_root,
+    root_of_unity,
     sqrt_mod_p,
 )
 from reference import walked_orbits
@@ -257,6 +259,34 @@ class TestExtField:
         first = sum(c * p**i for i, c in enumerate(defining[:e]))
         for counter in range(first):
             assert not irreducible([(counter // p**i) % p for i in range(e)] + [1])
+
+
+@pytest.mark.parametrize("n, p, defining, primitive, w", [
+    (95, 7, [2, 1, 1] + [0] * 9 + [1], (1, 1) + (0,) * 10, (3, 2, 3, 1, 5, 6, 2, 6, 4, 3, 1, 2)),
+    (19, 7, [2, 0, 0, 1], (1, 3, 0), (3, 5, 4)),
+    (95, 13, [2] + [0] * 35 + [1], (0, 1, 1) + (0,) * 33,
+     (9, 5, 10, 5, 0, 0, 1, 5, 9, 10, 2, 9, 1, 4, 0, 5, 9, 5, 12, 0, 8, 6, 6, 0, 5, 10, 11, 4, 8,
+      10, 0, 10, 0, 8, 12, 11)),
+])
+def test_canonical_root_is_pinned(n, p, defining, primitive, w):
+    # the xi labels of the census and the cyclotomic report follow w, so
+    # however the field computes, it must find this defining polynomial,
+    # primitive element and root
+    field, powers = root_of_unity(n, p)
+    assert field.defining == defining
+    assert field.primitive_element() == primitive
+    assert tuple(powers[1].tolist()) == w
+    assert powers.shape == (n, len(w)) and powers[0].tolist() == [1] + [0] * (len(w) - 1)
+    assert all(field.mul(powers[i].tolist(), w) == tuple(powers[i + 1].tolist()) for i in range(n - 1))
+
+
+def test_factorize_reaches_the_factors_of_the_largest_field_in_scope():
+    # hosohedron:61 at p = 7 needs F_(7^60); trial division must get past
+    # 6,568,801 to leave the prime 555,915,824,341
+    factors = factorize(7**60 - 1)
+    assert max(factors) == 555915824341 and 6568801 in factors
+    assert math.prod(q**k for q, k in factors.items()) == 7**60 - 1
+    assert all(is_prime(q) for q in factors if q < 10**8)
 
 
 class TestFactorXnMinus1:

@@ -9,6 +9,8 @@ dtype=object path at 2^31 - 1, which is past the int64 bound, so its arrays
 hold Python ints.
 """
 
+import ast
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -151,8 +153,10 @@ def test_mat_mul_at_the_float_bound(k, fill):
         stacked = mat_mul(a, b, EDGE)
     assert spy.call_args.args[0].dtype == (np.float64 if k == 8 else np.int64)
     assert stacked.tolist() == (python_product(a, b) % EDGE).tolist()
-    # a right factor shared by the whole stack, and a gather of its columns
+    # a right factor shared by the whole stack, a single matrix, and a gather
+    # of columns
     assert mat_mul(a, b[1], EDGE).tolist() == (python_product(a, b[1]) % EDGE).tolist()
+    assert mat_mul(a[0], b[1], EDGE).tolist() == (python_product(a[0], b[1]) % EDGE).tolist()
     picked = mat_mul(a, b, EDGE, columns=[3, 0])
     assert picked.tolist() == (python_product(a, b[:, :, [3, 0]]) % EDGE).tolist()
 
@@ -693,3 +697,53 @@ def test_labels_are_int32_and_leave_their_inputs_unchanged(dtype):
     assert labels.tolist() == union_find_labels([p.tolist() for p in perms], 700)
     for perm, copy in zip(perms, copies):
         assert perm.dtype == copy.dtype and np.array_equal(perm, copy)
+
+
+
+_PRODUCTS = {"matmul", "einsum", "tensordot", "dot", "convolve"}
+
+
+def _product_sites(path: Path) -> list[str]:
+    """The products a module takes outside linalg: the numpy product
+    functions, by attribute or by import, and the @ operator, except
+    oracle._linear_permutation's digits times their place values, which is
+    an integer index and not a product over F_p."""
+    tree = ast.parse(path.read_text())
+    exempt = {id(node) for func in ast.walk(tree)
+              if path.name == "oracle.py" and getattr(func, "name", None) == "_linear_permutation"
+              for node in ast.walk(func)
+              if isinstance(node, ast.BinOp) and getattr(node.right, "id", None) == "powers"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _PRODUCTS:
+            kind = node.attr
+        elif isinstance(node, ast.ImportFrom) and _PRODUCTS & {alias.name for alias in node.names}:
+            kind = "import"
+        elif (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+              and id(node) not in exempt):
+            kind = "@"
+        else:
+            continue
+        found.append(f"{path.name}:{node.lineno} {kind}")
+    return found
+
+
+def test_every_product_goes_through_linalg():
+    # linalg._product is the one product over F_p, so its dtype bounds and
+    # its float64 path hold for every caller
+    src = Path(linalg.__file__).parent
+    assert [site for path in sorted(src.glob("*.py")) if path.name != "linalg.py"
+            for site in _product_sites(path)] == []
+
+
+def test_the_product_rule_sees_every_kind_of_product(tmp_path):
+    probe = tmp_path / "oracle.py"
+    probe.write_text("import numpy as np\n"
+                     "from numpy import dot\n"
+                     "def _linear_permutation(a, b, powers):\n"
+                     "    a @= b\n"
+                     "    return (np.matmul(a, b) + np.einsum('ij,jk', a, b) + a.dot(b)\n"
+                     "            + np.convolve(a, b) + np.tensordot(a, b) + a @ b + a @ powers)\n")
+    kinds = [site.split()[1] for site in _product_sites(probe)]
+    assert sorted(kinds) == sorted(["import", "@", "matmul", "einsum", "dot", "convolve",
+                                    "tensordot", "@"])
