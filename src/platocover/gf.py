@@ -292,10 +292,10 @@ def coset_orbits(n: int, p: int) -> list[CosetOrbit]:
 #
 # A residue modulo a monic f of degree e is a little-endian coefficient row
 # of length e; stacks of residues are (..., m, e) arrays.  The product of a
-# and b is their polynomial product, the rows x^i b weighted by a_i and
-# summed, reduced by one product with the table of x^k mod f for
-# k < 2e - 1.  A stack of C moduli has a stack of tables, (C, 2e - 1, e),
-# and then its residues are (C, m, e): m residues for each modulus.
+# and b is two products through linalg: a times the rows x^i b is their
+# polynomial product, which the table of x^k mod f for k < 2e - 1 reduces.
+# A stack of C moduli has a stack of tables, (C, 2e - 1, e), and then its
+# residues are (C, m, e): m residues for each modulus.
 
 # the searches for the first irreducible and the first primitive element
 # test candidates in blocks of doubling size, up to the size whose largest
@@ -330,8 +330,7 @@ def _shifts(b: np.ndarray, p: int) -> np.ndarray:
 
 def _mul(a: np.ndarray, b: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
     """Elementwise products of two stacks of residues, broadcast."""
-    poly = (a[..., :, None] * _shifts(b, p)).sum(axis=-2)
-    return mat_mul(mod(poly, p), table, p)
+    return mat_mul(mat_mul(a[..., None, :], _shifts(b, p), p)[..., 0, :], table, p)
 
 
 def _squares(a: np.ndarray, count: int, table: np.ndarray, p: int) -> np.ndarray:
@@ -345,10 +344,11 @@ def _squares(a: np.ndarray, count: int, table: np.ndarray, p: int) -> np.ndarray
 def _power(squares: np.ndarray, k: int, table: np.ndarray, p: int) -> np.ndarray:
     """a^k, (..., 1, e), from the squares of a (..., count, e), k < 2^count:
     the squares at the set bits of k, multiplied pairwise."""
-    chosen = squares[..., [j for j in range(k.bit_length()) if k >> j & 1], :]
     if not k:
-        chosen = zeros(squares.shape[:-2] + (1, squares.shape[-1]), p)
-        chosen[..., 0] = 1
+        one = zeros(squares.shape[:-2] + (1, squares.shape[-1]), p)
+        one[..., 0] = 1
+        return one
+    chosen = squares[..., [j for j in range(k.bit_length()) if k >> j & 1], :]
     while chosen.shape[-2] > 1:
         half = chosen.shape[-2] // 2
         paired = _mul(chosen[..., :half, :], chosen[..., half:2 * half, :], table, p)
