@@ -121,7 +121,9 @@ def _class_values_mod_p(table: CharacterTable, orbits, p: int):
     sums = np.stack([coeffs[index[list(rows)]].sum(axis=0) for rows in orbits])
     images = mat_mul(as_matrix(sums.reshape(-1, n), p), powers, p)
     images = images.reshape(len(orbits), table.n_cols, field.e)
-    return images[..., 0], ~images[..., 1:].any(axis=(1, 2))
+    # compared before reducing: .any() of a dtype=object array may hand back
+    # an entry rather than a bool on older numpy
+    return images[..., 0], ~(images[..., 1:] != 0).any(axis=(1, 2))
 
 
 def _idempotents(module: HomologyModule, values_by_class: np.ndarray, degrees) -> np.ndarray:

@@ -105,20 +105,16 @@ def _product(a: np.ndarray, b: np.ndarray, p: int, columns=None) -> np.ndarray:
             or min(a.ndim, b.ndim) < 2 or min(a.shape[-2], m) < 2):
         return np.matmul(a, b if columns is None else b[..., columns])
     if a.ndim == b.ndim == 2:
-        # single matrices: chunks of the rows of a against one copy of b
-        right = (b if columns is None else b[:, columns]).astype(np.float64)
-        step = max(1, _FLOAT_CHUNK // (k + m))
-        if a.shape[0] <= step:
-            return np.matmul(a.astype(np.float64), right).astype(np.int64)
+        # single matrices: chunks of the rows of a against one copy of b,
+        # without the stack bookkeeping
         out = np.empty((a.shape[0], m), dtype=np.int64)
-        for start in range(0, a.shape[0], step):
-            out[start:start + step] = np.matmul(a[start:start + step].astype(np.float64), right)
-        return out
-    batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    out = np.empty(batch + (a.shape[-2], m), dtype=np.int64)
-    a = a.reshape((1,) * (out.ndim - a.ndim) + a.shape)
-    b = b.reshape((1,) * (out.ndim - b.ndim) + b.shape)
-    split_a, split_b = a.shape[0] > 1, b.shape[0] > 1
+        split_a, split_b = True, False
+    else:
+        batch = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        out = np.empty(batch + (a.shape[-2], m), dtype=np.int64)
+        a = a.reshape((1,) * (out.ndim - a.ndim) + a.shape)
+        b = b.reshape((1,) * (out.ndim - b.ndim) + b.shape)
+        split_a, split_b = a.shape[0] > 1, b.shape[0] > 1
 
     def part_b(x):
         return (x if columns is None else x[..., columns]).astype(np.float64)

@@ -290,11 +290,29 @@ def test_class_values_match_the_per_value_reduction(tag, param):
             continue
         orbits = p_power_orbits(table, group, matching, p) + [(r,) for r in range(len(table.rows))]
         values, in_prime_field = _class_values_mod_p(table, orbits, p)
-        for rows, got, valued in zip(orbits, values.tolist(), in_prime_field):
-            expected = summed_values_mod_p(table, rows, p)
-            assert valued == (None not in expected)
-            if valued:
-                assert got == expected
+        _assert_class_values(table, orbits, p)
+
+
+@pytest.mark.parametrize("p", [33554509, 33554473])
+def test_class_values_match_past_the_int64_bound(p):
+    # primes past linalg.dtype_for's int64 bound, where the images are
+    # Python ints: D_5 reads its values in F_(p^2) at 33554509 and in
+    # F_(p^4) at 33554473
+    group = build_group(build_map(family("hosohedron", 5)))
+    table = table_for_group(group)
+    orbits = (p_power_orbits(table, group, match_classes(table, group), p)
+              + [(r,) for r in range(len(table.rows))])
+    _assert_class_values(table, orbits, p)
+
+
+def _assert_class_values(table, orbits, p):
+    values, in_prime_field = _class_values_mod_p(table, orbits, p)
+    assert in_prime_field.dtype == bool
+    for rows, got, valued in zip(orbits, values.tolist(), in_prime_field.tolist()):
+        expected = summed_values_mod_p(table, rows, p)
+        assert valued is (None not in expected)
+        if valued:
+            assert got == expected
 
 
 def _poly_at(coeffs, A, p):
