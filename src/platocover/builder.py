@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import verify
 from .homology import HomologyModule, Subspace
-from .linalg import Labeller, reduce_rows, rref, zeros
+from .linalg import Labeller, mod, reduce_rows, rref, zeros
 from .maps import DartMap
 
 # the most darts a derived map may have for euler_verify to build it
@@ -29,18 +29,6 @@ class VoltageAssignment:
     c: int
     beta: np.ndarray  # (n_darts, c), with beta[alpha[d]] = -beta[d]
     monodromy: np.ndarray  # (F, c), image of each face's puncture class in K
-
-
-def _k_projection(module: HomologyModule, L: Subspace):
-    """Coordinates on K = Q/L: residue against L's echelon basis, restricted
-    to the non-pivot positions."""
-    free = [j for j in range(module.dim) if j not in L.pivots]
-
-    def project(vec) -> np.ndarray:
-        residue = reduce_rows(L.basis, L.pivots, vec, module.p)
-        return residue[0, free]
-
-    return free, project
 
 
 def _spanning_tree_edges(dm: DartMap) -> set[int]:
@@ -70,42 +58,34 @@ def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
     dm = group.map
     p = module.p
     c = module.dim - L.dim
-    free, project = _k_projection(module, L)
 
     tree = _spanning_tree_edges(dm)
     cotree = [e for e in range(dm.E) if e not in tree]
     verify(len(cotree) == dm.F - 1, f"{len(cotree)} cotree edges on a sphere with {dm.F} faces, not F - 1")
 
-    unknown_of = {e: i for i, e in enumerate(cotree)}
-    rows = zeros((dm.F, len(cotree)), p)
-    rhs = zeros((dm.F, c), p)
-    for f in range(dm.F):
-        rhs[f] = project(module.projection[f])
-        for d in dm.face_orbits[f]:
-            e = dm.edge_of[d]
-            if e not in unknown_of:
-                continue
-            sign = 1 if d == dm.edge_dart[e] else -1
-            rows[f, unknown_of[e]] = (rows[f, unknown_of[e]] + sign) % p
+    # face f's equation sums the edge values along its boundary, each dart
+    # d the value of its edge with sign +1 where d is the edge's first dart
+    faces = np.array(dm.face_orbits)
+    edge_of = np.array(dm.edge_of)
+    sign = np.where(np.array(dm.edge_dart)[edge_of] == np.arange(dm.n_darts), 1, -1)
+    rows = zeros((dm.F, dm.E), p)
+    np.add.at(rows, (np.arange(dm.F)[:, None], edge_of[faces]), sign[faces])
+    # the right-hand sides: each face's puncture class in K = Q/L, its
+    # residue against L on the non-pivot coordinates
+    free = np.setdiff1d(np.arange(module.dim), L.pivots)
+    rhs = reduce_rows(L.basis, L.pivots, module.projection, p)[:, free]
 
     # the sphere makes the F-1 retained equations independent; the dropped
     # one is forced because the monodromies sum to zero
-    aug = np.concatenate([rows, rhs], axis=1)
-    reduced, pivots = rref(aug, p)
+    reduced, pivots = rref(np.concatenate([rows[:, cotree], rhs], axis=1), p)
     verify(pivots == list(range(len(cotree))), "voltage system must be uniquely solvable")
-    solution = reduced[:, len(cotree):]
 
     beta = zeros((dm.n_darts, c), p)
-    for e, i in unknown_of.items():
-        rep = dm.edge_dart[e]
-        beta[rep] = solution[i]
-        beta[dm.alpha[rep]] = (-solution[i]) % p
-
-    for f in range(dm.F):
-        total = zeros((c,), p)
-        for d in dm.face_orbits[f]:
-            total = (total + beta[d]) % p
-        verify(total.tolist() == rhs[f].tolist(), f"voltages around face {f} miss its monodromy")
+    reps = np.array(dm.edge_dart)[cotree]
+    beta[reps] = reduced[:, len(cotree):]
+    beta[np.array(dm.alpha)[reps]] = mod(-beta[reps], p)
+    verify(np.array_equal(mod(beta[faces].sum(axis=1), p), rhs),
+           "the voltages around a face miss its monodromy")
 
     return VoltageAssignment(dart_map=dm, p=p, c=c, beta=beta, monodromy=rhs)
 

@@ -14,12 +14,13 @@ the same w that labels the factors of x^n - 1; ``decompose`` reduces the
 summed coefficient rows of a dihedral table, whose entries are one shared
 value object per distinct value, with one product.
 
-Class-matching conventions.  The two algebraically conjugate classes of A4
-(3-cycles) and A5 (5-cycles) cannot be told apart by size and element order;
-the class containing the designated generator (z when its order matches the
-ambiguous order, else x) is matched to the first of the two table columns.
-Dihedral columns are matched through explicit powers of the designated
-rotation a and flip b.
+Class matching.  Every column names one element of its class by a word in
+the generators (``col_words``): a list of factors (generator, exponent),
+multiplied left to right, where the generator is y or an element order, read
+as z when z has that order and x otherwise.  So the paper's conventions are
+table data: A4's "3" is z and "3'" is z^2, A5's "5" and "5'" are the order-5
+generator and its square, and D_n's columns are the powers of its order-n
+rotation a, the other generator b, of order 2, and ba.
 """
 
 from __future__ import annotations
@@ -108,12 +109,6 @@ class CycValue:
     def integer(c: int, n: int) -> "CycValue":
         return CycValue(n, (c,) + (0,) * (n - 1))
 
-    @staticmethod
-    def zeta_power(k: int, n: int) -> "CycValue":
-        coeffs = [0] * n
-        coeffs[k % n] = 1
-        return CycValue(n, tuple(coeffs))
-
     def _check_order(self, other: "CycValue") -> None:
         if self.n != other.n:
             raise ValueError(f"values in Q(zeta_{self.n}) and Q(zeta_{other.n}) do not combine")
@@ -163,13 +158,12 @@ class CycValue:
 @dataclass
 class CharacterTable:
     name: str
-    kind: str  # "signature" or "dihedral"
     col_labels: list[str]
     col_sizes: list[int]
     col_orders: list[int]
+    col_words: list[list[tuple[str | int, int]]]  # an element of each column's class
     row_names: list[str]
     rows: list[list]
-    col_spec: list | None = None  # dihedral only: ("rot", k) / ("refl", parity)
 
     @property
     def n_cols(self) -> int:
@@ -196,10 +190,10 @@ def table_A4() -> CharacterTable:
     d = -3
     return CharacterTable(
         name="A4",
-        kind="signature",
         col_labels=["1", "2^2", "3", "3'"],
         col_sizes=[1, 3, 4, 4],
         col_orders=[1, 2, 3, 3],
+        col_words=[[], [("y", 1)], [(3, 1)], [(3, 2)]],
         row_names=["chi1", "chi2", "chi3", "chi4"],
         rows=[
             [_q(1, d), _q(1, d), _q(1, d), _q(1, d)],
@@ -213,10 +207,10 @@ def table_A4() -> CharacterTable:
 def table_S4() -> CharacterTable:
     return CharacterTable(
         name="S4",
-        kind="signature",
         col_labels=["1", "2", "2^2", "3", "4"],
         col_sizes=[1, 6, 3, 8, 6],
         col_orders=[1, 2, 2, 3, 4],
+        col_words=[[], [("y", 1)], [(4, 2)], [(3, 1)], [(4, 1)]],
         row_names=["chi1", "chi2", "chi3", "chi4", "chi5"],
         rows=[
             [_q(1), _q(1), _q(1), _q(1), _q(1)],
@@ -232,10 +226,10 @@ def table_A5() -> CharacterTable:
     d = 5
     return CharacterTable(
         name="A5",
-        kind="signature",
         col_labels=["1", "2^2", "3", "5", "5'"],
         col_sizes=[1, 15, 20, 12, 12],
         col_orders=[1, 2, 3, 5, 5],
+        col_words=[[], [("y", 1)], [(3, 1)], [(5, 1)], [(5, 2)]],
         row_names=["chi1", "chi2", "chi3", "chi4", "chi5"],
         rows=[
             [_q(1, d), _q(1, d), _q(1, d), _q(1, d), _q(1, d)],
@@ -263,67 +257,33 @@ def dihedral_table(n: int) -> CharacterTable:
         coeffs[-r % n] += 1
         alpha.append(CycValue(n, tuple(coeffs)))
 
-    spec: list = [("rot", 0)]
-    labels, sizes, orders = ["1"], [1], [1]
-    half = n // 2
-    for k in range(1, (n + 1) // 2):
-        spec.append(("rot", k))
-        labels.append(f"r{k}")
-        sizes.append(2)
-        orders.append(n // math.gcd(k, n))
-    if n % 2 == 0:
-        spec.append(("rot", half))
-        labels.append(f"r{half}")
-        sizes.append(1)
-        orders.append(2)
-    if n % 2 == 1:
-        spec.append(("refl", 0))
-        labels.append("f")
-        sizes.append(n)
-        orders.append(2)
-    else:
-        spec.append(("refl", 0))
-        spec.append(("refl", 1))
-        labels.extend(["f", "f'"])
-        sizes.extend([half, half])
-        orders.extend([2, 2])
+    # the rotations a^k for k <= n/2, then the flips: b, and for even n ba,
+    # the other class
+    rot = range(n // 2 + 1)
+    flips = [[(2, 1)]] if n % 2 else [[(2, 1)], [(2, 1), (n, 1)]]
 
-    rows: list[list] = []
-    row_names: list[str] = []
-
-    def build_row(rot_value, refl_values):
-        row = []
-        for tag in spec:
-            if tag[0] == "rot":
-                row.append(rot_value(tag[1]))
-            else:
-                row.append(refl_values[tag[1]])
-        return row
+    def row(rot_value, flip_values):
+        return [rot_value(k) for k in rot] + [cint[v] for v in flip_values[:len(flips)]]
 
     # rows in the order of the least exponent k of the eigenvalues zeta^k of
     # the rotation: chi1, chi2 (k = 0), xi1, xi2, ..., chi3, chi4 (k = n/2)
-    row_names.append("chi1")
-    rows.append(build_row(lambda j: cint[1], [cint[1], cint[1]]))
-    row_names.append("chi2")
-    rows.append(build_row(lambda j: cint[1], [cint[-1], cint[-1]]))
-    for k in range(1, (n + 1) // 2 if n % 2 else half):
-        row_names.append(f"xi{k}")
-        rows.append(build_row(lambda j, k=k: alpha[j * k % n], [cint[0], cint[0]]))
+    row_names = ["chi1", "chi2"]
+    rows = [row(lambda k: cint[1], [1, 1]), row(lambda k: cint[1], [-1, -1])]
+    for j in range(1, (n + 1) // 2):
+        row_names.append(f"xi{j}")
+        rows.append(row(lambda k, j=j: alpha[j * k % n], [0, 0]))
     if n % 2 == 0:
-        row_names.append("chi3")
-        rows.append(build_row(lambda j: cint[(-1) ** j], [cint[1], cint[-1]]))
-        row_names.append("chi4")
-        rows.append(build_row(lambda j: cint[(-1) ** j], [cint[-1], cint[1]]))
+        row_names += ["chi3", "chi4"]
+        rows += [row(lambda k: cint[(-1) ** k], [1, -1]), row(lambda k: cint[(-1) ** k], [-1, 1])]
 
     return CharacterTable(
         name=f"D{n}",
-        kind="dihedral",
-        col_labels=labels,
-        col_sizes=sizes,
-        col_orders=orders,
+        col_labels=["1"] + [f"r{k}" for k in rot[1:]] + ["f", "f'"][:len(flips)],
+        col_sizes=[1 if 2 * k % n == 0 else 2 for k in rot] + [n // len(flips)] * len(flips),
+        col_orders=[n // math.gcd(k, n) for k in rot] + [2] * len(flips),
+        col_words=[[(n, k)] for k in rot] + flips,
         row_names=row_names,
         rows=rows,
-        col_spec=spec,
     )
 
 
@@ -338,66 +298,31 @@ def table_for_group(group: GroupData) -> CharacterTable:
     return dihedral_table(group.map.family.param)
 
 
-def dihedral_generators(group: GroupData) -> tuple[int, int]:
-    """(a, b) with a the designated order-n rotation among {x, z} and b the
-    other, an order-2 flip outside <a>."""
-    n = group.map.family.param
-    ox = group.element_order(group.gen_x)
-    if ox == n:
-        a, b = group.gen_x, group.gen_z
-    else:
-        a, b = group.gen_z, group.gen_x
-    verify(group.element_order(a) == n and group.element_order(b) == 2,
-           f"the dihedral generators do not have orders {n} and 2")
-    verify(b not in set(group.cyclic(a)), "the dihedral flip lies in the rotation subgroup")
-    return a, b
+def _element(group: GroupData, word) -> int:
+    """The element a column word names: its factors gen^k multiplied left
+    to right, gen y, or the generator of that order, z when it has it and
+    x otherwise."""
+    out = 0
+    for gen, k in word:
+        if gen == "y":
+            g = group.gen_y
+        elif group.element_order(group.gen_z) == gen:
+            g = group.gen_z
+        else:
+            g = group.gen_x
+        out = group.mult(out, group.power(g, k))
+    return out
 
 
 def match_classes(table: CharacterTable, group: GroupData) -> list[int]:
-    """Group class index for each table column."""
-    if table.kind == "dihedral":
-        a, b = dihedral_generators(group)
-        out = []
-        for tag in table.col_spec:
-            if tag[0] == "rot":
-                out.append(int(group.class_of[group.power(a, tag[1])]))
-            elif tag[1] == 0:
-                out.append(int(group.class_of[b]))
-            else:
-                out.append(int(group.class_of[group.mult(b, a)]))
-        verify(sorted(out) == list(range(len(group.classes))),
-               "the dihedral columns do not match the classes one to one")
-        verify(all(group.classes[cid].size == table.col_sizes[col] for col, cid in enumerate(out)),
-               "a dihedral column and its class differ in size")
-        return out
-
-    sig_cols: dict[tuple[int, int], list[int]] = {}
-    for col in range(table.n_cols):
-        sig_cols.setdefault((table.col_sizes[col], table.col_orders[col]), []).append(col)
-    sig_classes: dict[tuple[int, int], list[int]] = {}
-    for cid, cls in enumerate(group.classes):
-        sig_classes.setdefault((cls.size, cls.rep_order), []).append(cid)
-    verify({k: len(v) for k, v in sig_cols.items()} == {k: len(v) for k, v in sig_classes.items()},
-           "table does not fit this group")
-
-    out = [-1] * table.n_cols
-    for sig, cols in sig_cols.items():
-        classes = sig_classes[sig]
-        if len(cols) == 1:
-            out[cols[0]] = classes[0]
-            continue
-        verify(len(cols) == 2, "only algebraically conjugate pairs expected")
-        order = sig[1]
-        if group.element_order(group.gen_z) == order:
-            designated = group.gen_z
-        else:
-            designated = group.gen_x
-        verify(group.element_order(designated) == order,
-               f"no generator has order {order} to fix a conjugate pair")
-        plus = int(group.class_of[designated])
-        verify(plus in classes, "the designated generator's class has the wrong signature")
-        out[cols[0]] = plus
-        out[cols[1]] = classes[1] if classes[0] == plus else classes[0]
+    """Group class index for each table column: the class of the element
+    its word names."""
+    out = [int(group.class_of[_element(group, word)]) for word in table.col_words]
+    verify(sorted(out) == list(range(len(group.classes))),
+           f"the columns of {table.name} do not match the classes one to one")
+    verify(all((group.classes[cid].size, group.classes[cid].rep_order)
+               == (table.col_sizes[col], table.col_orders[col]) for col, cid in enumerate(out)),
+           f"a column of {table.name} and its class differ in size or element order")
     return out
 
 

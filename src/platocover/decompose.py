@@ -58,7 +58,8 @@ from .chartab import CharacterTable, match_classes, table_for_group
 from .errors import VerificationError, verify
 from .homology import HomologyModule, Subspace
 from .gf import root_of_unity
-from .linalg import as_matrix, echelon, eliminate, identity, mat_mul, mod, rref
+from .linalg import (as_matrix, echelon, eliminate, identity, label_orbits, mat_mul, mod,
+                     orbit_labels, rref)
 from .maps import GroupData
 
 
@@ -404,12 +405,10 @@ def _seed_vectors(comp: IsotypicComponent, module: HomologyModule):
         yield comp.punctures[offset]
     for bc, offset in zip(module.branch_classes, offsets):
         perms = group.class_perms(bc)
-        count = perms.shape[1]
-        gens = perms[[group.gen_x, group.gen_z]].tolist()
         seen = set()
-        for other in range(1, count):
-            blocks = _minimal_blocks(gens, count, 0, other)
-            key = tuple(sorted(blocks))
+        for other in range(1, perms.shape[1]):
+            blocks = _minimal_blocks(group, perms, other)
+            key = tuple(blocks)
             if key in seen or len(blocks) == 1:
                 continue
             seen.add(key)
@@ -417,26 +416,18 @@ def _seed_vectors(comp: IsotypicComponent, module: HomologyModule):
                 yield comp.punctures[[offset + i for i in block]].sum(axis=0) % module.p
 
 
-def _minimal_blocks(gens, count: int, i: int, j: int) -> list[tuple[int, ...]]:
-    """Finest G-invariant partition with i and j in one class."""
-    parent = list(range(count))
+def _minimal_blocks(group: GroupData, perms: np.ndarray, j: int) -> list[tuple[int, ...]]:
+    """The finest G-invariant partition of the points of perms, a (|G|,
+    count) action, with 0 and j in one block, its blocks in order of their
+    least point.
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    stack = [(i, j)]
-    while stack:
-        x, y = stack.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        parent[ry] = rx
-        for g in gens:
-            stack.append((g[x], g[y]))
-    classes: dict[int, list[int]] = {}
-    for x in range(count):
-        classes.setdefault(find(x), []).append(x)
-    return [tuple(sorted(v)) for v in classes.values()]
+    The block of 0 is its orbit under K = <G_0, g>, for any g taking 0 to j,
+    and K is that block's setwise stabilizer (Dixon and Mortimer,
+    "Permutation Groups", Theorem 1.5A).  So the elements taking 0 into one
+    block form one orbit of left multiplication by K, h -> k*h, which is the
+    column dart_perms[:, k], and each point takes the label of that orbit."""
+    image = perms[:, 0]
+    movers = np.flatnonzero(image == 0).tolist() + [int(np.argmax(image == j))]
+    labels = np.empty(perms.shape[1], dtype=np.intp)
+    labels[image] = orbit_labels(group.dart_perms[:, movers].T)
+    return sorted(label_orbits(labels))

@@ -27,19 +27,35 @@ from .linalg import (cycle_labels, dtype_for, eliminate, identity, label_orbits,
 TRIAL_DIVISION_BUDGET = 10**7
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below the
+# least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division."""
+    """Deterministic Miller-Rabin; a ValueError from _PRIME_BOUND on."""
+    if n >= _PRIME_BOUND:
+        raise ValueError(f"{n} is past {_PRIME_BOUND}, the bound of the primality test")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -143,20 +159,6 @@ def poly_divmod(a, b, p=None):
                 if p is not None:
                     rem[i + j] %= p
     return poly_trim(quot), poly_trim(rem)
-
-
-def poly_mod(a, b, p):
-    return poly_divmod(a, b, p)[1]
-
-
-def poly_gcd(a, b, p):
-    a, b = poly_trim([x % p for x in a]), poly_trim([x % p for x in b])
-    while b:
-        a, b = b, poly_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [x * inv % p for x in a]
-    return a
 
 
 def poly_str(coeffs) -> str:
@@ -431,11 +433,24 @@ class ExtField:
         self._table = _reduction_table(np.array(self.defining[:e], dtype=dtype_for(p)), p)
 
     def _first_irreducible(self):
+        """The first x^e + c with 0 < c < p that Lidl and Niederreiter's
+        Theorem 3.75 proves irreducible: every prime r dividing e divides
+        p - 1 and -c is not an r-th power, and p = 1 mod 4 if 4 divides e.
+        Without one, the counter order's binomials x^e + c all come first
+        and are all reducible, so Ben-Or's test runs from counter p on."""
         p, e = self.p, self.e
         if e == 1:
             return [0, 1]
+        primes = list(factorize(e))
+        if all((p - 1) % r == 0 for r in primes) and (e % 4 or p % 4 == 1):
+            for c in range(1, p):
+                if all(pow(-c, (p - 1) // r, p) != 1 for r in primes):
+                    lower = [c] + [0] * (e - 1)
+                    verify(_irreducible(np.array([lower], dtype=dtype_for(p)), p)[0],
+                           f"x^{e} + {c} is reducible over F_{p}")
+                    return lower + [1]
         # about one monic polynomial of degree e in e is irreducible
-        for start in range(0, p**e, _IRREDUCIBLE_BLOCK):
+        for start in range(p, p**e, _IRREDUCIBLE_BLOCK):
             lower = _counter_residues(range(start, min(start + _IRREDUCIBLE_BLOCK, p**e)), p, e)
             found = _irreducible(lower, p)
             if found.any():
@@ -452,9 +467,6 @@ class ExtField:
 
     def _array(self, a) -> np.ndarray:
         return np.array(a, dtype=dtype_for(self.p))[None]
-
-    def mul(self, a, b):
-        return tuple(_mul(self._array(a), self._array(b), self._table, self.p)[0].tolist())
 
     def pow(self, a, k: int):
         return tuple(_pow(self._array(a), k, self._table, self.p)[0].tolist())

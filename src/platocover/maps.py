@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import verify
-from .linalg import joint_orbit_count, label_orbits, orbit_labels
+from .linalg import cycle_labels, joint_orbit_count, label_orbits, orbit_labels
 
 # Counterclockwise vertex rotations viewed from outside the solid, computed
 # once from coordinate models and frozen.
@@ -135,28 +135,26 @@ class DartMap:
         return self.family.m
 
 
-def _orbits_of(step, n_darts: int) -> list[tuple[int, ...]]:
-    seen = [False] * n_darts
-    out = []
-    for d in range(n_darts):
-        if seen[d]:
-            continue
-        orbit = [d]
-        seen[d] = True
-        e = step(d)
-        while e != d:
-            orbit.append(e)
-            seen[e] = True
-            e = step(e)
-        out.append(tuple(orbit))
-    return out
+def _cycles(perm: list[int], length: int, message: str) -> tuple[np.ndarray, np.ndarray]:
+    """(index, walks): the index of each dart's cycle, cycles in order of
+    their least dart (linalg.cycle_labels), and each cycle walked along perm
+    from that dart, one row of the given length per cycle.  That every
+    cycle closes after exactly that many steps is verified, with the given
+    message."""
+    perm = np.asarray(perm, dtype=np.intp)
+    labels = cycle_labels(perm)
+    least = np.flatnonzero(labels == np.arange(len(perm)))
+    walks = [least]
+    for _ in range(length - 1):
+        walks.append(perm[walks[-1]])
+    verify(len(least) * length == len(perm) and (perm[walks[-1]] == least).all(), message)
+    return np.searchsorted(least, labels), np.stack(walks, axis=1)
 
 
 def build_map(fam: MapFamily) -> DartMap:
     if fam.tag in SOLID_TYPES:
         rot = ROTATIONS[fam.tag]
         m = fam.m
-        n_darts = len(rot) * m
         sigma = [v * m + (s + 1) % m for v in range(len(rot)) for s in range(m)]
         alpha = []
         for v in range(len(rot)):
@@ -167,7 +165,6 @@ def build_map(fam: MapFamily) -> DartMap:
         # two poles joined by param edges; alpha pairs slot j of pole 0 with
         # slot param-1-j of pole 1 so both rotations are counterclockwise
         k = fam.param
-        n_darts = 2 * k
         sigma = [(j + 1) % k for j in range(k)] + [k + (j + 1) % k for j in range(k)]
         alpha = [k + (k - 1 - j) for j in range(k)] + [k - 1 - j for j in range(k)]
     elif fam.tag == "dihedron":
@@ -185,44 +182,25 @@ def build_map(fam: MapFamily) -> DartMap:
     else:
         raise ValueError(f"unknown map family {fam.tag!r}")
 
-    verify(all(alpha[alpha[d]] == d and alpha[d] != d for d in range(n_darts)),
-           "alpha is not a fixed-point-free involution")
-
-    vertex_orbits = _orbits_of(lambda d: sigma[d], n_darts)
-    edge_orbits = _orbits_of(lambda d: alpha[d], n_darts)
-    face_orbits = _orbits_of(lambda d: sigma[alpha[d]], n_darts)
-
-    def labels(orbits):
-        of = [0] * n_darts
-        rep = []
-        for i, orbit in enumerate(orbits):
-            rep.append(orbit[0])
-            for d in orbit:
-                of[d] = i
-        return tuple(of), tuple(rep)
-
-    vertex_of, vertex_dart = labels(vertex_orbits)
-    edge_of, edge_dart = labels(edge_orbits)
-    face_of, face_dart = labels(face_orbits)
-
-    V, E, F = len(vertex_orbits), len(edge_orbits), len(face_orbits)
-    verify(V - E + F == 2, "not a sphere")
-    verify(all(len(o) == fam.m for o in vertex_orbits), f"a vertex does not have degree {fam.m}")
-    verify(all(len(o) == fam.n for o in face_orbits), f"a face does not have {fam.n} sides")
+    vertex_of, vertex_orbits = _cycles(sigma, fam.m, f"a vertex does not have degree {fam.m}")
+    edge_of, edges = _cycles(alpha, 2, "alpha is not a fixed-point-free involution")
+    face_of, face_orbits = _cycles(np.asarray(sigma)[alpha], fam.n,
+                                   f"a face does not have {fam.n} sides")
+    verify(len(vertex_orbits) - len(edges) + len(face_orbits) == 2, "not a sphere")
     verify(joint_orbit_count(np.asarray(sigma), np.asarray(alpha)) == 1, "the map is not connected")
 
     return DartMap(
         family=fam,
         sigma=tuple(sigma),
         alpha=tuple(alpha),
-        vertex_of=vertex_of,
-        edge_of=edge_of,
-        face_of=face_of,
-        vertex_dart=vertex_dart,
-        edge_dart=edge_dart,
-        face_dart=face_dart,
-        vertex_orbits=tuple(vertex_orbits),
-        face_orbits=tuple(face_orbits),
+        vertex_of=tuple(vertex_of.tolist()),
+        edge_of=tuple(edge_of.tolist()),
+        face_of=tuple(face_of.tolist()),
+        vertex_dart=tuple(vertex_orbits[:, 0].tolist()),
+        edge_dart=tuple(edges[:, 0].tolist()),
+        face_dart=tuple(face_orbits[:, 0].tolist()),
+        vertex_orbits=tuple(map(tuple, vertex_orbits.tolist())),
+        face_orbits=tuple(map(tuple, face_orbits.tolist())),
     )
 
 

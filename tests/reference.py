@@ -19,6 +19,12 @@ from platocover.maps import DartMap, GroupData
 
 BRANCH_CLASSES = ("vertices", "edges", "faces")
 
+# (tag, parameter) of the maps the group-layer references run on: the five
+# solids and the hosohedra and dihedra with 3 to 40 and 95 sides
+GROUP_LAYER_MAPS = [(tag, None) for tag in ("tetrahedron", "cube", "octahedron", "dodecahedron",
+                                            "icosahedron")] + [
+    (tag, n) for tag in ("hosohedron", "dihedron") for n in (*range(3, 41), 95)]
+
 
 # ---------------------------------------------------------------------------
 # kernels and intersections
@@ -241,6 +247,111 @@ def walked_p_power_orbits(table, group: GroupData, matching: list[int], p: int):
         if orbit:
             orbits.append(tuple(sorted(orbit)))
     return orbits
+
+
+# ---------------------------------------------------------------------------
+# block systems and class matching as the library once computed them
+
+
+def union_find_blocks(gens, count: int, i: int, j: int) -> list[tuple[int, ...]]:
+    """The finest partition of range(count) invariant under the given
+    permutation lists with i and j in one class, by union-find: each merged
+    pair pushes its images under every generator.  Blocks sorted, in order
+    of their least point."""
+    parent = list(range(count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    stack = [(i, j)]
+    while stack:
+        x, y = stack.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        parent[ry] = rx
+        for g in gens:
+            stack.append((g[x], g[y]))
+    classes: dict[int, list[int]] = {}
+    for x in range(count):
+        classes.setdefault(find(x), []).append(x)
+    return [tuple(sorted(v)) for v in classes.values()]
+
+
+def orbital_graph_components(perms, j: int) -> list[tuple[int, ...]]:
+    """The components of the orbital graph with edges {g(0), g(j)} for every
+    row g of the (|G|, count) action perms, which are the blocks of the
+    finest block system joining 0 and j; sorted, in order of least point."""
+    count = perms.shape[1]
+    adjacent = [[] for _ in range(count)]
+    for a, b in zip(perms[:, 0].tolist(), perms[:, j].tolist()):
+        adjacent[a].append(b)
+        adjacent[b].append(a)
+    seen = [False] * count
+    out = []
+    for start in range(count):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members, stack = [], [start]
+        while stack:
+            r = stack.pop()
+            members.append(r)
+            for s in adjacent[r]:
+                if not seen[s]:
+                    seen[s] = True
+                    stack.append(s)
+        out.append(tuple(sorted(members)))
+    return out
+
+
+def dihedral_generators(group: GroupData) -> tuple[int, int]:
+    """(a, b) with a the order-n rotation among {x, z} and b the other, an
+    order-2 flip outside <a>."""
+    n = group.map.family.param
+    a, b = (group.gen_x, group.gen_z) if group.element_order(group.gen_x) == n else (
+        group.gen_z, group.gen_x)
+    assert group.element_order(a) == n and group.element_order(b) == 2
+    assert b not in set(group.cyclic(a))
+    return a, b
+
+
+def signature_matching(table, group: GroupData) -> list[int]:
+    """Group class index for each table column by the rules the column words
+    replaced.  Dihedral columns 1, r_k, f and f' are a^0, a^k, b and ba.
+    Other columns go to the class of the same size and element order, and
+    of an algebraically conjugate pair of columns the first goes to the
+    class of the designated generator, z when it has the pair's order and x
+    otherwise."""
+    if table.name.startswith("D"):
+        a, b = dihedral_generators(group)
+        named = {"f": b, "f'": group.mult(b, a)}
+        return [int(group.class_of[named[label] if label in named
+                                   else group.power(a, int(label[1:] or 0))])
+                for label in table.col_labels]
+    sig_cols: dict[tuple[int, int], list[int]] = {}
+    for col in range(table.n_cols):
+        sig_cols.setdefault((table.col_sizes[col], table.col_orders[col]), []).append(col)
+    sig_classes: dict[tuple[int, int], list[int]] = {}
+    for cid, cls in enumerate(group.classes):
+        sig_classes.setdefault((cls.size, cls.rep_order), []).append(cid)
+    assert {k: len(v) for k, v in sig_cols.items()} == {k: len(v) for k, v in sig_classes.items()}
+    out = [-1] * table.n_cols
+    for (size, order), cols in sig_cols.items():
+        classes = sig_classes[size, order]
+        if len(cols) == 1:
+            out[cols[0]] = classes[0]
+            continue
+        assert len(cols) == 2
+        designated = group.gen_z if group.element_order(group.gen_z) == order else group.gen_x
+        plus = int(group.class_of[designated])
+        assert plus in classes
+        out[cols[0]] = plus
+        out[cols[1]] = classes[1] if classes[0] == plus else classes[0]
+    return out
 
 
 # ---------------------------------------------------------------------------

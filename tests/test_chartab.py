@@ -1,5 +1,6 @@
 """Character table and permutation character tests."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from platocover.chartab import (
     CycValue,
     QuadValue,
-    dihedral_generators,
     dihedral_table,
     homology_character,
     match_classes,
@@ -18,10 +18,14 @@ from platocover.chartab import (
     table_S4,
     table_for_group,
 )
+from platocover.errors import VerificationError
 from platocover.maps import build_group, build_map, family, stabilizer_H
 from reference import (
+    GROUP_LAYER_MAPS,
+    dihedral_generators,
     multiplicity_by_inner_product,
     permutation_character,
+    signature_matching,
     verify_orthogonality,
     walked_p_power_orbits,
 )
@@ -52,11 +56,12 @@ class TestValues:
     def test_cyc_value(self):
         # zeta_5 + zeta_5^4 + zeta_5^2 + zeta_5^3 = -1
         n = 5
-        total = CycValue.zeta_power(1, n)
+        zeta = [CycValue(n, tuple(int(i == k) for i in range(n))) for k in range(n)]
+        total = zeta[1]
         for k in (2, 3, 4):
-            total = total + CycValue.zeta_power(k, n)
+            total = total + zeta[k]
         assert total.as_integer() == -1
-        assert CycValue.zeta_power(1, n).as_integer() is None
+        assert zeta[1].as_integer() is None
         assert CycValue.integer(7, n).as_integer() == 7
 
 
@@ -107,6 +112,25 @@ class TestMatching:
         a, b = dihedral_generators(g)
         assert g.element_order(a) == 7 and g.element_order(b) == 2
         match_classes(dihedral_table(7), g)
+
+
+    def test_column_words_match_the_signature_rule(self):
+        # one word per column against matching by size and element order,
+        # the conjugate pairs by the designated generator, and the dihedral
+        # columns by the powers of a and the flips b and ba
+        for spec in GROUP_LAYER_MAPS:
+            g = group_for(*spec)
+            table = table_for_group(g)
+            assert match_classes(table, g) == signature_matching(table, g), spec
+
+    @pytest.mark.parametrize("words, message", [
+        ([[], [(3, 1)], [("y", 1)], [(3, 2)]], "differ in size or element order"),
+        ([[], [("y", 1)], [(3, 1)], [(3, 1)]], "one to one"),
+    ])
+    def test_words_that_miss_their_classes_raise(self, words, message):
+        table = dataclasses.replace(table_A4(), col_words=words)
+        with pytest.raises(VerificationError, match=message):
+            match_classes(table, group_for("tetrahedron"))
 
 
 def decompose(tag, branch_class, param=None):
@@ -219,6 +243,6 @@ def test_values_of_different_fields_do_not_combine():
             op(root2, root3)
     for op in (CycValue.__add__, CycValue.__mul__):
         with pytest.raises(ValueError, match="do not combine"):
-            op(CycValue.zeta_power(1, 5), CycValue.zeta_power(1, 7))
+            op(CycValue(5, (0, 1, 0, 0, 0)), CycValue(7, (0, 1, 0, 0, 0, 0, 0)))
     with pytest.raises(ValueError, match="D_2"):
         dihedral_table(2)

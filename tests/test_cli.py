@@ -109,6 +109,25 @@ def test_exit_code_factorization_budget(capsys):
     assert "trial divisors past the budget of 10000000" in err
 
 
+def test_large_primes_are_proved_prime(capsys):
+    # 2^61 - 1 by Miller-Rabin: the tetrahedron's covering is computed, and
+    # the icosahedron stops at the field cap, both at once
+    start = time.perf_counter()
+    code, out, _ = run(["classify", "--map", "tetrahedron", "--prime", "2305843009213693951"], capsys)
+    assert code == 0
+    assert out.strip().splitlines()[-1].startswith("1 coverings, 1 regular")
+    code, _, err = run(["classify", "--map", "icosahedron", "--prime", "2305843009213693951"], capsys)
+    assert code == 2
+    assert "exceeds the enumeration cap of 16384" in err
+    assert time.perf_counter() - start < 10
+
+
+def test_exit_code_prime_past_the_primality_bound(capsys):
+    code, _, err = run(["classify", "--map", "tetrahedron", "--prime", str(10**25 + 13)], capsys)
+    assert code == 2
+    assert "bound of the primality test" in err
+
+
 def test_exit_code_internal_failure(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise AssertionError("forced")

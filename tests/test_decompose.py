@@ -10,7 +10,6 @@ import pytest
 from platocover.chartab import (
     CharacterTable,
     QuadValue,
-    dihedral_generators,
     dihedral_table,
     match_classes,
     p_power_orbits,
@@ -22,6 +21,7 @@ from platocover.decompose import (
     _class_values_mod_p,
     _endo_field,
     _hom_space,
+    _minimal_blocks,
     _restrictions,
     _verify_decomposition,
 )
@@ -30,7 +30,9 @@ from platocover.gf import coset_orbits, factor_xn_minus_1, poly_mul
 from platocover.homology import Subspace, build_homology
 from platocover.linalg import identity, mat_mul, rref, zeros
 from platocover.maps import build_group, build_map, family
-from reference import intersect, left_kernel, named_submodules, summed_values_mod_p
+from reference import (GROUP_LAYER_MAPS, dihedral_generators, intersect, left_kernel,
+                       named_submodules, orbital_graph_components, summed_values_mod_p,
+                       union_find_blocks)
 
 
 def module_for(tag, branch, p, param=None):
@@ -242,21 +244,35 @@ def test_adapted_hom_basis_uses_central_element():
     assert c.hom_basis[1].tolist() == expected.tolist()
 
 
+def test_minimal_blocks_are_the_orbital_graph_components():
+    # the finest block system joining points 0 and j, from the orbits of
+    # left multiplication by <G_0, g>, against the components of the
+    # orbital graph {g(0), g(j)} and a union-find closing {0, j} under x and z
+    for spec in GROUP_LAYER_MAPS:
+        group = build_group(build_map(family(*spec)))
+        for bc in ("vertices", "edges", "faces"):
+            perms = group.class_perms(bc)
+            gens = perms[[group.gen_x, group.gen_z]].tolist()
+            for j in range(1, perms.shape[1]):
+                blocks = _minimal_blocks(group, perms, j)
+                assert blocks == orbital_graph_components(perms, j), (spec, bc, j)
+                assert blocks == union_find_blocks(gens, perms.shape[1], 0, j), (spec, bc, j)
+
+
 def _d3_table() -> CharacterTable:
     q = lambda x: QuadValue(Fraction(x), Fraction(0), 1)
     return CharacterTable(
         name="D3-by-hand",
-        kind="dihedral",
         col_labels=("e", "a", "b"),
         col_sizes=(1, 2, 3),
         col_orders=(1, 3, 2),
+        col_words=([], [(3, 1)], [(2, 1)]),
         row_names=("chi1", "chi2", "xi1"),
         rows=(
             (q(1), q(1), q(1)),
             (q(1), q(1), q(-1)),
             (q(2), q(-1), q(0)),
         ),
-        col_spec=(("rot", 0), ("rot", 1), ("refl", 0)),
     )
 
 
@@ -293,11 +309,11 @@ def test_class_values_match_the_per_value_reduction(tag, param):
         _assert_class_values(table, orbits, p)
 
 
-@pytest.mark.parametrize("p", [33554509, 33554473])
+@pytest.mark.parametrize("p", [33554509, 33554473, 2**31 - 1])
 def test_class_values_match_past_the_int64_bound(p):
     # primes past linalg.dtype_for's int64 bound, where the images are
     # Python ints: D_5 reads its values in F_(p^2) at 33554509 and in
-    # F_(p^4) at 33554473
+    # F_(p^4) at 33554473 and at 2^31 - 1, where no x^4 + c is irreducible
     group = build_group(build_map(family("hosohedron", 5)))
     table = table_for_group(group)
     orbits = (p_power_orbits(table, group, match_classes(table, group), p)

@@ -6,12 +6,16 @@ degrees from the order of p in (Z/n)^*.
 """
 
 import math
+import time
 
 import pytest
-from sympy import Poly, Symbol
+from sympy import Poly, Symbol, gcd, isprime
 
 from platocover.gf import (
     ExtField,
+    _counter_residues,
+    _irreducible,
+    _mul,
     coset_orbits,
     cyclotomic_polynomial,
     factor_xn_minus_1,
@@ -20,7 +24,6 @@ from platocover.gf import (
     is_prime,
     multiplicative_order,
     poly_divmod,
-    poly_gcd,
     poly_mul,
     poly_str,
     poly_trim,
@@ -31,9 +34,29 @@ from platocover.gf import (
 from reference import walked_orbits
 
 
+def field_mul(f, a, b):
+    """a * b in the field f, by the stacked product gf._mul."""
+    return tuple(_mul(f._array(a), f._array(b), f._table, f.p)[0].tolist())
+
+
 def test_is_prime_small():
     primes = [n for n in range(60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+# Carmichael numbers, and the least strong pseudoprimes to the first k prime
+# bases for k = 1 to 12; the last of these is caught by the 13th base, 41
+PSEUDOPRIMES = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 62745, 825265, 9746347772161,
+                2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                341550071728321, 3825123056546413051, 318665857834031151167461]
+
+
+def test_is_prime_matches_sympy():
+    candidates = [*range(3000), *range(10**9, 10**9 + 300), *PSEUDOPRIMES,
+                  2**31 - 1, 2**61 - 1, (2**31 - 1) * (10**9 + 7), 10**18 + 9, 10**24 + 7,
+                  3317044064679887385961979]
+    for n in candidates:
+        assert is_prime(n) == isprime(n), n
 
 
 def test_primitive_root_is_the_smallest_generator():
@@ -67,11 +90,6 @@ class TestPolynomials:
         assert prod == [1, 0, 0, 0, 1]
         q, r = poly_divmod([1, 0, 0, 0, 1], [1, 3, 1], 7)
         assert r == [] and q == [1, 4, 1]
-
-    def test_gcd(self):
-        # gcd(x^2 - 1, x^2 - 2x + 1) = x - 1 over F_5
-        g = poly_gcd([-1, 0, 1], [1, -2, 1], 5)
-        assert g == [4, 1]
 
     def test_str(self):
         assert poly_str([1, 0, 2, 1]) == "x^3 + 2*x^2 + 1"
@@ -188,7 +206,7 @@ class TestExtField:
         f = ExtField(7, 1)
         assert f.defining == [0, 1]
         a, b = f.element([3]), f.element([5])
-        assert f.mul(a, b) == f.element([1])
+        assert field_mul(f, a, b) == f.element([1])
 
     def test_defining_poly_irreducible(self):
         # first monic irreducible quadratic over F_3 in counter order:
@@ -210,7 +228,7 @@ class TestExtField:
         seen = set()
         x = f.one()
         for _ in range(n):
-            x = f.mul(x, g)
+            x = field_mul(f, x, g)
             seen.add(x)
         assert len(seen) == n
 
@@ -224,7 +242,7 @@ class TestExtField:
         def order(x):
             k, y = 1, x
             while y != f.one():
-                y, k = f.mul(y, x), k + 1
+                y, k = field_mul(f, y, x), k + 1
             return k
 
         first = next(g for g in (f.element([(c // p**i) % p for i in range(e)])
@@ -237,7 +255,7 @@ class TestExtField:
         powers = {w}
         x = w
         for _ in range(4):
-            x = f.mul(x, w)
+            x = field_mul(f, x, w)
             powers.add(x)
         assert len(powers) == 5 and f.one() in powers
 
@@ -261,6 +279,40 @@ class TestExtField:
             assert not irreducible([(counter // p**i) % p for i in range(e)] + [1])
 
 
+def first_irreducible_by_search(p: int, e: int) -> list[int]:
+    """The first monic irreducible of degree e in counter order, by Ben-Or's
+    test on every candidate from counter 0."""
+    for start in range(0, p**e, 64):
+        lower = _counter_residues(range(start, min(start + 64, p**e)), p, e)
+        found = _irreducible(lower, p)
+        if found.any():
+            return lower[found.argmax()].tolist() + [1]
+    raise AssertionError
+
+
+def test_binomials_decided_by_theorem_as_by_search():
+    # Lidl and Niederreiter's Theorem 3.75 decides the p binomials x^e + c
+    # that come first in counter order; the search from counter 0 agrees
+    for p in filter(is_prime, range(2, 44)):
+        for e in range(2, 9):
+            if p**e <= 10**7:
+                assert ExtField(p, e).defining == first_irreducible_by_search(p, e), (p, e)
+
+
+@pytest.mark.parametrize("p, e", [(1000037, 3), (2**31 - 1, 4)])
+def test_fields_without_an_irreducible_binomial(p, e):
+    # 3 does not divide 1000036, and 2^31 - 1 = 3 mod 4 with 4 | e, so no
+    # x^e + c is irreducible and the search runs from x^e + x on
+    start = time.perf_counter()
+    field = ExtField(p, e)
+    assert time.perf_counter() - start < 5
+    x = Symbol("x")
+    assert Poly(field.defining[::-1], x, modulus=p).is_irreducible
+    assert field.defining == [1, 1] + [0] * (e - 2) + [1]
+    assert not Poly([1] + [0] * (e - 2) + [1, 0], x, modulus=p).is_irreducible
+    assert not any(Poly([1] + [0] * (e - 1) + [c], x, modulus=p).is_irreducible for c in range(1, 50))
+
+
 @pytest.mark.parametrize("n, p, defining, primitive, w", [
     (95, 7, [2, 1, 1] + [0] * 9 + [1], (1, 1) + (0,) * 10, (3, 2, 3, 1, 5, 6, 2, 6, 4, 3, 1, 2)),
     (19, 7, [2, 0, 0, 1], (1, 3, 0), (3, 5, 4)),
@@ -277,7 +329,8 @@ def test_canonical_root_is_pinned(n, p, defining, primitive, w):
     assert field.primitive_element() == primitive
     assert tuple(powers[1].tolist()) == w
     assert powers.shape == (n, len(w)) and powers[0].tolist() == [1] + [0] * (len(w) - 1)
-    assert all(field.mul(powers[i].tolist(), w) == tuple(powers[i + 1].tolist()) for i in range(n - 1))
+    assert all(field_mul(field, powers[i].tolist(), w) == tuple(powers[i + 1].tolist())
+               for i in range(n - 1))
 
 
 def test_factorize_reaches_the_factors_of_the_largest_field_in_scope():
@@ -323,7 +376,9 @@ class TestFactorXnMinus1:
         factors = factor_xn_minus_1(12, 7)
         for i in range(len(factors)):
             for j in range(i + 1, len(factors)):
-                assert poly_gcd(factors[i][1], factors[j][1], 7) == [1]
+                x = Symbol("x")
+                f, g = (Poly(factors[k][1][::-1], x, modulus=7) for k in (i, j))
+                assert gcd(f, g) == 1
 
 
 @pytest.mark.parametrize(
@@ -332,6 +387,8 @@ class TestFactorXnMinus1:
         (lambda: multiplicative_order(2, 0), "no multiplicative group modulo 0"),
         (lambda: multiplicative_order(6, 9), "6 is not a unit modulo 9"),
         (lambda: primitive_root(15), "15 is not prime"),
+        # a strong pseudoprime to all 13 bases
+        (lambda: is_prime(3317044064679887385961981), "bound of the primality test"),
         (lambda: poly_divmod([1, 1], [0, 0]), "division by zero polynomial"),
         (lambda: poly_divmod([1, 1], [1, 2]), "needs a monic divisor"),
         (lambda: cyclotomic_polynomial(0), "no 0-th cyclotomic polynomial"),

@@ -10,7 +10,7 @@ import pytest
 
 from platocover import maps
 from platocover.maps import build_group, build_map, family, parse_family, stabilizer_H
-from reference import reference_group
+from reference import GROUP_LAYER_MAPS, reference_group, walked_orbits
 
 COUNTS = {
     "tetrahedron": (4, 6, 4),
@@ -174,6 +174,29 @@ def test_duality_exchanges_vertices_and_faces():
         v1, e1, f1 = profile(pair[0])
         v2, e2, f2 = profile(pair[1])
         assert v1 == f2 and f1 == v2 and e1 == e2
+
+
+def test_cycles_walk_from_their_least_dart():
+    # vertices, edges and faces are the cycles of sigma, alpha and phi, each
+    # numbered in order of its least dart and walked from it, against a
+    # walk from each unvisited dart
+    for spec in GROUP_LAYER_MAPS:
+        dm = build_map(family(*spec))
+        phi = [dm.sigma[a] for a in dm.alpha]
+        for perm, of, first, walks in ((dm.sigma, dm.vertex_of, dm.vertex_dart, dm.vertex_orbits),
+                                       (dm.alpha, dm.edge_of, dm.edge_dart, None),
+                                       (phi, dm.face_of, dm.face_dart, dm.face_orbits)):
+            orbits = walked_orbits(dm.n_darts, [perm.__getitem__])
+            index = {d: i for i, orbit in enumerate(orbits) for d in orbit}
+            assert first == tuple(orbit[0] for orbit in orbits), dm.family.name
+            assert of == tuple(index[d] for d in range(dm.n_darts)), dm.family.name
+            expected = []
+            for d in first:
+                walk = [d]
+                while perm[walk[-1]] != d:
+                    walk.append(perm[walk[-1]])
+                expected.append(tuple(walk))
+            assert walks in (None, tuple(expected)), dm.family.name
 
 
 REFERENCE_FAMILIES = ALL_FAMILIES + [
