@@ -72,7 +72,7 @@ def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
     np.add.at(rows, (np.arange(dm.F)[:, None], edge_of[faces]), sign[faces])
     # the right-hand sides: each face's puncture class in K = Q/L, its
     # residue against L on the non-pivot coordinates
-    free = np.setdiff1d(np.arange(module.dim), L.pivots)
+    free = [j for j in range(module.dim) if j not in L.pivots]
     rhs = reduce_rows(L.basis, L.pivots, module.projection, p)[:, free]
 
     # the sphere makes the F-1 retained equations independent; the dropped

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from platocover.chartab import CycValue, column_of_class
-from platocover.gf import root_of_unity
+from platocover.gf import _counter_residues, _irreducible, root_of_unity
 from platocover.homology import HomologyModule, Subspace
 from platocover.lattice import CoveringDescriptor, Lattice
 from platocover.linalg import as_matrix, dtype_for, mat_mul, rref, zeros
@@ -247,6 +247,21 @@ def walked_p_power_orbits(table, group: GroupData, matching: list[int], p: int):
         if orbit:
             orbits.append(tuple(sorted(orbit)))
     return orbits
+
+
+# ---------------------------------------------------------------------------
+# the first irreducible by search alone
+
+
+def first_irreducible_by_search(p: int, e: int) -> list[int]:
+    """The first monic irreducible of degree e in counter order, by Ben-Or's
+    test on every candidate from counter 0, in blocks of 64."""
+    for start in range(0, p**e, 64):
+        lower = _counter_residues(range(start, min(start + 64, p**e)), p, e)
+        found = _irreducible(lower, p)
+        if found.any():
+            return lower[found.argmax()].tolist() + [1]
+    raise AssertionError(f"no irreducible of degree {e} over F_{p}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ from sympy import Poly, Symbol, gcd, isprime
 
 from platocover.gf import (
     ExtField,
-    _counter_residues,
-    _irreducible,
     _mul,
     coset_orbits,
     cyclotomic_polynomial,
@@ -31,7 +29,7 @@ from platocover.gf import (
     root_of_unity,
     sqrt_mod_p,
 )
-from reference import walked_orbits
+from reference import first_irreducible_by_search, walked_orbits
 
 
 def field_mul(f, a, b):
@@ -277,17 +275,6 @@ class TestExtField:
         first = sum(c * p**i for i, c in enumerate(defining[:e]))
         for counter in range(first):
             assert not irreducible([(counter // p**i) % p for i in range(e)] + [1])
-
-
-def first_irreducible_by_search(p: int, e: int) -> list[int]:
-    """The first monic irreducible of degree e in counter order, by Ben-Or's
-    test on every candidate from counter 0."""
-    for start in range(0, p**e, 64):
-        lower = _counter_residues(range(start, min(start + 64, p**e)), p, e)
-        found = _irreducible(lower, p)
-        if found.any():
-            return lower[found.argmax()].tolist() + [1]
-    raise AssertionError
 
 
 def test_binomials_decided_by_theorem_as_by_search():
