@@ -265,7 +265,7 @@ def first_irreducible_by_search(p: int, e: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# block systems and class matching as the library once computed them
+# block systems and class matching by direct rules
 
 
 def union_find_blocks(gens, count: int, i: int, j: int) -> list[tuple[int, ...]]:
@@ -335,8 +335,8 @@ def dihedral_generators(group: GroupData) -> tuple[int, int]:
 
 
 def signature_matching(table, group: GroupData) -> list[int]:
-    """Group class index for each table column by the rules the column words
-    replaced.  Dihedral columns 1, r_k, f and f' are a^0, a^k, b and ba.
+    """Group class index for each table column without column words.
+    Dihedral columns 1, r_k, f and f' are read by label as a^0, a^k, b and ba.
     Other columns go to the class of the same size and element order, and
     of an algebraically conjugate pair of columns the first goes to the
     class of the designated generator, z when it has the pair's order and x
