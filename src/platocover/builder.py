@@ -90,75 +90,93 @@ def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
     return VoltageAssignment(dart_map=dm, p=p, c=c, beta=beta, monodromy=rhs)
 
 
-def derived_permutations(va: VoltageAssignment):
-    """sigma' and alpha' on the darts (d, k), indexed d * |K| + index(k).
+def _lift(base, voltages, p: int, c: int, out=None) -> np.ndarray:
+    """The derived permutation (d, k) -> (base(d), k + voltages(d)) on the
+    darts d * |K| + index(k), written into out (a new intp array if None);
+    voltages None keeps k.
 
-    index(k + beta(d)) is a sum of one term per digit, ((k_j + beta_j(d))
-    mod p) * p^j, so alpha' is one broadcast sum of c per-digit tables of
-    shape (darts, p), with alpha(d) * |K| folded into the first; each sum
-    but the last builds an array 1/p the size of the next.  sigma' keeps
-    k and is one broadcast sum of sigma(d) * |K| and index(k)."""
-    dm = va.dart_map
-    p, c = va.p, va.c
-    size = p**c
-    n = dm.n_darts
-    sigma = np.asarray(dm.sigma, dtype=np.intp)
-    alpha = np.asarray(dm.alpha, dtype=np.intp)
-    beta = np.asarray(va.beta, dtype=np.intp)
+    index(k + v(d)) is a sum of one term per digit, ((k_j + v_j(d)) mod p)
+    * p^j, so the lift is a broadcast sum of c per-digit (darts, p) tables,
+    base(d) * |K| folded into the first.  The high and the low half of the
+    digits are summed into two tables of about sqrt |K| columns each, most
+    significant digit first, and their one broadcast sum fills out."""
+    n = len(base)
+    if out is None:
+        out = np.empty(n * p**c, dtype=np.intp)
     digits = np.arange(p, dtype=np.intp)
 
-    sigma_big = (sigma[:, None] * size + np.arange(size, dtype=np.intp)).ravel()
-    # the most significant digit first, so the last axis is digit 0 and the
-    # C-order ravel is the index of k
-    alpha_big = alpha * size
-    for j in reversed(range(c)):
-        table = (digits + beta[:, j, None]) % p * p**j
-        alpha_big = alpha_big[..., None] + table.reshape((n,) + (1,) * (c - 1 - j) + (p,))
-    return sigma_big, alpha_big.ravel()
+    def digit_sum(total, js):
+        for j in js:
+            term = digits if voltages is None else (digits + voltages[:, j, None]) % p
+            total = (total[:, :, None] + (term * p**j).reshape(-1, 1, p)).reshape(n, -1)
+        return total
+
+    low = c // 2
+    high_sum = digit_sum(np.asarray(base, dtype=np.intp)[:, None] * p**c, reversed(range(low, c)))
+    low_sum = digit_sum(np.zeros((n, 1), dtype=np.intp), reversed(range(low)))
+    np.add(high_sum[:, :, None], low_sum[:, None, :], out=out.reshape(n, p**(c - low), p**low))
+    return out
 
 
-def euler_verify(va: VoltageAssignment):
+def derived_permutations(va: VoltageAssignment):
+    """sigma' and alpha' on the darts (d, k), indexed d * |K| + index(k):
+    sigma lifted with k kept, alpha lifted by the voltages."""
+    dm = va.dart_map
+    return _lift(dm.sigma, None, va.p, va.c), _lift(dm.alpha, va.beta, va.p, va.c)
+
+
+def euler_buffers(darts: int):
+    """A labeller and an intp permutation buffer on range(darts), for
+    euler_verify calls on derived maps of at most that many darts."""
+    return Labeller(darts), np.empty(darts, dtype=np.intp)
+
+
+def euler_verify(va: VoltageAssignment, work=None):
     """(V', E', F', genus) of the derived map, with the covering counts and
     branching orders verified along the way.
 
     Every count runs on the full derived map.  Vertices, edges and faces are
     the cycles of sigma', alpha' and phi', counted as the darts that are
     their cycle's least point (linalg.Labeller.cycles, whose early stop is
-    exact); a bincount of the face labels gives each face's length at its
-    least dart.  Connectivity is one orbit of <sigma', alpha'>, which is
+    exact).  Connectivity is one orbit of <sigma', alpha'>, which is
     <phi', alpha'> since sigma' = phi' alpha'^-1: the face labels are joined
     along alpha' alone (linalg.Labeller.join), so the hooking starts from
-    one label per face instead of one per dart.  One labeller serves all
-    four counts, and each permutation is consumed as a doubling buffer once
-    nothing else reads it."""
+    one label per face instead of one per dart.
+
+    The counts run in phases through one labeller and one permutation
+    buffer, so one derived permutation is alive at a time.  phi' = sigma'
+    alpha' is alpha's voltages lifted onto sigma alpha, as sigma' carries
+    none; its cycles consume it, and the spent buffer counts each face's
+    length at its least dart.  Then alpha' is lifted into the buffer,
+    joined along and consumed by its cycles, and last sigma'.  work, from
+    euler_buffers, lends its first darts to the call, so a census makes the
+    buffers once for its largest covering; without it the call makes its
+    own."""
     dm = va.dart_map
     p, c = va.p, va.c
     size = p**c
     total = dm.n_darts * size
     if total > DART_BUDGET:
         raise ValueError(f"derived map needs {total} darts, budget {DART_BUDGET}")
+    labeller, perm = work or euler_buffers(total)
+    if perm.size < total:
+        raise ValueError(f"derived map needs {total} darts, buffers hold {perm.size}")
+    labeller, perm = labeller.view(total), perm[:total]
 
-    sigma_big, alpha_big = derived_permutations(va)
-    labeller = Labeller(total)
-
-    # phi' is spent as a doubling buffer and dropped before the bincount,
-    # which reads the face labels from the labeller's intp index buffer; the
-    # labels themselves stay in the labeller for the join
-    phi_big = sigma_big[alpha_big]
-    faces = labeller.index
-    np.copyto(faces, labeller.cycles(phi_big))
-    del phi_big
-    lengths = np.bincount(faces)
-    lengths = lengths[lengths > 0]
-    f_count = int(lengths.size)
-    orbit_count = labeller.count(labeller.join([alpha_big]))
-    v_count = labeller.count(labeller.cycles(sigma_big))
-    e_count = labeller.count(labeller.cycles(alpha_big))
+    phi = np.asarray(dm.sigma)[np.asarray(dm.alpha)]
+    faces = labeller.cycles(_lift(phi, va.beta, p, c, out=perm))
+    f_count = labeller.count(faces)
+    perm.fill(0)
+    np.add.at(perm, faces, 1)
+    lengths_ok = bool((perm[labeller.flags] == dm.n * p).all())
+    orbit_count = labeller.count(labeller.join([_lift(dm.alpha, va.beta, p, c, out=perm)]))
+    e_count = labeller.count(labeller.cycles(perm))
+    v_count = labeller.count(labeller.cycles(_lift(dm.sigma, None, p, c, out=perm)))
 
     verify(v_count == dm.V * size, f"derived map has {v_count} vertices, not {dm.V * size}")
     verify(e_count == dm.E * size, f"derived map has {e_count} edges, not {dm.E * size}")
     verify(f_count * p == dm.F * size, "face fibres must merge in groups of p")
-    verify(bool((lengths == dm.n * p).all()), "every derived face has length n*p")
+    verify(lengths_ok, "every derived face has length n*p")
     verify(orbit_count == 1, "derived map must be connected")
 
     euler = v_count - e_count + f_count

@@ -10,7 +10,7 @@ from importlib import resources
 
 import numpy as np
 
-from .builder import DART_BUDGET, euler_verify, solve_voltages
+from .builder import DART_BUDGET, euler_buffers, euler_verify, solve_voltages
 from .errors import verify
 from .gf import coset_orbits, factor_xn_minus_1, is_prime, poly_str
 from .homology import BRANCH_ORDER, Subspace
@@ -164,14 +164,16 @@ def render_table(cen: Census) -> str:
 
 
 def _euler_cross_check(cen: Census) -> str:
+    darts = [cen.module.group.map.n_darts * cen.p**d.c for d in cen.coverings]
+    # one set of buffers for the census, lent to each recount in turn
+    work = euler_buffers(max((n for n in darts if n <= DART_BUDGET), default=0))
     checked = skipped = 0
-    for d in cen.coverings:
-        darts = cen.module.group.map.n_darts * cen.p**d.c
-        if darts > DART_BUDGET:
+    for d, n in zip(cen.coverings, darts):
+        if n > DART_BUDGET:
             skipped += 1
             continue
         va = solve_voltages(cen.module, d.L)
-        _, _, _, genus = euler_verify(va)
+        _, _, _, genus = euler_verify(va, work)
         verify(genus == d.genus, f"euler genus {genus} != census genus {d.genus}")
         checked += 1
     return f"euler cross-check: {checked} verified, {skipped} skipped (dart budget)"

@@ -130,34 +130,23 @@ def poly_mul(a, b, p=None):
     return poly_trim(out)
 
 
-def poly_divmod(a, b, p=None):
-    """Quotient and remainder.  Over the integers (p=None) the divisor must
-    be monic so the division is exact in Z."""
+def poly_divmod(a, b):
+    """Quotient and remainder over the integers; the divisor must be monic
+    so the division is exact in Z."""
     b = poly_trim(b)
     if not b:
         raise ValueError("division by zero polynomial")
-    if p is None:
-        if b[-1] != 1:
-            raise ValueError("integer polynomial division needs a monic divisor")
-        lead_inv = 1
-    else:
-        lead_inv = pow(b[-1], -1, p)
+    if b[-1] != 1:
+        raise ValueError("integer polynomial division needs a monic divisor")
     rem = list(a)
     if len(rem) < len(b):
         return [], poly_trim(rem)
     quot = [0] * (len(rem) - len(b) + 1)
     for i in range(len(quot) - 1, -1, -1):
-        if len(rem) < len(b) + i:
-            continue
-        coef = rem[len(b) + i - 1] * lead_inv
-        if p is not None:
-            coef %= p
-        quot[i] = coef
+        coef = quot[i] = rem[len(b) + i - 1]
         if coef:
             for j, y in enumerate(b):
                 rem[i + j] -= coef * y
-                if p is not None:
-                    rem[i + j] %= p
     return poly_trim(quot), poly_trim(rem)
 
 

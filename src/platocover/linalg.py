@@ -268,10 +268,11 @@ class Labeller:
     On a million darts a fresh buffer per count re-faults megabytes of
     pages, since large blocks go back to the OS when they are freed, so a
     caller making several counts over the same points (builder.euler_verify)
-    keeps one labeller.  Labels are int32 below 2^31 points; the index
-    buffers are intp, the type np.take gathers through without a converted
-    copy.  The labels a call returns live in the labeller and are
-    overwritten by its next call."""
+    keeps one labeller, and one counting on point sets of several sizes
+    keeps one for the largest and counts on its views.  Labels are int32
+    below 2^31 points; the index buffers are intp, the type np.take gathers
+    through without a converted copy.  The labels a call returns live in
+    the labeller and are overwritten by its next call."""
 
     def __init__(self, n: int):
         self.points = np.arange(n, dtype=_label_dtype(n))
@@ -279,6 +280,14 @@ class Labeller:
         self.buf = np.empty_like(self.points)
         self.flags = np.empty(n, dtype=bool)
         self.index = np.empty(n, dtype=np.intp)
+
+    def view(self, n: int) -> Labeller:
+        """A labeller on range(n) working in the first n entries of these
+        buffers, which it overwrites."""
+        sub = object.__new__(Labeller)
+        for name, buffer in vars(self).items():
+            setattr(sub, name, buffer[:n])
+        return sub
 
     def count(self, labels: np.ndarray) -> int:
         """Number of points labelled by themselves: one per cycle or orbit."""

@@ -16,7 +16,9 @@ from hypothesis.extra.numpy import arrays
 from platocover.builder import (
     DART_BUDGET,
     VoltageAssignment,
+    _lift,
     derived_permutations,
+    euler_buffers,
     euler_verify,
     solve_voltages,
 )
@@ -229,8 +231,9 @@ def test_construction_checks_survive_optimize(flags, asserts):
 
 
 # ---------------------------------------------------------------------------
-# derived_permutations builds alpha' in one broadcast pass; the digit-by-digit
-# loop in tests/reference.py must give the same arrays
+# derived_permutations lifts sigma and alpha in one broadcast pass each; the
+# digit-by-digit loop in tests/reference.py must give the same arrays, and
+# alpha's voltages lifted onto sigma alpha must give phi' = sigma' alpha'
 
 
 def assert_matches_digit_loop(va):
@@ -238,6 +241,8 @@ def assert_matches_digit_loop(va):
     expected_sigma, expected_alpha = reference_derived_permutations(va)
     assert np.array_equal(sigma_big, expected_sigma)
     assert np.array_equal(alpha_big, expected_alpha)
+    phi = np.asarray(va.dart_map.sigma)[np.asarray(va.dart_map.alpha)]
+    assert np.array_equal(_lift(phi, va.beta, va.p, va.c), sigma_big[alpha_big])
 
 
 @pytest.mark.parametrize("name, p", [("tetrahedron", 5), ("tetrahedron", 7), ("octahedron", 5)])
@@ -285,19 +290,55 @@ def test_derived_permutations_match_the_digit_loop_on_drawn_voltages(va):
     assert_matches_digit_loop(va)
 
 
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_euler_verify_peak_memory_per_dart(icosahedron_p11):
     # the largest verified covering of the benchmark: 60 * 11^4 = 878,460
-    # derived darts; its derived permutations, phi' and the label buffers
-    # stay within 50 bytes per derived dart
+    # derived darts; its one labeller and one permutation buffer stay
+    # within 32 bytes per derived dart, and a call on buffers lent by the
+    # census allocates at most 1 byte per derived dart
     cov = next(cov for cov in icosahedron_p11.coverings if cov.c == 4)
     va = solve_voltages(icosahedron_p11.module, cov.L)
     darts = va.dart_map.n_darts * va.p**va.c
     assert darts == 878_460
-    tracemalloc.start()
-    try:
-        genus = euler_verify(va)[3]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert genus == cov.genus
-    assert peak <= 50 * darts, f"{peak / darts:.1f} bytes per derived dart"
+    result, peak = _peak_bytes(lambda: euler_verify(va))
+    assert result[3] == cov.genus
+    assert peak <= 32 * darts, f"{peak / darts:.1f} bytes per derived dart"
+    work = euler_buffers(darts)
+    lent, peak = _peak_bytes(lambda: euler_verify(va, work))
+    assert lent == result
+    assert peak <= darts, f"{peak / darts:.2f} bytes per derived dart with lent buffers"
+
+
+def test_lent_buffers_match_fresh_ones(icosahedron_p11):
+    # every verified covering through one set of buffers, a c = 4 one first,
+    # so the c = 3 ones count on views of larger buffers holding the
+    # previous call's contents
+    module = icosahedron_p11.module
+    coverings = sorted((cov for cov in icosahedron_p11.coverings
+                        if module.group.map.n_darts * 11**cov.c <= DART_BUDGET),
+                       key=lambda cov: -cov.c)
+    assert [cov.c for cov in coverings] == [4] * 12 + [3] * 2
+    work = euler_buffers(module.group.map.n_darts * 11**4)
+    for cov in coverings:
+        va = solve_voltages(module, cov.L)
+        lent = euler_verify(va, work)
+        assert lent == euler_verify(va)
+        assert lent[3] == cov.genus
+
+
+def test_buffers_too_small_are_rejected():
+    cen = census("cube", ("faces",), 5)
+    cov = max(cen.coverings, key=lambda cv: cv.c)
+    va = solve_voltages(cen.module, cov.L)
+    darts = va.dart_map.n_darts * 5**cov.c
+    assert euler_verify(va, euler_buffers(darts)) == euler_verify(va)
+    with pytest.raises(ValueError, match="buffers hold"):
+        euler_verify(va, euler_buffers(darts - 1))

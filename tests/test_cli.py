@@ -227,8 +227,8 @@ from platocover import cli, lattice, linalg
 if sys.argv[1] == "--verify-euler":
     euler_verify = cli.euler_verify
 
-    def wrong_genus(va):
-        v, e, f, genus = euler_verify(va)
+    def wrong_genus(va, *args):
+        v, e, f, genus = euler_verify(va, *args)
         return v, e, f, genus + 1
 
     cli.euler_verify = wrong_genus
