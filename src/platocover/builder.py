@@ -31,22 +31,6 @@ class VoltageAssignment:
     monodromy: np.ndarray  # (F, c), image of each face's puncture class in K
 
 
-def _spanning_tree_edges(dm: DartMap) -> set[int]:
-    seen = {0}
-    tree = set()
-    queue = [0]
-    for v in queue:
-        for d in dm.vertex_orbits[v]:
-            w = dm.vertex_of[dm.alpha[d]]
-            if w not in seen:
-                seen.add(w)
-                tree.add(dm.edge_of[d])
-                queue.append(w)
-    verify(len(seen) == dm.V and len(tree) == dm.V - 1,
-           f"spanning tree reaches {len(seen)} of {dm.V} vertices with {len(tree)} edges")
-    return tree
-
-
 def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
     if module.branch_classes != ("faces",):
         raise ValueError("voltage construction needs faces-only branching, not "
@@ -59,31 +43,29 @@ def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
     p = module.p
     c = module.dim - L.dim
 
-    tree = _spanning_tree_edges(dm)
-    cotree = [e for e in range(dm.E) if e not in tree]
-    verify(len(cotree) == dm.F - 1, f"{len(cotree)} cotree edges on a sphere with {dm.F} faces, not F - 1")
-
     # face f's equation sums the edge values along its boundary, each dart
     # d the value of its edge with sign +1 where d is the edge's first dart
     faces = np.array(dm.face_orbits)
     edge_of = np.array(dm.edge_of)
     sign = np.where(np.array(dm.edge_dart)[edge_of] == np.arange(dm.n_darts), 1, -1)
-    rows = zeros((dm.F, dm.E), p)
-    np.add.at(rows, (np.arange(dm.F)[:, None], edge_of[faces]), sign[faces])
+    rows = zeros((len(faces), dm.E), p)
+    np.add.at(rows, (np.arange(len(faces))[:, None], edge_of[faces]), sign[faces])
     # the right-hand sides: each face's puncture class in K = Q/L, its
     # residue against L on the non-pivot coordinates
     free = [j for j in range(module.dim) if j not in L.pivots]
     rhs = reduce_rows(L.basis, L.pivots, module.projection, p)[:, free]
 
-    # the sphere makes the F-1 retained equations independent; the dropped
-    # one is forced because the monodromies sum to zero
-    reduced, pivots = rref(np.concatenate([rows[:, cotree], rhs], axis=1), p)
-    verify(pivots == list(range(len(cotree))), "voltage system must be uniquely solvable")
+    # on the sphere the face rows have rank F - 1, their one relation being
+    # that they sum to 0, as the monodromies do; the non-pivot edges, a
+    # spanning tree, carry 0, and any solution serves, since two differ by a
+    # coboundary and give isomorphic derived maps (Gross-Tucker, ch. 2)
+    reduced, pivots = rref(np.concatenate([rows, rhs], axis=1), p)
+    verify(not pivots or pivots[-1] < dm.E, "the face system has a pivot among its right-hand sides")
+    verify(len(pivots) == dm.F - 1, f"the face system has rank {len(pivots)}, not F - 1 = {dm.F - 1}")
 
-    beta = zeros((dm.n_darts, c), p)
-    reps = np.array(dm.edge_dart)[cotree]
-    beta[reps] = reduced[:, len(cotree):]
-    beta[np.array(dm.alpha)[reps]] = mod(-beta[reps], p)
+    values = zeros((dm.E, c), p)
+    values[pivots] = reduced[:, dm.E:]
+    beta = mod(sign[:, None] * values[edge_of], p)
     verify(np.array_equal(mod(beta[faces].sum(axis=1), p), rhs),
            "the voltages around a face miss its monodromy")
 

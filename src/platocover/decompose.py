@@ -27,12 +27,14 @@ over the stacked group matrices of the module.
 
 The seed search is the same for every group.  Q is a quotient of the
 permutation modules on the branch points, so the projection of a puncture
-with stabilizer H spins to a quotient of Ind_H^G 1, which is a single
+with stabilizer H generates a quotient of Ind_H^G 1, which is a single
 irreducible copy whenever the character has multiplicity one there.  The
-search spins the projection of the first puncture of each branch class, then
-the projected sums over the blocks of each minimal block system (the
-punctures of a coarser permutation module), and takes the first spin of the
-irreducible dimension.
+candidates are the projection of the first puncture of each branch class,
+then the projected sums over the blocks of each minimal block system (the
+punctures of a coarser permutation module).  The submodule a candidate
+generates is the RREF of its images under every group matrix, one product
+and one elimination, and the seed is the first of the irreducible
+dimension.
 
 E is the span of the class sums of G restricted to W: the centre of F_pG
 maps onto the centre of End_E(W), which is E (Wedderburn).  The span is
@@ -41,7 +43,8 @@ and to be all of End_G(W) by the double centralizer count
 dim span{R_g} * s = d^2, which fails for a reducible W.  The equivariant maps
 W -> Q are spanned by the group averages sum_g R_{g^-1}[:, 0] (v A_g) over v
 in Q; their dimension, their freeness over E and the equivariance of the
-chosen basis are checked.
+chosen basis are checked.  The E-basis is read off one elimination of the
+E-multiples of every F_p-basis row, in row order.
 
 The consistency checks raise VerificationError, so they hold under
 ``python -O``.
@@ -80,20 +83,6 @@ class IsotypicComponent:
     @property
     def label(self) -> str:
         return "+".join(self.labels)
-
-
-def spin(module: HomologyModule, vectors, gens) -> Subspace:
-    """The smallest subspace containing the given row vectors and invariant
-    under the given generator matrices."""
-    p = module.p
-    space = Subspace(as_matrix(vectors, p, width=module.dim), p, module.dim)
-    while True:
-        grown = space
-        for A in gens:
-            grown = grown.add(grown.image(A))
-        if grown.dim == space.dim:
-            return space
-        space = grown
 
 
 # ---------------------------------------------------------------------------
@@ -322,23 +311,26 @@ def _hom_space(restr: np.ndarray, module: HomologyModule) -> np.ndarray:
     return rref(averages.reshape(module.dim, -1), p)[0]
 
 
+def _e_multiples(commutant, maps: np.ndarray, p: int) -> np.ndarray:
+    """t x for every element t of the E-basis, identity first, and every map
+    x of a (k, d, N) stack, as one (k, s, d*N) product."""
+    basis = np.stack(commutant)
+    return mat_mul(basis, maps[:, None], p).reshape(len(maps), len(basis), -1)
+
+
 def _e_basis_of_hom(sols, commutant, comp, module) -> list[np.ndarray]:
-    """Greedy E-basis of the hom space from its F_p-basis."""
+    """E-basis of the hom space from its F_p-basis: the rows whose identity
+    multiple gets a pivot when the E-multiples of every row, in row order,
+    go through one elimination.  Such a row leaves the span of the multiples
+    before it, which is the E-span of the rows kept before it, since every
+    row not kept lies in that E-span."""
     p = module.p
-    d = comp.seed.dim
-    N = module.dim
-    basis = []
-    tracker = Subspace.zero(p, d * N)
-    for row in sols:
-        if tracker.contains(row):
-            continue
-        x = row.reshape(d, N)
-        basis.append(x)
-        images = [mat_mul(t, x, p).reshape(-1) for t in commutant]
-        tracker = tracker.add(Subspace(as_matrix(images, p), p, d * N))
-    verify(len(basis) * len(commutant) == sols.shape[0],
+    maps = sols.reshape(len(sols), comp.seed.dim, module.dim)
+    stack = _e_multiples(commutant, maps, p).reshape(1, -1, sols.shape[1])
+    kept = eliminate(stack, p)[0, ::len(commutant)] < sols.shape[1]
+    verify(np.count_nonzero(kept) * len(commutant) == len(sols),
            f"{comp.label}: the hom space is not free over the endomorphism field")
-    return basis
+    return list(maps[kept])
 
 
 def _finish_component(comp: IsotypicComponent, module: HomologyModule, seed: Subspace) -> None:
@@ -364,9 +356,9 @@ def _finish_component(comp: IsotypicComponent, module: HomologyModule, seed: Sub
     if comp.multiplicity == 2 and module.central_matrix is not None:
         x1 = comp.hom_basis[0]
         partner = mat_mul(x1, module.central_matrix, p)
-        images = [mat_mul(t, x1, p).reshape(-1) for t in comp.commutant]
-        e_span = Subspace(as_matrix(images, p), p, x1.size)
-        if not e_span.contains(partner.reshape(-1)):
+        # a second E-direction when it gets a pivot after the E-multiples of x1
+        stack = np.concatenate([_e_multiples(comp.commutant, x1[None], p)[0], partner.reshape(1, -1)])
+        if eliminate(stack[None], p)[0, -1] < x1.size:
             comp.hom_basis = [x1, partner]
 
     for x in comp.hom_basis:
@@ -379,21 +371,23 @@ def _finish_component(comp: IsotypicComponent, module: HomologyModule, seed: Sub
 
 def _find_seed(comp: IsotypicComponent, module: HomologyModule) -> Subspace:
     """An irreducible copy inside the component: the first candidate from
-    _seed_vectors that spins to the irreducible dimension."""
-    p = module.p
+    _seed_vectors whose submodule has the irreducible dimension.  The
+    submodule a vector v generates is the row space of its images v A_g
+    under every group element: one product with the stacked group matrices,
+    put in RREF by one elimination."""
+    p, dim = module.p, module.dim
     if comp.multiplicity == 1:
         return comp.subspace
     if comp.irreducible_dim == 1:
         # scalar action on the whole isotypic: any vector spans a copy
-        return Subspace(comp.subspace.basis[:1], p, module.dim)
-    group = module.group
-    gens = [module.matrices[group.gen_x], module.matrices[group.gen_z]]
+        return Subspace(comp.subspace.basis[:1], p, dim)
     for v in _seed_vectors(comp, module):
-        if v.any():
-            w = spin(module, v, gens)
-            if w.dim == comp.irreducible_dim:
-                return w
-    raise VerificationError(f"{comp.label}: no puncture projection spins to an irreducible copy")
+        images = mat_mul(v, module.matrices, p)[None]
+        pivots = eliminate(images, p)[0]
+        if np.count_nonzero(pivots < dim) == comp.irreducible_dim:
+            basis, basis_pivots = echelon(images[0], pivots)
+            return Subspace(basis, p, dim, _pivots=basis_pivots)
+    raise VerificationError(f"{comp.label}: no puncture projection generates an irreducible copy")
 
 
 def _seed_vectors(comp: IsotypicComponent, module: HomologyModule):

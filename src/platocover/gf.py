@@ -26,6 +26,14 @@ from .linalg import (cycle_labels, dtype_for, eliminate, identity, label_orbits,
 # 6,568,801, the second largest prime factor of 7^60 - 1
 TRIAL_DIVISION_BUDGET = 10**7
 
+# the most entries of the (n, e) powers of the root of unity root_of_unity
+# fixes in F_(p^e), e = ord_n(p).  The largest case in scope, hosohedron:97
+# at p = 5, has 97 * 96 = 9,312.  As e < n, the degree stays below 100 under
+# the budget: Ben-Or's search for the defining polynomial took 1.9 s at
+# F_(5^96) and 5.9 s at F_(3^128), and x^211 - 1 over F_3, whose field
+# F_(3^210) it had not found after 45 s, is rejected at once
+ROOT_POWERS_BUDGET = 10**4
+
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below the
 # least strong pseudoprime to all of them (Sorenson and Webster, "Strong
@@ -79,8 +87,9 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in (Z/n)^*; requires gcd(a, n) = 1."""
+def multiplicative_order(a: int, n: int, limit: int | None = None) -> int:
+    """Order of a in (Z/n)^*; requires gcd(a, n) = 1.  With a limit, the
+    least of the order and limit + 1, found in at most limit steps."""
     if n < 1:
         raise ValueError(f"no multiplicative group modulo {n}")
     if n == 1:
@@ -89,21 +98,10 @@ def multiplicative_order(a: int, n: int) -> int:
         raise ValueError(f"{a} is not a unit modulo {n}")
     k = 1
     x = a % n
-    while x != 1:
+    while x != 1 and (limit is None or k <= limit):
         x = x * a % n
         k += 1
     return k
-
-
-def primitive_root(p: int) -> int:
-    """Smallest generator of F_p^*: the first g with g^((p-1)/q) != 1 for every prime q | p - 1."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    prime_divisors = list(factorize(p - 1))
-    for g in range(1, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in prime_divisors):
-            return g
-    raise AssertionError("unreachable for prime p")
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +497,11 @@ def root_of_unity(n: int, p: int) -> tuple[ExtField, np.ndarray]:
     mod p both use this one w, so the labels of the census and of the
     cyclotomic report agree."""
     verify(is_prime(p) and math.gcd(n, p) == 1, f"no {n}-th roots of unity over F_{p}")
-    field = ExtField(p, multiplicative_order(p, n))
+    e = multiplicative_order(p, n, limit=ROOT_POWERS_BUDGET // n)
+    if n * e > ROOT_POWERS_BUDGET:
+        raise ValueError(f"the {n}-th roots of unity over F_{p} need {n} * ord_{n}({p}) >= {n * e} "
+                         f"powers, past the budget of {ROOT_POWERS_BUDGET}")
+    field = ExtField(p, e)
     powers = field.powers(field.nth_root_of_unity(n), n)
     powers.flags.writeable = False
     return field, powers

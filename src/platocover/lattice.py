@@ -55,6 +55,12 @@ _MERGE_ENTRIES = 1 << 17
 # and dim stay below linalg._DIM_CAP, the longest product linalg takes
 # exactly in int64
 _ACTION_CAP = 1 << 23
+# homology_character sums the dihedral table's entries coefficient by
+# coefficient, about 50 ns each: hosohedron:300 branched at vertices, 153
+# rows summed over 300 rotations in entries of 300 coefficients, took 0.7 s.
+# The largest case in scope, hosohedron:95 at every class, needs 50 * 95 *
+# 99 = 470,250 sums
+_TABLE_CAP = 1 << 24
 
 
 def gaussian_binomial(m: int, k: int, q: int) -> int:
@@ -195,17 +201,26 @@ def _check_lattice_size(components: list[IsotypicComponent], p: int) -> None:
 
 
 def _check_map_size(fam: MapFamily, branch_classes) -> None:
-    """Reject, before the map is built, a group or an action on Q too large
-    to hold.  The map {n, m} has |G| = 4nm / (2n + 2m - nm) darts, and |G|/m
-    vertices, |G|/2 edges and |G|/n faces."""
+    """Reject, before the map is built, a group, an action on Q or a
+    character table too large to hold or sum.  The map {n, m} has |G| =
+    4nm / (2n + 2m - nm) darts, and |G|/m vertices, |G|/2 edges and |G|/n
+    faces.  The table of D_k, for a hosohedron or dihedron with parameter
+    k, has at most k/2 + 3 rows of entries with k coefficients, and each
+    row is summed over the stabilizer of every branched class."""
     order = 4 * fam.n * fam.m // (2 * (fam.n + fam.m) - fam.n * fam.m)
     count = {"vertices": order // fam.m, "edges": order // 2, "faces": order // fam.n}
-    dim = sum(count[bc] for bc in BRANCH_ORDER if bc in branch_classes) - 1
+    classes = [bc for bc in BRANCH_ORDER if bc in branch_classes]
+    dim = sum(count[bc] for bc in classes) - 1
     entries = order * (order + dim * dim)
     if entries > _ACTION_CAP:
         raise ValueError(f"{fam.name} branched at {','.join(branch_classes)} needs {entries} "
                          f"entries for its group and its action on Q, over the cap of "
                          f"{_ACTION_CAP}")
+    k = fam.param
+    sums = (k // 2 + 3) * k * sum(order // count[bc] for bc in classes)
+    if sums > _TABLE_CAP:
+        raise ValueError(f"{fam.name} branched at {','.join(branch_classes)} needs {sums} "
+                         f"coefficient sums for its character table, over the cap of {_TABLE_CAP}")
 
 
 def _lambda_label(rows, s: int) -> str | None:

@@ -105,9 +105,7 @@ class DartMap:
     vertex_dart: tuple[int, ...]
     edge_dart: tuple[int, ...]
     face_dart: tuple[int, ...]
-    # the darts at each vertex from vertex_dart along sigma, and each face's
-    # boundary from face_dart along phi
-    vertex_orbits: tuple[tuple[int, ...], ...]
+    # each face's boundary from face_dart along phi
     face_orbits: tuple[tuple[int, ...], ...]
 
     @property
@@ -199,7 +197,6 @@ def build_map(fam: MapFamily) -> DartMap:
         vertex_dart=tuple(vertex_orbits[:, 0].tolist()),
         edge_dart=tuple(edges[:, 0].tolist()),
         face_dart=tuple(face_orbits[:, 0].tolist()),
-        vertex_orbits=tuple(map(tuple, vertex_orbits.tolist())),
         face_orbits=tuple(map(tuple, face_orbits.tolist())),
     )
 

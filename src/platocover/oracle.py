@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import verify
-from .gf import primitive_root
+from .gf import ExtField
 from .homology import HomologyModule, Subspace
 from .linalg import Labeller, echelon, eliminate, mat_mul
 
@@ -67,7 +67,7 @@ def cyclic_submodules(module: HomologyModule):
 
     group = module.group
     digits = _all_digits(size, dim, p)
-    scalar = np.eye(dim, dtype=np.int64) * primitive_root(p)
+    scalar = np.eye(dim, dtype=np.int64) * ExtField(p, 1).primitive_element()[0]
     gens = [module.matrices[group.gen_x], module.matrices[group.gen_z]]
     perms = [_linear_permutation(digits, m, p) for m in (*gens, scalar)]
     labels = Labeller(size).orbits(perms)

@@ -61,6 +61,21 @@ def intersect(U: Subspace, W: Subspace) -> Subspace:
     return out
 
 
+def spin(module: HomologyModule, vectors, gens) -> Subspace:
+    """The smallest subspace containing the given row vectors and invariant
+    under the given generator matrices, closed under them one sum at a
+    time."""
+    p = module.p
+    space = Subspace(as_matrix(vectors, p, width=module.dim), p, module.dim)
+    while True:
+        grown = space
+        for A in gens:
+            grown = grown.add(grown.image(A))
+        if grown.dim == space.dim:
+            return space
+        space = grown
+
+
 # ---------------------------------------------------------------------------
 # the rotation group, one propagation per target and classes by search
 

@@ -184,13 +184,39 @@ def test_disconnected_derived_map_is_rejected():
             euler_verify(split)
 
 
+@pytest.mark.parametrize("name, p", [("tetrahedron", 5), ("cube", 5), ("octahedron", 5),
+                                     ("dihedron:5", 3)])
+def test_coboundary_leaves_the_counts(name, p):
+    # voltages that differ by a coboundary f(head) - f(tail), for any map f
+    # from the vertices to K, meet the same face sums and give isomorphic
+    # derived maps, which is why solve_voltages may take any solution of
+    # the face system: euler_verify counts the same on both
+    rng = np.random.default_rng(25)
+    cen = census(name, ("faces",), p)
+    for cov in cen.coverings:
+        va = solve_voltages(cen.module, cov.L)
+        dm = va.dart_map
+        if dm.n_darts * p**va.c > DART_BUDGET:
+            continue
+        f = rng.integers(0, p, size=(dm.V, va.c))
+        tail = np.array(dm.vertex_of)
+        shifted = VoltageAssignment(dart_map=dm, p=p, c=va.c, monodromy=va.monodromy,
+                                    beta=(va.beta + f[tail[np.array(dm.alpha)]] - f[tail]) % p)
+        assert (shifted.beta != va.beta).any()
+        faces = np.array(dm.face_orbits)
+        assert np.array_equal(shifted.beta[faces].sum(axis=1) % p, va.monodromy)
+        counts = euler_verify(va)
+        assert counts[3] == cov.genus and euler_verify(shifted) == counts
+
+
 # breaks one check of the voltage construction at a time on the cube at
-# p = 5 and reports what each raised: a base map whose vertex count the
-# spanning tree cannot reach, one with a face too many for the cotree, and
-# rows of the wrong width for linalg.as_matrix
+# p = 5 and reports what each raised: a base map with a face too many for
+# the rank of its face system, puncture classes that do not sum to 0, so
+# that no voltages meet them, and rows of the wrong width for
+# linalg.as_matrix
 BROKEN_CONSTRUCTION = """
 import dataclasses
-from platocover.builder import _spanning_tree_edges, solve_voltages
+from platocover.builder import solve_voltages
 from platocover.errors import VerificationError
 from platocover.homology import Subspace, build_homology
 from platocover.linalg import as_matrix
@@ -199,11 +225,14 @@ from platocover.maps import build_group, build_map, parse_family
 dm = build_map(parse_family("cube"))
 module = build_homology(build_group(dm), ("faces",), 5)
 print("asserts", "on" if __debug__ else "off")
+module.group.map = dataclasses.replace(dm, face_dart=dm.face_dart + (0,))
 try:
-    _spanning_tree_edges(dataclasses.replace(dm, vertex_dart=dm.vertex_dart + (0,)))
+    solve_voltages(module, Subspace.zero(5, module.dim))
 except VerificationError as exc:
     print(type(exc).__name__, exc)
-module.group.map = dataclasses.replace(dm, face_dart=dm.face_dart + (0,))
+module.group.map = dm
+module.projection = module.projection.copy()
+module.projection[-1] = 0
 try:
     solve_voltages(module, Subspace.zero(5, module.dim))
 except VerificationError as exc:
@@ -224,8 +253,8 @@ def test_construction_checks_survive_optimize(flags, asserts):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         f"asserts {asserts}",
-        "VerificationError spanning tree reaches 8 of 9 vertices with 7 edges",
-        "VerificationError 5 cotree edges on a sphere with 7 faces, not F - 1",
+        "VerificationError the face system has rank 5, not F - 1 = 6",
+        "VerificationError the face system has a pivot among its right-hand sides",
         "ValueError rows of width 3, expected 4",
     ]
 

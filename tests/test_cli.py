@@ -444,6 +444,32 @@ def test_map_over_size_cap_exits_2(flags, name, branch, entries):
     assert f"needs {entries} entries" in proc.stderr and "8388608" in proc.stderr
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+@pytest.mark.parametrize("argv, message", [
+    # the field F_(3^210) that x^211 - 1 splits in, and n-entry arrays for
+    # an n in the millions, both rejected before any field is built
+    (["cyclotomic", "--n", "211", "--prime", "3"],
+     "211 * ord_211(3) >= 10128 powers, past the budget of 10000"),
+    (["cyclotomic", "--n", "1594322", "--prime", "3"],
+     "1594322 * ord_1594322(3) >= 1594322 powers, past the budget of 10000"),
+    # a small field and a map under the size cap, but 723 table rows summed
+    # over 1,440 rotations in entries of 1,440 coefficients
+    (["classify", "--map", "hosohedron:1440", "--prime", "7", "--branch", "vertices"],
+     "needs 1499212800 coefficient sums for its character table, over the cap of 16777216"),
+])
+def test_budget_inputs_exit_2(flags, argv, message):
+    root = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "platocover.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+
+
 def test_map_size_cap_keeps_group_sums_exact():
     # |G|^2 and dim^2 are each below the cap, so both stay within the bound
     # under which dtype_for keeps sums of |G| or dim products exact

@@ -25,7 +25,6 @@ from platocover.gf import (
     poly_mul,
     poly_str,
     poly_trim,
-    primitive_root,
     root_of_unity,
     sqrt_mod_p,
 )
@@ -60,8 +59,8 @@ def test_is_prime_matches_sympy():
 def test_primitive_root_is_the_smallest_generator():
     for p in filter(is_prime, range(2, 200)):
         smallest = next(g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
-        assert primitive_root(p) == smallest
-    assert primitive_root(9999991) == 22
+        assert ExtField(p, 1).primitive_element() == (smallest,)
+    assert ExtField(9999991, 1).primitive_element() == (22,)
 
 
 def test_multiplicative_order():
@@ -70,6 +69,11 @@ def test_multiplicative_order():
     assert multiplicative_order(3, 13) == 3
     assert multiplicative_order(2, 13) == 12
     assert multiplicative_order(1, 7) == 1
+    # with a limit, the least of the order and limit + 1
+    assert multiplicative_order(3, 211) == 210
+    assert multiplicative_order(3, 211, limit=47) == 48
+    assert multiplicative_order(7, 95, limit=12) == multiplicative_order(7, 95, limit=11) == 12
+    assert multiplicative_order(7, 95, limit=0) == 1 == multiplicative_order(1, 7, limit=0)
 
 
 class TestPolynomials:
@@ -366,7 +370,7 @@ class TestFactorXnMinus1:
     [
         (lambda: multiplicative_order(2, 0), "no multiplicative group modulo 0"),
         (lambda: multiplicative_order(6, 9), "6 is not a unit modulo 9"),
-        (lambda: primitive_root(15), "15 is not prime"),
+        (lambda: ExtField(15, 1).primitive_element(), "no field of 15"),
         # a strong pseudoprime to all 13 bases
         (lambda: is_prime(3317044064679887385961981), "bound of the primality test"),
         (lambda: poly_divmod([1, 1], [0, 0]), "division by zero polynomial"),

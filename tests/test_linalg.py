@@ -736,6 +736,15 @@ def test_every_product_goes_through_linalg():
             for site in _product_sites(path)] == []
 
 
+def test_no_module_asserts():
+    # every check in the package is a verify or an explicit raise, so none
+    # is stripped by python -O
+    src = Path(linalg.__file__).parent
+    assert [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)] == []
+
+
 def test_the_product_rule_sees_every_kind_of_product(tmp_path):
     probe = tmp_path / "oracle.py"
     probe.write_text("import numpy as np\n"

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from platocover import oracle
-from platocover.decompose import decompose_module, spin
+from platocover.decompose import decompose_module
 from platocover.homology import build_homology
 from platocover.lattice import enumerate_submodules
 from platocover.maps import build_group, build_map, parse_family
 from platocover.oracle import brute_force_submodules, cyclic_submodules
+from reference import spin
 
 
 def _module(name, branch, p):
@@ -88,8 +89,8 @@ def test_linear_permutation_is_a_permutation(name, p):
 @pytest.mark.parametrize("name", ["cube", "octahedron"])
 def test_cyclic_submodules_match_spin(name):
     # the oracle builds each cyclic submodule as the row space of the
-    # vector's images under every group matrix; decompose.spin closes the
-    # vector under the two generators instead, and must agree
+    # vector's images under every group matrix; the reference spin closes
+    # the vector under the two generators one sum at a time, and must agree
     module = _module(name, ("faces",), 5)
     group = module.group
     gens = [module.matrices[group.gen_x], module.matrices[group.gen_z]]
