@@ -2,9 +2,11 @@
 
 Submodules of an isotypic component with multiplicity m over the endomorphism
 field E = F_{p^s} correspond to E-subspaces of E^m; the full lattice is the
-set of direct sums of one choice per component.  Each submodule L yields a
-covering descriptor: codimension, effective branch set, map type, genus,
-the character of Q/L, and regularity under the reflection.
+set of direct sums of one choice per component, so the submodules of each
+dimension number a coefficient of the product over components of
+sum_k [m k]_{p^s} x^(k d).  Each submodule L yields a covering descriptor:
+codimension, effective branch set, map type, genus, the character of Q/L,
+and regularity under the reflection.
 
 Everything but L itself is fixed by the choices, so the checks and flags are
 tabulated once per stack of choices of one E-rank in one component: each
@@ -13,13 +15,12 @@ choice the reflection maps it onto.  The lattice is walked over the menus in
 ascending size, so the largest menu comes last, and over stacks of partial
 sums of one rank rather than single ones: each stack is merged with each
 rank stack of the next menu by batched direct-sum merges
-(linalg.merge_direct_sums) in chunks of bounded size, and at the last menu
-each chunk is packed straight into keys.  Each L is kept only as its
-packed key (Subspace.key), which sorts exactly as the nested tuples of its
-basis rows, next to its row of choice idents.  One pass over those rows
-reads every covering from the per-choice tables into columns; a descriptor
-object, and L rebuilt from its key with no row reduction, are made only
-when a reader asks for them.
+(linalg.merge_direct_sums) in chunks of bounded size.  Each L is kept only
+as its packed key (Subspace.key), a row of bytes in its dimension's array
+that sorts as the nested tuples of its basis rows, next to its row of choice
+idents.  One pass over those rows reads every covering from the per-choice
+tables into columns; a descriptor object, and L rebuilt from its key with no
+row reduction, are made only when a reader asks for them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .decompose import IsotypicComponent, decompose_module
 from .errors import verify
-from .homology import BRANCH_ORDER, HomologyModule, Subspace, build_homology, pack_rows
+from .homology import BRANCH_ORDER, HomologyModule, Subspace, _key_width, build_homology, pack_rows
 from .linalg import dtype_for, mat_mul, merge_direct_sums, reduce_rows, zeros
 from .maps import MapFamily, build_group, build_map, parse_family
 
@@ -92,15 +93,31 @@ class ComponentChoice:
 
 @dataclass
 class Lattice:
-    """Every submodule of Q as its key (Subspace.key()), with the idents of
-    its choices in component order as one row of idents; choices[i] is the
-    choice with ident i."""
-    keys: list[tuple]
-    idents: np.ndarray  # (len(keys), components)
+    """Every submodule of Q by dimension: those of dimension r are positions
+    starts[r] to starts[r + 1], each with the packed part of its key as one
+    uint8 row of keys[r] and the idents of its choices in component order as
+    one row of idents; choices[i] is the choice with ident i."""
+    ambient: int
+    keys: list[np.ndarray]
+    starts: np.ndarray
+    idents: np.ndarray  # (submodules, components)
     choices: list[ComponentChoice]
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.idents)
+
+    def key(self, pos: int) -> tuple:
+        """Subspace.key() of the submodule at position pos."""
+        r = int(np.searchsorted(self.starts, pos, side="right")) - 1
+        return (self.ambient, self.keys[r][pos - self.starts[r]].tobytes())
+
+    def key_order(self, r: int) -> np.ndarray:
+        """The positions of dimension r in key order, by one argsort of the
+        rows of keys[r] each viewed as a single byte string."""
+        rows = self.keys[r]
+        if not rows.shape[1]:  # the zero submodule alone, with an empty key
+            return self.starts[r] + np.arange(len(rows))
+        return self.starts[r] + np.argsort(rows.view(f"V{rows.shape[1]}")[:, 0])
 
 
 @dataclass
@@ -140,45 +157,25 @@ def _character_string(character: Mapping[str, int]) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def _field_elements(s: int, p: int):
-    """Coordinate vectors of F_{p^s} in lexicographic order, zero first."""
-    return list(itertools.product(range(p), repeat=s))
-
-
-def e_subspaces(m: int, s: int, p: int):
-    """All E-subspaces of E^m as canonical RREF row tuples over E.
-
-    Each row is an m-tuple of coordinate vectors of length s; pivot entries
-    are the field identity, entries above pivots vanish.
-    """
-    q = p**s
-    one = tuple([1] + [0] * (s - 1))
-    zero = tuple([0] * s)
-    if m == 1:
-        # only the zero subspace and the full line; no field enumeration,
-        # which matters when E is large
-        return [(0, ()), (1, ((one,),))]
+def e_subspaces(m: int, s: int, p: int) -> list[np.ndarray]:
+    """All E-subspaces of E^m in RREF over E, one (count, k, m, s) array of
+    coordinates per E-rank k: pivot entries are the identity, and for each
+    set of pivot columns the free entries run through E in lexicographic
+    order, so no field element is listed where none is free."""
     _check_field(m, s, p)
-    elements = _field_elements(s, p)
-    out = [(0, ())]
-    for k in range(1, m + 1):
+    out = []
+    for k in range(m + 1):
+        stacks = []
         for pivots in itertools.combinations(range(m), k):
-            free = [
-                (i, j)
-                for i in range(k)
-                for j in range(m)
-                if j > pivots[i] and j not in pivots
-            ]
-            for assignment in itertools.product(elements, repeat=len(free)):
-                rows = [[zero] * m for _ in range(k)]
-                for i in range(k):
-                    rows[i][pivots[i]] = one
-                for (i, j), val in zip(free, assignment):
-                    rows[i][j] = val
-                out.append((k, tuple(tuple(r) for r in rows)))
-    verify(len(out) == subspace_count(m, q),
-           f"{len(out)} E-subspaces of E^{m} listed, the Gaussian binomials count "
-           f"{subspace_count(m, q)}")
+            free = [(i, j) for i in range(k) for j in range(m) if j > pivots[i] and j not in pivots]
+            values = np.array(list(itertools.product(range(p), repeat=len(free) * s)), dtype=dtype_for(p))
+            rows = np.zeros((len(values), k, m, s), dtype=dtype_for(p))
+            rows[:, range(k), pivots, 0] = 1
+            rows[:, [i for i, _ in free], [j for _, j in free]] = values.reshape(len(values), len(free), s)
+            stacks.append(rows)
+        out.append(np.concatenate(stacks))
+    listed, count = sum(map(len, out)), subspace_count(m, p**s)
+    verify(listed == count, f"{listed} E-subspaces of E^{m} listed, the Gaussian binomials count {count}")
     return out
 
 
@@ -188,16 +185,22 @@ def _check_field(m: int, s: int, p: int) -> None:
                          f"enumeration cap of {_FIELD_CAP}")
 
 
-def _check_lattice_size(components: list[IsotypicComponent], p: int) -> None:
-    """Reject, before any menu is built, a field or a lattice too large to
-    enumerate; the lattice size is the product of the menu sizes."""
-    size = 1
+def _check_lattice_size(components: list[IsotypicComponent], p: int) -> list[int]:
+    """The number of submodules of each dimension, the coefficients of the
+    product over components of sum_k [m k]_{p^s} x^(k d); a field or a
+    lattice too large to enumerate is rejected before any menu is built."""
+    counts = [1]
     for comp in components:
-        _check_field(comp.multiplicity, comp.endo_degree, p)
-        size *= subspace_count(comp.multiplicity, p**comp.endo_degree)
-    if size > _LATTICE_CAP:
-        raise ValueError(f"the lattice has {size} submodules, over the enumeration cap "
+        m, s, d = comp.multiplicity, comp.endo_degree, comp.irreducible_dim
+        _check_field(m, s, p)
+        product = [0] * (len(counts) + m * d)
+        for (i, count), k in itertools.product(enumerate(counts), range(m + 1)):
+            product[i + k * d] += count * gaussian_binomial(m, k, p**s)
+        counts = product
+    if sum(counts) > _LATTICE_CAP:
+        raise ValueError(f"the lattice has {sum(counts)} submodules, over the enumeration cap "
                          f"of {_LATTICE_CAP}")
+    return counts
 
 
 def _check_map_size(fam: MapFamily, branch_classes) -> None:
@@ -223,29 +226,14 @@ def _check_map_size(fam: MapFamily, branch_classes) -> None:
                          f"coefficient sums for its character table, over the cap of {_TABLE_CAP}")
 
 
-def _lambda_label(rows, s: int) -> str | None:
-    """Projective parameter of a line in E^2, with the first hom basis
-    element at infinity."""
-    if len(rows) != 1:
-        return None
-    row = rows[0]
-    one = tuple([1] + [0] * (s - 1))
-    if row[0] == one:
-        lam = row[1]
-    else:
-        verify(row[0] == tuple([0] * s), "a line in E^2 has a first coordinate neither 0 nor 1")
+def _lambda_label(row: np.ndarray) -> str:
+    """Projective parameter of the line in E^2 spanned by one E-row, (2, s)
+    coordinates, with the first hom basis element at infinity."""
+    first, lam = row.tolist()
+    if not any(first):
         return "inf"
-    if s == 1:
-        return str(lam[0])
-    return "(" + ",".join(map(str, lam)) + ")"
-
-
-def _stack_keys(bases: np.ndarray, p: int) -> list[tuple]:
-    """Subspace.key() of each RREF basis of a (batch, r, n) stack."""
-    batch, _, ambient = bases.shape
-    packed = pack_rows(bases, p)
-    size = len(packed) // batch
-    return [(ambient, packed[b * size:(b + 1) * size]) for b in range(batch)]
+    verify(first == [1] + [0] * (len(first) - 1), "a line in E^2 has a first coordinate neither 0 nor 1")
+    return str(lam[0]) if len(lam) == 1 else "(" + ",".join(map(str, lam)) + ")"
 
 
 def _rref_stack(blocks: np.ndarray, p: int):
@@ -285,27 +273,23 @@ def component_menus(
         # the commutant basis t and the hom basis x_j
         products = np.stack([mat_mul(t, x, p) for x in comp.hom_basis for t in comp.commutant])
         products = products.reshape(m * s, d * dim)
-        by_rank = {}
-        for k, rows in e_subspaces(m, s, p):
-            by_rank.setdefault(k, []).append(rows)
         menu, ident_of_key = [], {}
-        for k, rows in by_rank.items():
-            coords = np.array(rows, dtype=dtype_for(p)).reshape(len(rows), k, m * s)
-            raw = mat_mul(coords, products, p).reshape(len(rows), k * d, dim)
-            bases, pivots = _rref_stack(raw, p)
+        for k, coords in enumerate(e_subspaces(m, s, p)):
+            raw = mat_mul(coords.reshape(len(coords), k, m * s), products, p)
+            bases, pivots = _rref_stack(raw.reshape(len(coords), k * d, dim), p)
             verify(module.invariant_under_group(bases, pivots), f"{comp.label}: a choice is not invariant")
-            swallowed = np.zeros(len(rows), dtype=np.int64)
+            swallowed = np.zeros(len(coords), dtype=np.int64)
             for bit, punctures in enumerate(puncture_rows):
                 inside = ~reduce_rows(bases, pivots, comp.punctures[punctures], p).any(axis=-1)
                 verify((inside.all(axis=1) == inside.any(axis=1)).all(),
                        "branch effectiveness must be constant on an orbit")
                 swallowed |= inside[:, 0].astype(np.int64) << bit
             choices = [
-                ComponentChoice(comp, k, _lambda_label(r, s) if m == 2 else None, next(idents),
+                ComponentChoice(comp, k, _lambda_label(c[0]) if (m, k) == (2, 1) else None, next(idents),
                                 Subspace(basis, p, dim, _pivots=piv.tolist()), int(mask))
-                for r, basis, piv, mask in zip(rows, bases, pivots, swallowed)
+                for c, basis, piv, mask in zip(coords, bases, pivots, swallowed)
             ]
-            ident_of_key.update(zip(_stack_keys(bases, p), (ch.ident for ch in choices)))
+            ident_of_key.update((ch.block.key(), ch.ident) for ch in choices)
             menu.append((choices, bases, pivots))
         verify(len(ident_of_key) == sum(len(choices) for choices, _, _ in menu),
                f"{comp.label}: two choices give the same submodule")
@@ -318,7 +302,8 @@ def component_menus(
     R = module.reflection_matrix
     comp_of = {comp.subspace.key(): j for j, comp in enumerate(components)}
     for comp, menu in zip(components, menus):
-        images = [(choices, _stack_keys(_rref_stack(mat_mul(bases, R, p), p)[0], p))
+        images = [(choices, [Subspace(b, p, dim, _pivots=piv).key()
+                             for b, piv in zip(*_rref_stack(mat_mul(bases, R, p), p))])
                   for choices, bases, _ in menu]
         j = comp_of.get(images[-1][1][0])  # the image of the full choice
         verify(j is not None, f"the reflection maps {comp.label} onto no component")
@@ -342,12 +327,13 @@ def enumerate_submodules(components: list[IsotypicComponent], module: HomologyMo
     most _MERGE_ENTRIES entries, which checks again that each of those sums
     is direct, and each chunk is walked on to the next menu before the next
     chunk is merged, so only one chunk per level is held.  The rank-0
-    choice passes the prefix stack on unmerged.  At the last menu each chunk
-    is packed straight into keys.
+    choice passes the prefix stack on unmerged.  At the last menu each chunk,
+    all of one dimension r, fills the next rows of keys[r] and of the ident
+    table, allocated at the predicted sizes and verified filled exactly.
     """
-    _check_lattice_size(components, module.p)
+    counts = _check_lattice_size(components, module.p)
     menus = component_menus(components, module)
-    p = module.p
+    p, dim = module.p, module.dim
     choices = [ch for menu in menus for stack, _, _ in menu for ch in stack]
     # the smallest menus go first and the largest last, so the merges above
     # the last level number only the product of the smaller menus
@@ -355,15 +341,22 @@ def enumerate_submodules(components: list[IsotypicComponent], module: HomologyMo
     stacks = [[(np.array([ch.ident for ch in stack]), bases) for stack, bases, _ in menus[i]]
               for i in order]
     last = len(order) - 1
-    keys, rows = [], []
+    keys = [np.empty((count, r * dim * _key_width(p)), dtype=np.uint8) for r, count in enumerate(counts)]
+    starts = np.cumsum([0, *counts])
+    table = np.empty((starts[-1], len(menus)), dtype=np.int64)
+    filled = [0] * len(counts)
 
     def walk(depth: int, bases: np.ndarray, pivots: np.ndarray, picks: np.ndarray) -> None:
         """picks (len(bases), depth): the idents of each prefix's choices."""
-        if depth > last:
-            keys.extend(_stack_keys(bases, p))
-            rows.append(picks)
-            return
         prefixes, r0, n = bases.shape
+        if depth > last:
+            lo, hi = filled[r0], filled[r0] + prefixes
+            verify(hi <= counts[r0], f"the walk finds more than the {counts[r0]} submodules of "
+                                     f"dimension {r0} the Gaussian binomials predict")
+            keys[r0][lo:hi] = np.frombuffer(pack_rows(bases, p), dtype=np.uint8).reshape(prefixes, -1)
+            table[starts[r0] + lo:starts[r0] + hi, order] = picks  # picks[:, i] is component order[i]
+            filled[r0] = hi
+            return
         for idents, blocks in stacks[depth]:
             size, r = blocks.shape[:2]
             if r == 0:
@@ -375,9 +368,10 @@ def enumerate_submodules(components: list[IsotypicComponent], module: HomologyMo
                 merged, merged_pivots = merge_direct_sums(bases[prefix], pivots[prefix], blocks[block], p)
                 walk(depth + 1, merged, merged_pivots, np.column_stack([picks[prefix], idents[block]]))
 
-    walk(0, zeros((1, 0, module.dim), p), np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))
-    # column i of the walk's rows is the component order[i]
-    return Lattice(keys, np.concatenate(rows)[:, np.argsort(order)], choices)
+    walk(0, zeros((1, 0, dim), p), np.zeros((1, 0), dtype=np.int64), np.zeros((1, 0), dtype=np.int64))
+    verify(filled == counts, f"the walk found {filled} submodules by dimension, the Gaussian "
+                             f"binomials predict {counts}")
+    return Lattice(dim, keys, starts, table, choices)
 
 
 @dataclass(eq=False)
@@ -405,7 +399,7 @@ class CoveringColumns:
     def descriptors(self) -> list[CoveringDescriptor]:
         lattice, choices = self.lattice, self.lattice.choices
         return [
-            CoveringDescriptor(self.p, lattice.keys[pos], *self.kinds[k], self.characters[h], j == i,
+            CoveringDescriptor(self.p, lattice.key(pos), *self.kinds[k], self.characters[h], j == i,
                                tuple(choices[x] for x in lattice.idents[pos].tolist()),
                                None if j == i else j)
             for i, (pos, k, h, j) in enumerate(zip(
@@ -433,10 +427,11 @@ def describe_covering(lattice: Lattice, module: HomologyModule) -> CoveringColum
               if i == 0 or ch.component is not choices[i - 1].component]
     labels = [choices[i].component.label for i in starts]
 
-    c = module.dim - dims[lattice.idents].sum(axis=1)
-    proper = np.flatnonzero(c)
-    verify(len(proper) == len(lattice) - 1, "the full module is not alone in codimension 0")
-    idents, c = lattice.idents[proper], c[proper]
+    # the proper submodules, codimension ascending and each dimension in key order
+    proper = np.concatenate([lattice.key_order(r) for r in reversed(range(module.dim))])
+    idents = lattice.idents[proper]
+    c = module.dim - dims[idents].sum(axis=1)
+    verify(c.all() and len(proper) == len(lattice) - 1, "the full module is not alone in codimension 0")
     swallowed = np.bitwise_and.reduce(masks[idents], axis=1)
 
     kinds = []  # (c, effective branch set, type, genus) per distinct (c, swallowed mask)
@@ -458,9 +453,12 @@ def describe_covering(lattice: Lattice, module: HomologyModule) -> CoveringColum
     strings = [_character_string(ch) for ch in characters]
 
     kind_of, character_of = kind_of.reshape(-1), character_of.reshape(-1)
-    sort_keys = [(kinds[k][0], kinds[k][3], strings[h], lattice.keys[pos])
-                 for k, h, pos in zip(kind_of.tolist(), character_of.tolist(), proper.tolist())]
-    order = sorted(range(len(proper)), key=sort_keys.__getitem__)
+    # c is constant within a dimension, so a stable sort by the ranks of
+    # (c, genus), which can pass int64, and of the strings keeps key order
+    ranks = {cg: i for i, cg in enumerate(sorted({(cc, genus) for cc, _, _, genus in kinds}))}
+    kind_rank = np.array([ranks[cc, genus] for cc, _, _, genus in kinds])
+    string_rank = np.unique(strings, return_inverse=True)[1]
+    order = np.lexsort((string_rank[character_of], kind_rank[kind_of]))
     idents, kind_of, character_of = idents[order], kind_of[order], character_of[order]
 
     # a row of idents, one per component in component order, is one number

@@ -6,9 +6,15 @@ Nothing in ``src/`` imports this module.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+
+import platocover
 
 from platocover.chartab import CycValue, column_of_class
 from platocover.gf import _counter_residues, _irreducible, root_of_unity
@@ -550,7 +556,7 @@ def reference_descriptors(lattice: Lattice, module: HomologyModule) -> list[Cove
     paired with the covering whose idents are its sorted mirror idents."""
     group, p, dm = module.group, module.p, module.group.map
     rows = []
-    for key, ident in zip(lattice.keys, map(tuple, lattice.idents.tolist())):
+    for pos, ident in enumerate(map(tuple, lattice.idents.tolist())):
         choices = tuple(lattice.choices[i] for i in ident)
         if all(ch.k == ch.component.multiplicity for ch in choices):
             continue  # the full module
@@ -572,7 +578,7 @@ def reference_descriptors(lattice: Lattice, module: HomologyModule) -> list[Cove
             if rem:
                 character[ch.component.label] = rem
         mirrored = tuple(sorted(ch.mirror for ch in choices))
-        d = CoveringDescriptor(p, key, c, effective, cover_type, genus, character,
+        d = CoveringDescriptor(p, lattice.key(pos), c, effective, cover_type, genus, character,
                                mirrored == ident, choices)
         rows.append((d, ident, mirrored))
     rows.sort(key=lambda row: (row[0].c, row[0].genus, row[0].character_string, row[0].key))
@@ -586,3 +592,15 @@ def reference_descriptors(lattice: Lattice, module: HomologyModule) -> list[Cove
         assert (mate.c, mate.genus, mate.cover_type) == (d.c, d.genus, d.cover_type)
         d.mate_index = j
     return [d for d, _, _ in rows]
+
+
+# ---------------------------------------------------------------------------
+# subprocesses
+
+
+def run_python(args, timeout=120, **kwargs) -> subprocess.CompletedProcess:
+    """This interpreter run with args and platocover's source tree on
+    PYTHONPATH, its output captured as text."""
+    env = {**os.environ, "PYTHONPATH": str(Path(platocover.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=timeout, **kwargs)

@@ -1,11 +1,7 @@
 """Derived-map construction and independent Euler-characteristic checks."""
 
-import os
-import subprocess
-import sys
 import tracemalloc
 from functools import cache
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +23,7 @@ from platocover.homology import Subspace, build_homology
 from platocover.lattice import census
 from platocover.linalg import Labeller, joint_orbit_count
 from platocover.maps import build_group, build_map, parse_family
-from reference import k_encoding, reference_derived_permutations
+from reference import k_encoding, reference_derived_permutations, run_python
 
 
 def _module(name, p):
@@ -148,12 +144,7 @@ except Exception as exc:
 @pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
 def test_bad_voltage_input_raises_value_error(flags, asserts, case, message):
     # explicit raises, so under -O the call does not go on to build a map
-    root = Path(solve_voltages.__code__.co_filename).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root)}
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", BAD_VOLTAGE_INPUT, case],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python([*flags, "-c", BAD_VOLTAGE_INPUT, case])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [f"asserts {asserts}", message]
 
@@ -246,10 +237,7 @@ except ValueError as exc:
 
 @pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
 def test_construction_checks_survive_optimize(flags, asserts):
-    root = Path(solve_voltages.__code__.co_filename).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root)}
-    proc = subprocess.run([sys.executable, *flags, "-c", BROKEN_CONSTRUCTION],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = run_python([*flags, "-c", BROKEN_CONSTRUCTION])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         f"asserts {asserts}",

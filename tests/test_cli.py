@@ -1,8 +1,9 @@
 """Command-line behavior: output formats, exit codes, fixture suite."""
 
+import ast
 import hashlib
 import json
-import os
+import re
 import resource
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 from platocover import cli, lattice, linalg
 from platocover.lattice import census
 from platocover.linalg import dtype_for
+from reference import run_python
 
 
 def run(argv, capsys):
@@ -250,12 +252,7 @@ CROSS_CHECK_FAILURES = {
 @pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
 def test_failed_cross_check_exits_1(flags, asserts, check):
     # the verdicts raise VerificationError, so they also hold under -O
-    root = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root)}
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", BREAK_CROSS_CHECK, check],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python([*flags, "-c", BREAK_CROSS_CHECK, check])
     assert f"asserts {asserts}" in proc.stderr
     assert proc.returncode == 1, proc.stderr
     assert "internal verification failure" in proc.stderr
@@ -265,12 +262,7 @@ def test_failed_cross_check_exits_1(flags, asserts, check):
 @pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
 def test_corrupted_reflection_exits_1(flags, asserts):
     # the check raises VerificationError itself, so it also holds under -O
-    root = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root)}
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", CORRUPT_REFLECTION],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python([*flags, "-c", CORRUPT_REFLECTION])
     assert f"asserts {asserts}" in proc.stderr
     assert proc.returncode == 1, proc.stderr
     assert "internal verification failure" in proc.stderr
@@ -324,12 +316,7 @@ sys.exit(cli.main(["classify", "--map", "tetrahedron", "--prime", "5"]))
 ])
 def test_corrupted_structure_exits_1(flags, asserts, script, message):
     # the checks raise VerificationError themselves, so they also hold under -O
-    root = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root)}
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", script],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python([*flags, "-c", script])
     assert f"asserts {asserts}" in proc.stderr
     assert proc.returncode == 1, proc.stderr
     assert "internal verification failure" in proc.stderr
@@ -361,12 +348,7 @@ sys.exit(cli.main(["classify", "--map", "cube", "--prime", "5"]))
 def test_overlapping_leaf_block_exits_1(flags, asserts):
     # the merge kernel checks each sum is direct with VerificationError, so
     # the check also holds under -O
-    root = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root)}
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", OVERLAPPING_BLOCK],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python([*flags, "-c", OVERLAPPING_BLOCK])
     assert f"asserts {asserts}" in proc.stderr
     assert proc.returncode == 1, proc.stderr
     assert "internal verification failure" in proc.stderr
@@ -392,14 +374,9 @@ def test_exact_object_dtype_census(capsys):
 @pytest.mark.parametrize("flags", [(), ("-O",)])
 def test_field_over_enumeration_cap_exits_2(flags):
     # chi4 has multiplicity 2 over F_p, so its menu would list p + 3 choices
-    root = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root)}
     argv = ["classify", "--map", "icosahedron", "--branch", "faces", "--prime", "1000003"]
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, *flags, "-m", "platocover.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
+    proc = run_python([*flags, "-m", "platocover.cli", *argv], timeout=30)
     assert time.perf_counter() - start < 10
     assert proc.returncode == 2, proc.stderr
     assert "1000003^1" in proc.stderr and "16384" in proc.stderr
@@ -409,15 +386,10 @@ def test_field_over_enumeration_cap_exits_2(flags):
 def test_lattice_over_enumeration_cap_exits_2(flags):
     # full branching of the icosahedron at p = 11 has about 7.6e16 submodules;
     # the size is known from the decomposition, before any menu is built
-    root = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root)}
     argv = ["classify", "--map", "icosahedron", "--prime", "11",
             "--branch", "vertices,edges,faces"]
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, *flags, "-m", "platocover.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
+    proc = run_python([*flags, "-m", "platocover.cli", *argv], timeout=30)
     assert time.perf_counter() - start < 10
     assert proc.returncode == 2, proc.stderr
     assert "76312996630592512 submodules" in proc.stderr and "262144" in proc.stderr
@@ -431,14 +403,9 @@ def test_lattice_over_enumeration_cap_exits_2(flags):
 def test_map_over_size_cap_exits_2(flags, name, branch, entries):
     # the group and Q's action would hold |G| * (|G| + dim^2) entries; the
     # size follows from the family, before the map or the group is built
-    root = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root)}
     argv = ["classify", "--map", name, "--prime", "7", "--branch", branch]
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, *flags, "-m", "platocover.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
+    proc = run_python([*flags, "-m", "platocover.cli", *argv], timeout=30)
     assert time.perf_counter() - start < 10
     assert proc.returncode == 2, proc.stderr
     assert f"needs {entries} entries" in proc.stderr and "8388608" in proc.stderr
@@ -458,13 +425,8 @@ def test_map_over_size_cap_exits_2(flags, name, branch, entries):
      "needs 1499212800 coefficient sums for its character table, over the cap of 16777216"),
 ])
 def test_budget_inputs_exit_2(flags, argv, message):
-    root = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root)}
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, *flags, "-m", "platocover.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
+    proc = run_python([*flags, "-m", "platocover.cli", *argv], timeout=30)
     assert time.perf_counter() - start < 10
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
@@ -482,13 +444,8 @@ def test_map_size_cap_keeps_group_sums_exact():
     ("tetrahedron:5", "tetrahedron takes no parameter"),
 ])
 def test_bad_map_parameter_exits_2(flags, family, message):
-    root = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root)}
     argv = ["classify", "--map", family, "--prime", "5"]
-    proc = subprocess.run(
-        [sys.executable, *flags, "-m", "platocover.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=30,
-    )
+    proc = run_python([*flags, "-m", "platocover.cli", *argv], timeout=30)
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
 
@@ -496,17 +453,12 @@ def test_bad_map_parameter_exits_2(flags, family, message):
 def test_oracle_over_budget_exits_2_before_allocating():
     # 131^5 vectors would need about 196 GB of digits; the budget is checked
     # first, so the run fits in a 2 GiB address space
-    root = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root)}
 
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "platocover.cli", "classify", "--map", "cube", "--prime", "131",
-         "--oracle"],
-        capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit_address_space,
-    )
+    proc = run_python(["-m", "platocover.cli", "classify", "--map", "cube", "--prime", "131",
+         "--oracle"], timeout=60, preexec_fn=limit_address_space)
     assert proc.returncode == 2, proc.stderr
     assert "131^5 vectors exceeds the budget of 10000000" in proc.stderr
 
@@ -574,7 +526,7 @@ def test_json_cross_check_lines_go_to_stderr(capsys):
 
 
 # makes the Gaussian binomials count one E-subspace more than the listing of
-# chi4's menu (multiplicity 2) holds
+# the first menu (chi1, multiplicity 1) holds
 MISCOUNTED_SUBSPACES = """
 import sys
 from platocover import cli, lattice
@@ -590,13 +542,60 @@ sys.exit(cli.main(["classify", "--map", "tetrahedron", "--prime", "5",
 @pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
 def test_miscounted_subspaces_exit_1(flags, asserts):
     # the listing's count check raises VerificationError, so it also holds under -O
-    root = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root)}
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", MISCOUNTED_SUBSPACES],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_python([*flags, "-c", MISCOUNTED_SUBSPACES])
     assert f"asserts {asserts}" in proc.stderr
     assert proc.returncode == 1, proc.stderr
     assert "internal verification failure" in proc.stderr
-    assert "E-subspaces of E^2 listed" in proc.stderr
+    assert "E-subspaces of E^1 listed" in proc.stderr
+
+
+# moves the full module's predicted count to dimension 0, so the walk finds
+# a submodule of dimension 5 where none was predicted; or predicts one more
+# submodule of dimension 0, so that dimension is left one short
+MISPREDICTED_DIMENSIONS = """
+import sys
+from platocover import cli, lattice
+
+predict = lattice._check_lattice_size
+
+def mispredicted(components, p):
+    counts = predict(components, p)
+    counts[0] += 1
+    if sys.argv[1] == "moved":
+        counts[-1] -= 1
+    return counts
+
+lattice._check_lattice_size = mispredicted
+print("asserts", "on" if __debug__ else "off", file=sys.stderr)
+sys.exit(cli.main(["classify", "--map", "cube", "--prime", "5"]))
+"""
+
+
+@pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
+@pytest.mark.parametrize("case, message", [
+    ("moved", "the walk finds more than the 0 submodules of dimension 5 the Gaussian "
+              "binomials predict"),
+    ("extra", "the walk found [1, 0, 1, 1, 0, 1] submodules by dimension, the Gaussian "
+              "binomials predict [2, 0, 1, 1, 0, 1]"),
+])
+def test_mispredicted_dimensions_exit_1(flags, asserts, case, message):
+    # the walk checks each dimension's count with VerificationError, so the
+    # check also holds under -O
+    proc = run_python([*flags, "-c", MISPREDICTED_DIMENSIONS, case])
+    assert f"asserts {asserts}" in proc.stderr
+    assert proc.returncode == 1, proc.stderr
+    assert "internal verification failure" in proc.stderr
+    assert message in proc.stderr
+
+
+def test_readme_names_every_budget():
+    # every module-level *_BUDGET or *_CAP constant, found by syntax tree, is
+    # named in the README, so its budget table cannot drift from the code
+    src = Path(cli.__file__).resolve().parent
+    names = [target.id for path in sorted(src.glob("*.py"))
+             for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)
+             for target in node.targets
+             if isinstance(target, ast.Name) and target.id.endswith(("_BUDGET", "_CAP"))]
+    assert {"_FIELD_CAP", "_LATTICE_CAP", "VECTOR_BUDGET"} <= set(names)
+    readme = (src.parents[1] / "README.md").read_text()
+    assert [name for name in names if not re.search(rf"(?<!\w){name}(?!\w)", readme)] == []

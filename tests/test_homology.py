@@ -1,10 +1,6 @@
 """Homology module and subspace algebra tests."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platocover.errors import EvenPrimeUnsupported, ModularCaseUnsupported
-from platocover.homology import HomologyModule, Subspace, build_homology
+from platocover.homology import Subspace, build_homology
 from platocover.linalg import mat_mul
 from platocover.maps import build_group, build_map, family
-from reference import intersect, named_submodules
+from reference import intersect, named_submodules, run_python
 
 
 def group_for(tag, param=None):
@@ -176,10 +172,7 @@ class TestBuildHomology:
             "    except Exception as exc:\n"
             "        print(type(exc).__name__, exc)\n"
         )
-        root = Path(HomologyModule.__init__.__code__.co_filename).resolve().parents[1]
-        env = {**os.environ, "PYTHONPATH": str(root)}
-        proc = subprocess.run([sys.executable, *flags, "-c", script],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_python([*flags, "-c", script])
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
         assert len(lines) == 3 and lines[0] == f"asserts {asserts}"

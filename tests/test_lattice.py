@@ -4,15 +4,20 @@ import hashlib
 import json
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platocover import cli
 from platocover import lattice as lattice_module
 from platocover.decompose import decompose_module
-from platocover.homology import Subspace, build_homology
+from platocover.homology import Subspace, _key_width, build_homology, pack_rows
 from platocover.lattice import (
+    Lattice,
     census,
     component_menus,
     describe_covering,
@@ -21,6 +26,7 @@ from platocover.lattice import (
     gaussian_binomial,
     subspace_count,
 )
+from platocover.linalg import dtype_for
 from platocover.maps import build_group, build_map, family, parse_family
 from reference import named_submodules, reference_descriptors
 
@@ -39,11 +45,26 @@ def test_gaussian_binomial_values():
 
 
 def test_e_subspace_enumeration_shapes():
-    assert len(e_subspaces(2, 1, 5)) == 8
-    assert len(e_subspaces(3, 1, 3)) == 28
-    assert len(e_subspaces(2, 2, 3)) == 12
-    # multiplicity one skips field enumeration entirely
-    assert len(e_subspaces(1, 12, 7)) == 2
+    # multiplicity one has no free entry, so no element of F_(7^12) is listed
+    for m, s, p, total in [(2, 1, 5, 8), (3, 1, 3, 28), (2, 2, 3, 12), (1, 12, 7, 2)]:
+        stacks = e_subspaces(m, s, p)
+        assert [stack.shape[1:] for stack in stacks] == [(k, m, s) for k in range(m + 1)]
+        assert [len(stack) for stack in stacks] == [gaussian_binomial(m, k, p**s) for k in range(m + 1)]
+        assert sum(map(len, stacks)) == total
+        for k, stack in enumerate(stacks):
+            # in RREF over E: each row's first nonzero coordinate is the
+            # identity's and every other row is zero in that column
+            flat = stack.reshape(len(stack), k, m * s)
+            pivots = (flat != 0).argmax(axis=2)
+            assert (pivots % s == 0).all() and (np.diff(pivots, axis=1) > 0).all()
+            columns = np.take_along_axis(flat, np.repeat(pivots[:, None, :], k, axis=1), axis=2)
+            assert (columns == np.eye(k, dtype=int)).all()
+            # distinct, and in lexicographic order within each set of pivots
+            rows = [tuple(row) for row in flat.reshape(len(stack), -1).tolist()]
+            assert len(set(rows)) == len(rows)
+            for piv in set(map(tuple, pivots.tolist())):
+                same = [row for row, q in zip(rows, pivots.tolist()) if tuple(q) == piv]
+                assert same == sorted(same)
 
 
 def face_census(tag, p, param=None):
@@ -192,7 +213,8 @@ def test_named_submodules_appear_in_lattice():
     group = build_group(build_map(family("octahedron")))
     module = build_homology(group, ["faces"], 5)
     named = named_submodules(module, group)
-    submodules = set(enumerate_submodules(decompose_module(module), module).keys)
+    lattice = enumerate_submodules(decompose_module(module), module)
+    submodules = set(map(lattice.key, range(len(lattice))))
     for name in ("Qb", "Qa", "Qa'&Qb'", "Qb'"):
         assert named[name].key() in submodules, name
 
@@ -320,14 +342,14 @@ def test_walk_matches_depth_first_reference(name, branch, p):
 
     walk(0, Subspace.zero(p, module.dim), ())
     lattice = enumerate_submodules(components, module)
-    got = [(key, tuple(row)) for key, row in zip(lattice.keys, lattice.idents.tolist())]
+    got = [(lattice.key(i), tuple(row)) for i, row in enumerate(lattice.idents.tolist())]
     assert len(got) == len(reference) == len({key for key, _ in got})
     assert sorted(got) == sorted(reference)
 
 
 def sorted_walk(components, module):
     lattice = enumerate_submodules(components, module)
-    return sorted(zip(lattice.keys, map(tuple, lattice.idents.tolist())))
+    return sorted(zip(map(lattice.key, range(len(lattice))), map(tuple, lattice.idents.tolist())))
 
 
 @pytest.mark.parametrize(
@@ -358,6 +380,68 @@ def test_walk_does_not_depend_on_the_chunk(name, branch, p, entries, splits):
             chunked = sorted_walk(components, module)
     assert (len(merges) - calls > calls) == splits
     assert chunked == whole
+
+
+FIXTURES = sorted((Path(cli.__file__).resolve().parent / "fixtures").glob("*.json"))
+
+
+@pytest.mark.parametrize("fixture", FIXTURES, ids=lambda path: path.stem)
+def test_predicted_counts_match_the_fixtures(fixture):
+    # the committed coverings, plus the full module, counted by codimension
+    spec = json.loads(fixture.read_text())
+    module = build_homology(build_group(build_map(parse_family(spec["args"]["map"]))),
+                            spec["args"]["branch"], spec["args"]["prime"])
+    counts = Counter(cov["c"] for cov in spec["expected"]["coverings"]) + Counter({0: 1})
+    predicted = lattice_module._check_lattice_size(decompose_module(module), module.p)
+    assert predicted == [counts[module.dim - r] for r in range(module.dim + 1)]
+
+
+def test_predicted_counts_match_the_walk():
+    # every submodule's dimension read from its choices, not from where the
+    # walk stored its key
+    module = build_homology(build_group(build_map(family("dodecahedron"))),
+                            ("vertices", "faces"), 7)
+    components = decompose_module(module)
+    lattice = enumerate_submodules(components, module)
+    dims = np.array([ch.block.dim for ch in lattice.choices])
+    found = np.bincount(dims[lattice.idents].sum(axis=1), minlength=module.dim + 1)
+    assert lattice_module._check_lattice_size(components, module.p) == found.tolist()
+    assert np.diff(lattice.starts).tolist() == found.tolist()
+    for r, rows in enumerate(lattice.keys):
+        assert rows.shape == (found[r], r * module.dim * _key_width(module.p))
+
+
+@pytest.mark.parametrize("p, width", [(7, 1), (257, 2), (2**31 - 1, 4), (2**89 - 1, 12)])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_byte_string_argsort_orders_as_the_key(p, width, data):
+    # packed RREF stacks of one shape, drawn with entries at the byte
+    # boundaries so that many keys share a prefix
+    n = data.draw(st.integers(1, 5), label="ambient")
+    r = data.draw(st.integers(1, n), label="rank")
+    entries = st.one_of(st.sampled_from([v for v in (0, 1, 127, 128, 255, 256, p - 1) if v < p]),
+                        st.integers(0, p - 1))
+    bases = []
+    for _ in range(data.draw(st.integers(1, 12), label="batch")):
+        pivots = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=r, max_size=r)))
+        basis = [[0] * n for _ in range(r)]
+        for i, piv in enumerate(pivots):
+            basis[i][piv] = 1
+            for j in range(piv + 1, n):
+                if j not in pivots:
+                    basis[i][j] = data.draw(entries)
+        bases.append(basis)
+    spaces = [Subspace(basis, p, n) for basis in bases]
+    assert [s.basis.tolist() for s in spaces] == bases
+    packed = pack_rows(np.array(bases, dtype=dtype_for(p)), p)
+    assert len(packed) == len(bases) * r * n * width
+    keys = [np.empty((0, k * n * width), dtype=np.uint8) for k in range(r)]
+    keys.append(np.frombuffer(packed, dtype=np.uint8).reshape(len(bases), -1))
+    lattice = Lattice(n, keys, np.array([0] * (r + 1) + [len(bases)]), np.zeros((len(bases), 0)), [])
+    assert [lattice.key(i) for i in range(len(bases))] == [s.key() for s in spaces]
+    order = lattice.key_order(r).tolist()
+    assert sorted(order) == list(range(len(bases)))
+    assert [spaces[i].key() for i in order] == sorted(s.key() for s in spaces)
 
 
 def test_walk_memory_stays_bounded():

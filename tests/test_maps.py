@@ -1,16 +1,10 @@
 """Map construction and rotation group tests."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-from platocover import maps
 from platocover.maps import build_group, build_map, family, parse_family, stabilizer_H
-from reference import GROUP_LAYER_MAPS, reference_group, walked_orbits
+from reference import GROUP_LAYER_MAPS, reference_group, run_python, walked_orbits
 
 COUNTS = {
     "tetrahedron": (4, 6, 4),
@@ -273,9 +267,6 @@ for message, broken in cases.items():
 
 @pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
 def test_group_checks_survive_optimize(flags, asserts):
-    root = Path(maps.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root)}
-    proc = subprocess.run([sys.executable, *flags, "-c", BROKEN_GROUPS],
-                          capture_output=True, text=True, env=env, timeout=60)
+    proc = run_python([*flags, "-c", BROKEN_GROUPS], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n", 1) == [f"asserts {asserts}", "raised\nraised\n"]

@@ -22,7 +22,8 @@ def _module(name, branch, p):
 
 def _enumerated_keys(module):
     components = decompose_module(module)
-    return sorted(enumerate_submodules(components, module).keys)
+    lattice = enumerate_submodules(components, module)
+    return sorted(map(lattice.key, range(len(lattice))))
 
 
 def test_tetrahedron_faces_has_only_trivial_submodules():
