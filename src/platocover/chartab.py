@@ -1,18 +1,19 @@
 """Ordinary character tables and permutation-character decomposition.
 
-Tables for A4, S4 and A5 are hard-coded with exact quadratic-irrational
-entries; dihedral tables are generated with entries in the cyclotomic ring
-Z[x]/(x^n - 1).  All arithmetic is exact: orthogonality and multiplicity
-checks never touch floating point.
+Every table holds values in one cyclotomic ring Z[x]/(x^n - 1): A4, S4 and
+A5 are hard-coded over n = 3, 1 and 5, and the dihedral tables are
+generated.  All arithmetic is exact: orthogonality and multiplicity checks
+never touch floating point.
 
 Over F_p, p not dividing |G|, the irreducible characters are the sums over
 the orbits of the p-power map chi -> (g -> chi(g^p)) (``p_power_orbits``):
 the conjugate pairs of A4 (p = 2 mod 3) and A5 (p = +-2 mod 5), and for D_n
-the xi_k with k in one orbit of <p, -1> on Z_n.  Values reduce mod p with
-sqrt(d) sent to its even root and zeta_n to the w of ``gf.root_of_unity``,
-the same w that labels the factors of x^n - 1; ``decompose`` reduces the
-summed coefficient rows of a dihedral table, whose entries are one shared
-value object per distinct value, with one product.
+the xi_k with k in one orbit of <p, -1> on Z_n.  ``decompose`` reduces the
+summed coefficient rows of every table mod p with one product.  The values
+of A4 and A5 reduce with sqrt(d) sent to its even root, which the table's
+Gauss sum (``CharacterTable.gauss_sum``) fixes; dihedral values reduce with
+zeta_n sent to the w of ``gf.root_of_unity``, the same w that labels the
+factors of x^n - 1.
 
 Class matching.  Every column names one element of its class by a word in
 the generators (``col_words``): a list of factors (generator, exponent),
@@ -28,74 +29,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from .errors import verify
-from .gf import cyclotomic_polynomial, poly_divmod, sqrt_mod_p
+from .gf import cyclotomic_polynomial, poly_divmod
 from .linalg import cycle_labels, label_orbits
 from .maps import GroupData, stabilizer_H
-
-
-@dataclass(frozen=True)
-class QuadValue:
-    """Exact a + b*sqrt(d); d = 1 encodes a rational value."""
-
-    a: Fraction
-    b: Fraction
-    d: int
-
-    @staticmethod
-    def rational(a, d: int = 1) -> "QuadValue":
-        return QuadValue(Fraction(a), Fraction(0), d)
-
-    def _check_field(self, other: "QuadValue") -> None:
-        if self.b and other.b and self.d != other.d:
-            raise ValueError(f"values in Q(sqrt {self.d}) and Q(sqrt {other.d}) do not combine")
-
-    def __add__(self, other: "QuadValue") -> "QuadValue":
-        d = self.d if self.b else other.d
-        self._check_field(other)
-        return QuadValue(self.a + other.a, self.b + other.b, d)
-
-    def __mul__(self, other: "QuadValue") -> "QuadValue":
-        d = self.d if self.b else other.d
-        self._check_field(other)
-        return QuadValue(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
-
-    def times(self, k: int) -> "QuadValue":
-        return QuadValue(self.a * k, self.b * k, self.d)
-
-    def conj(self) -> "QuadValue":
-        """Complex conjugate: nontrivial only for imaginary quadratics."""
-        if self.d < 0:
-            return QuadValue(self.a, -self.b, self.d)
-        return self
-
-    def galois(self) -> "QuadValue":
-        return QuadValue(self.a, -self.b, self.d)
-
-    def as_integer(self):
-        if self.b != 0 or self.a.denominator != 1:
-            return None
-        return int(self.a)
-
-    def mod_p(self, p: int):
-        """Image in F_p, or None when sqrt(d) does not exist mod p."""
-        if self.b == 0:
-            return self.a.numerator * pow(self.a.denominator, -1, p) % p
-        s = sqrt_mod_p(self.d % p, p)
-        if s is None:
-            return None
-        num = self.a.numerator * self.b.denominator + self.b.numerator * self.a.denominator * s
-        den = self.a.denominator * self.b.denominator
-        return num * pow(den, -1, p) % p
 
 
 @dataclass(frozen=True)
@@ -163,7 +104,12 @@ class CharacterTable:
     col_orders: list[int]
     col_words: list[list[tuple[str | int, int]]]  # an element of each column's class
     row_names: list[str]
-    rows: list[list]
+    rows: list[list[CycValue]]
+    # sqrt(d) for a table whose irrational values lie in Q(sqrt d): its
+    # values reduce mod p with sqrt(d) sent to its even root, for any
+    # primitive root of unity.  The others reduce through the w of
+    # gf.root_of_unity, which also labels the factors of x^n - 1
+    gauss_sum: CycValue | None = None
 
     @property
     def n_cols(self) -> int:
@@ -176,18 +122,15 @@ class CharacterTable:
         return deg
 
 
-_OMEGA = QuadValue(Fraction(-1, 2), Fraction(1, 2), -3)
-_OMEGA_BAR = _OMEGA.galois()
-_LAMBDA = QuadValue(Fraction(1, 2), Fraction(1, 2), 5)
-_MU = _LAMBDA.galois()
-
-
-def _q(x, d=1):
-    return QuadValue.rational(x, d)
+def _values(n: int, *rows) -> list[list[CycValue]]:
+    """Table rows in Z[zeta_n] from rows of coefficient tuples and ints."""
+    return [[CycValue(n, v) if isinstance(v, tuple) else CycValue.integer(v, n) for v in row]
+            for row in rows]
 
 
 def table_A4() -> CharacterTable:
-    d = -3
+    # omega = zeta_3, omega-bar = zeta_3^2
+    omega, omega_bar = (0, 1, 0), (0, 0, 1)
     return CharacterTable(
         name="A4",
         col_labels=["1", "2^2", "3", "3'"],
@@ -195,12 +138,9 @@ def table_A4() -> CharacterTable:
         col_orders=[1, 2, 3, 3],
         col_words=[[], [("y", 1)], [(3, 1)], [(3, 2)]],
         row_names=["chi1", "chi2", "chi3", "chi4"],
-        rows=[
-            [_q(1, d), _q(1, d), _q(1, d), _q(1, d)],
-            [_q(1, d), _q(1, d), _OMEGA, _OMEGA_BAR],
-            [_q(1, d), _q(1, d), _OMEGA_BAR, _OMEGA],
-            [_q(3, d), _q(-1, d), _q(0, d), _q(0, d)],
-        ],
+        rows=_values(3, [1, 1, 1, 1], [1, 1, omega, omega_bar], [1, 1, omega_bar, omega],
+                     [3, -1, 0, 0]),
+        gauss_sum=CycValue(3, (1, 2, 0)),  # sqrt(-3) = 1 + 2 zeta_3
     )
 
 
@@ -212,18 +152,14 @@ def table_S4() -> CharacterTable:
         col_orders=[1, 2, 2, 3, 4],
         col_words=[[], [("y", 1)], [(4, 2)], [(3, 1)], [(4, 1)]],
         row_names=["chi1", "chi2", "chi3", "chi4", "chi5"],
-        rows=[
-            [_q(1), _q(1), _q(1), _q(1), _q(1)],
-            [_q(1), _q(-1), _q(1), _q(1), _q(-1)],
-            [_q(2), _q(0), _q(2), _q(-1), _q(0)],
-            [_q(3), _q(1), _q(-1), _q(0), _q(-1)],
-            [_q(3), _q(-1), _q(-1), _q(0), _q(1)],
-        ],
+        rows=_values(1, [1, 1, 1, 1, 1], [1, -1, 1, 1, -1], [2, 0, 2, -1, 0], [3, 1, -1, 0, -1],
+                     [3, -1, -1, 0, 1]),
     )
 
 
 def table_A5() -> CharacterTable:
-    d = 5
+    # the golden ratios lambda = (1 + sqrt 5)/2 and mu = (1 - sqrt 5)/2
+    lam, mu = (1, 1, 0, 0, 1), (1, 0, 1, 1, 0)
     return CharacterTable(
         name="A5",
         col_labels=["1", "2^2", "3", "5", "5'"],
@@ -231,13 +167,9 @@ def table_A5() -> CharacterTable:
         col_orders=[1, 2, 3, 5, 5],
         col_words=[[], [("y", 1)], [(3, 1)], [(5, 1)], [(5, 2)]],
         row_names=["chi1", "chi2", "chi3", "chi4", "chi5"],
-        rows=[
-            [_q(1, d), _q(1, d), _q(1, d), _q(1, d), _q(1, d)],
-            [_q(3, d), _q(-1, d), _q(0, d), _LAMBDA, _MU],
-            [_q(3, d), _q(-1, d), _q(0, d), _MU, _LAMBDA],
-            [_q(4, d), _q(0, d), _q(1, d), _q(-1, d), _q(-1, d)],
-            [_q(5, d), _q(1, d), _q(-1, d), _q(0, d), _q(0, d)],
-        ],
+        rows=_values(5, [1, 1, 1, 1, 1], [3, -1, 0, lam, mu], [3, -1, 0, mu, lam],
+                     [4, 0, 1, -1, -1], [5, 1, -1, 0, 0]),
+        gauss_sum=CycValue(5, (0, 1, -1, -1, 1)),  # sqrt(5)
     )
 
 

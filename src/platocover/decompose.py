@@ -10,10 +10,13 @@ component.  Each idempotent is checked to be idempotent, with an invariant
 image of the predicted dimension and class traces, and the idempotents to be
 orthogonal and to sum to 1.  The orbit length is the degree s of the
 endomorphism field E = F_{p^s}, which the field found below must match.
-The work is per census, not per orbit: the character values of every orbit
-reduce mod p by one product, every idempotent is one slice of one product
-with the group matrices, their images go into RREF by one elimination of
-the stack, and every class trace is one slice of one more product.
+The work is per census, not per orbit: every table holds values in Z[zeta_n],
+so the character values of every orbit reduce mod p by one product with the
+powers of a primitive n-th root of unity, whose choice follows the table's
+Gauss sum (``chartab.CharacterTable.gauss_sum``), every idempotent is one
+slice of one product with the group matrices, their images go into RREF by
+one elimination of the stack, and every class trace is one slice of one
+more product.
 
 The components then go through one tail.  It checks that Q is the direct sum
 of the components, stores on each component the projection of every puncture
@@ -60,7 +63,7 @@ from . import chartab
 from .chartab import CharacterTable, match_classes, table_for_group
 from .errors import VerificationError, verify
 from .homology import HomologyModule, Subspace
-from .gf import root_of_unity
+from .gf import first_root_of_unity, root_of_unity
 from .linalg import (as_matrix, echelon, eliminate, identity, label_orbits, mat_mul, mod,
                      orbit_labels, rref)
 from .maps import GroupData
@@ -93,18 +96,22 @@ def _class_values_mod_p(table: CharacterTable, orbits, p: int):
     as an (orbits, columns) array, and per orbit whether every value lies
     in F_p.
 
-    Entries in Z[zeta_n] are summed over each orbit as coefficient rows,
-    which one product with the (n, e) powers of the w of gf.root_of_unity
-    sends to F_{p^e}; a value lies in F_p when its image has no coordinate
-    past the first.  Quadratic entries are summed and reduced one by one."""
-    if not isinstance(table.rows[0][0], chartab.CycValue):
-        sums = [[sum((table.rows[r][col] for r in rows[1:]), table.rows[rows[0]][col]).mod_p(p)
-                 for col in range(table.n_cols)] for rows in orbits]
-        return (np.array([[0 if v is None else v for v in row] for row in sums], dtype=np.int64),
-                np.array([None not in row for row in sums]))
+    The values are summed over each orbit as coefficient rows in Z[zeta_n],
+    which one product with the (n, e) powers of a primitive n-th root of
+    unity w sends to F_{p^e}; a value lies in F_p when its image has no
+    coordinate past the first.  A table with a Gauss sum sqrt(d) takes the
+    first root gf finds and, where that sends sqrt(d) to an odd root in
+    F_p, its square: zeta -> zeta^2 negates sqrt(d), as 2 is not a square
+    mod 3 or mod 5.  The others take the w of gf.root_of_unity."""
     n = table.rows[0][0].n
-    field, powers = root_of_unity(n, p)
-    # the entries are shared value objects: one coefficient row per distinct one
+    if table.gauss_sum is None:
+        field, powers = root_of_unity(n, p)
+    else:
+        field, powers = first_root_of_unity(n, p)
+        root = mat_mul(as_matrix(table.gauss_sum.coeffs, p), powers, p)[0]
+        if not (root[1:] != 0).any() and root[0] % 2:
+            powers = powers[2 * np.arange(n) % n]
+    # one coefficient row per distinct entry
     distinct: dict = {}
     index = np.array([[distinct.setdefault(v, len(distinct)) for v in row] for row in table.rows])
     coeffs = np.array([v.coeffs for v in distinct], dtype=np.int64)

@@ -181,43 +181,6 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# square roots
-
-def sqrt_mod_p(a: int, p: int):
-    """Tonelli-Shanks.  Returns the even representative of a square root of
-    a mod p, or None when a is not a quadratic residue."""
-    if not (is_prime(p) and p % 2 == 1):
-        raise ValueError(f"{p} is not an odd prime")
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    else:
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            t2 = t
-            i = 0
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-    verify(r * r % p == a, f"{r} is not a square root of {a} modulo {p}")
-    return r if r % 2 == 0 else p - r
-
-
-# ---------------------------------------------------------------------------
 # orbits of exponents of n-th roots of unity
 
 @dataclass(frozen=True)
@@ -462,6 +425,13 @@ class ExtField:
         """The (count, e) array of a^0, ..., a^(count-1)."""
         return _powers(self._array(a), count, self._table, self.p)
 
+    def _candidates(self):
+        """The elements in counter order as (1, e) arrays, from counter p on
+        for e >= 2: the prime field constants have orders dividing p - 1."""
+        start = self.p if self.e >= 2 else 1
+        for counter in range(start, self.order):
+            yield _counter_residues(range(counter, counter + 1), self.p, self.e)
+
     def primitive_element(self) -> tuple[int, ...]:
         """First element (in counter order) of multiplicative order p^e - 1:
         the first whose (p^e - 1)/q-th power is not 1 for any prime q
@@ -470,41 +440,67 @@ class ExtField:
         n = self.order - 1
         prime_divisors = sorted(factorize(n))
         one = self._array(self.one())
-        # for e >= 2, skip the prime field constants: their orders divide p - 1
-        start = self.p if self.e >= 2 else 1
-        for counter in range(start, self.order):
-            candidate = _counter_residues(range(counter, counter + 1), self.p, self.e)
+        for candidate in self._candidates():
             squares = _squares(candidate, n.bit_length(), self._table, self.p)
             if all((_power(squares, n // q, self._table, self.p) != one).any()
                    for q in prime_divisors):
                 return tuple(candidate[0].tolist())
         raise AssertionError("no primitive element found")
 
-    def nth_root_of_unity(self, n: int) -> tuple[int, ...]:
+    def _root_from(self, a, n: int):
+        """a^((p^e - 1)/n), checked to be an n-th root of unity, when it is a
+        primitive one, else None.  Only n is factored."""
         verify((self.order - 1) % n == 0, f"F_{self.order} has no primitive {n}-th root of unity")
-        w = self.pow(self.primitive_element(), (self.order - 1) // n)
+        w = self.pow(a, (self.order - 1) // n)
         verify(self.pow(w, n) == self.one(), f"w^{n} is not 1")
-        verify(all(self.pow(w, n // q) != self.one() for q in factorize(n)),
-               f"w is not a primitive {n}-th root of unity")
+        return w if all(self.pow(w, n // q) != self.one() for q in factorize(n)) else None
+
+    def nth_root_of_unity(self, n: int) -> tuple[int, ...]:
+        """The canonical primitive n-th root of unity: the (p^e - 1)/n-th
+        power of the primitive element, or 1 for n = 1, which needs none."""
+        w = self._root_from(self.primitive_element() if n > 1 else self.one(), n)
+        verify(w is not None, f"w is not a primitive {n}-th root of unity")
         return w
+
+    def first_nth_root_of_unity(self, n: int) -> tuple[int, ...]:
+        """The first primitive n-th root of unity among the (p^e - 1)/n-th
+        powers of the elements in counter order.  Unlike the canonical root
+        it needs no factors of p^e - 1, so it is found at any prime."""
+        for candidate in self._candidates():
+            w = self._root_from(tuple(candidate[0].tolist()), n)
+            if w is not None:
+                return w
+        raise AssertionError(f"no primitive {n}-th root of unity found")
 
 
 @lru_cache(maxsize=None)
-def root_of_unity(n: int, p: int) -> tuple[ExtField, np.ndarray]:
+def _root_powers(n: int, p: int, find) -> tuple[ExtField, np.ndarray]:
     """The field F_{p^e'}, e' = ord_n(p), and the (n, e') array of the powers
-    w^0, ..., w^(n-1) of its fixed primitive n-th root of unity w, read-only.
-    The factors of x^n - 1 and the reduction of cyclotomic character values
-    mod p both use this one w, so the labels of the census and of the
-    cyclotomic report agree."""
+    w^0, ..., w^(n-1), read-only, of the primitive n-th root of unity w that
+    find(field, n) picks."""
     verify(is_prime(p) and math.gcd(n, p) == 1, f"no {n}-th roots of unity over F_{p}")
     e = multiplicative_order(p, n, limit=ROOT_POWERS_BUDGET // n)
     if n * e > ROOT_POWERS_BUDGET:
         raise ValueError(f"the {n}-th roots of unity over F_{p} need {n} * ord_{n}({p}) >= {n * e} "
                          f"powers, past the budget of {ROOT_POWERS_BUDGET}")
     field = ExtField(p, e)
-    powers = field.powers(field.nth_root_of_unity(n), n)
+    powers = field.powers(find(field, n), n)
     powers.flags.writeable = False
     return field, powers
+
+
+def root_of_unity(n: int, p: int) -> tuple[ExtField, np.ndarray]:
+    """The field and powers of the canonical w, ExtField.nth_root_of_unity.
+    The factors of x^n - 1 and the reduction of the dihedral character
+    values mod p both use this one w, so the labels of the census and of
+    the cyclotomic report agree."""
+    return _root_powers(n, p, ExtField.nth_root_of_unity)
+
+
+def first_root_of_unity(n: int, p: int) -> tuple[ExtField, np.ndarray]:
+    """The field and powers of ExtField.first_nth_root_of_unity, for values
+    whose images mod p do not depend on the primitive root chosen."""
+    return _root_powers(n, p, ExtField.first_nth_root_of_unity)
 
 
 def factor_xn_minus_1(n: int, p: int) -> list[tuple[CosetOrbit, list[int]]]:

@@ -202,8 +202,17 @@ def reduce_rows(basis: np.ndarray, pivots, mat, p: int) -> np.ndarray:
     m = np.broadcast_to(m, np.broadcast_shapes(basis.shape[:-2], m.shape[:-2]) + m.shape[-2:])
     if basis.shape[-2] == 0:
         return m
+    return _residues(basis, pivots, m, p)
+
+
+def _residues(basis: np.ndarray, pivots, m: np.ndarray, p: int) -> np.ndarray:
+    """m minus its entries at the pivot columns times the RREF basis, in a
+    new array: the residue of each row of m, entries in [0, p), against
+    the basis, with reduce_rows's rules for stacks."""
     coeff = np.take_along_axis(m, np.asarray(pivots, dtype=np.intp)[..., None, :], axis=-1)
-    return mod(m - _product(coeff, basis, p), p)
+    out = _product(coeff, basis, p)
+    np.subtract(m, out, out=out)
+    return mod(out, p, out=out)
 
 
 def _inverses(x: np.ndarray, p: int) -> np.ndarray:
@@ -232,8 +241,9 @@ def merge_direct_sums(bases: np.ndarray, pivots: np.ndarray, blocks: np.ndarray,
     The residues against the prefixes come from one batched matmul, each
     block reading its coefficients at its own prefix's pivot columns, and
     are eliminated as one stack; the sum is direct exactly when every
-    residue row gets a pivot.  A second matmul clears the prefix rows on the
-    new pivot columns, and one sort puts the rows in pivot order."""
+    residue row gets a pivot.  The prefix rows' residues against the
+    eliminated stack clear them on the new pivot columns, and one sort puts
+    the rows in pivot order."""
     batch, r, n = blocks.shape
     r0 = pivots.shape[1]
     merged = np.empty((batch, r0 + r, n), dtype=bases.dtype)
@@ -241,15 +251,11 @@ def merge_direct_sums(bases: np.ndarray, pivots: np.ndarray, blocks: np.ndarray,
     merged[:, :r0], merged_pivots[:, :r0] = bases, pivots
     if r == 0:
         return merged, merged_pivots
-    fresh = _product(np.take_along_axis(blocks, pivots[:, None, :], axis=2), bases, p)
-    np.subtract(blocks, fresh, out=fresh)
-    mod(fresh, p, out=fresh)
+    fresh = _residues(bases, pivots, blocks, p)
     merged_pivots[:, r0:] = columns = eliminate(fresh, p)
     verify((columns < n).all(), "a block meets the prefix or is rank deficient: the sum is not direct")
     merged[:, r0:] = fresh
-    old = merged[:, :r0]
-    old -= _product(np.take_along_axis(bases, columns[:, None, :], axis=2), fresh, p)
-    mod(old, p, out=old)
+    merged[:, :r0] = _residues(fresh, columns, bases, p)
     at = np.arange(batch)[:, None]
     order = np.argsort(merged_pivots, axis=1)
     return merged[at, order], merged_pivots[at, order]

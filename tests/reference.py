@@ -422,14 +422,44 @@ def cyc_value_mod_p(value: CycValue, p: int):
     return image[0] % p
 
 
+# the tables whose irrational values lie in Q(sqrt d), by name, with d
+QUADRATIC_TABLES = {"A4": -3, "A5": 5}
+
+
+def quadratic_value_mod_p(value: CycValue, d: int, p: int):
+    """Image in F_p of a value of Q(sqrt d) in Z[zeta_|d|], |d| = 3 or 5,
+    with sqrt d sent to its even root mod p, found by scanning F_p; None
+    when the value is irrational and d is not a square mod p.
+
+    With R the nonzero squares mod |d| and N the rest, the periods
+    eta_R = sum_R zeta^r and eta_N = sum_N zeta^r add up to -1 and differ by
+    sqrt d, so c_0 + c_R eta_R + c_N eta_N = a + b sqrt d with
+    2a = 2c_0 - c_R - c_N and 2b = c_R - c_N."""
+    n = value.n
+    assert n == abs(d)
+    squares = {k * k % n for k in range(1, n)}
+    sides = [{value.coeffs[k] for k in range(1, n) if (k in squares) is side}
+             for side in (True, False)]
+    assert all(len(side) == 1 for side in sides), f"{value} is not in Q(sqrt {d})"
+    c_r, c_n = (side.pop() for side in sides)
+    twice_a, twice_b = 2 * value.coeffs[0] - c_r - c_n, c_r - c_n
+    half = pow(2, -1, p)
+    if not twice_b:
+        return twice_a * half % p
+    roots = [x for x in range(0, p, 2) if (x * x - d) % p == 0]
+    return (twice_a + twice_b * roots[0]) * half % p if roots else None
+
+
 def summed_values_mod_p(table, rows, p: int) -> list:
     """The summed characters of the given table rows per column, each sum
-    folded value by value and reduced on its own; None where a value does
-    not reduce into F_p."""
+    folded value by value and reduced on its own, through the even root of
+    d for A4 and A5 and through the w of gf.root_of_unity otherwise; None
+    where a value does not reduce into F_p."""
+    d = QUADRATIC_TABLES.get(table.name)
     out = []
     for col in range(table.n_cols):
         total = sum((table.rows[r][col] for r in rows[1:]), table.rows[rows[0]][col])
-        out.append(cyc_value_mod_p(total, p) if isinstance(total, CycValue) else total.mod_p(p))
+        out.append(cyc_value_mod_p(total, p) if d is None else quadratic_value_mod_p(total, d, p))
     return out
 
 

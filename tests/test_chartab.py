@@ -1,13 +1,11 @@
 """Character table and permutation character tests."""
 
 import dataclasses
-from fractions import Fraction
 
 import pytest
 
 from platocover.chartab import (
     CycValue,
-    QuadValue,
     dihedral_table,
     homology_character,
     match_classes,
@@ -18,6 +16,7 @@ from platocover.chartab import (
     table_S4,
     table_for_group,
 )
+from platocover.decompose import _class_values_mod_p
 from platocover.errors import VerificationError
 from platocover.maps import build_group, build_map, family, stabilizer_H
 from reference import (
@@ -37,21 +36,29 @@ def group_for(tag, param=None):
 
 class TestValues:
     def test_quad_arithmetic(self):
-        lam = QuadValue(Fraction(1, 2), Fraction(1, 2), 5)
-        mu = lam.galois()
-        # lam * mu = (1 - 5)/4 = -1, lam + mu = 1
+        # A5's golden ratios lambda and mu in Z[zeta_5]: lambda * mu = -1,
+        # lambda + mu = 1, and lambda satisfies t^2 = t + 1
+        lam, mu = table_A5().rows[1][3:]
         assert (lam * mu).as_integer() == -1
         assert (lam + mu).as_integer() == 1
-        # golden ratio satisfies t^2 = t + 1
-        assert lam * lam == lam + QuadValue.rational(1, 5)
+        assert (lam * lam + lam.times(-1)).as_integer() == 1
+        # the Gauss sums are omega - omega-bar and lambda - mu, of square d
+        omega, omega_bar = table_A4().rows[1][2:]
+        for table, d, plus, minus in ((table_A4(), -3, omega, omega_bar), (table_A5(), 5, lam, mu)):
+            assert (table.gauss_sum * table.gauss_sum).as_integer() == d
+            assert (plus + minus.times(-1) + table.gauss_sum.times(-1)).as_integer() == 0
+        assert table_S4().gauss_sum is None and dihedral_table(5).gauss_sum is None
 
     def test_quad_mod_p(self):
-        lam = QuadValue(Fraction(1, 2), Fraction(1, 2), 5)
-        # sqrt(5) exists mod 11 (4^2 = 16 = 5): lam = (1+4)/2 * inverse(2)...
-        v = lam.mod_p(11)
-        assert v is not None and (2 * v - 1) ** 2 % 11 == 5
-        assert lam.mod_p(7) is None
-        assert QuadValue.rational(Fraction(3, 2)).mod_p(7) == 3 * pow(2, -1, 7) % 7
+        # sqrt(-3) goes to its even root 2 mod 7, so omega = (-1 + 2)/2 = 4,
+        # and sqrt(5) to 4 mod 11, so lambda = (1 + 4)/2 = 8 and mu = 4
+        values, in_prime_field = _class_values_mod_p(table_A4(), [(1,), (2,)], 7)
+        assert values[:, 2:].tolist() == [[4, 2], [2, 4]] and in_prime_field.all()
+        values, in_prime_field = _class_values_mod_p(table_A5(), [(1,), (2,)], 11)
+        assert values[:, 3:].tolist() == [[8, 4], [4, 8]] and in_prime_field.all()
+        # 5 is not a square mod 7: lambda leaves F_7, lambda + mu = 1 does not
+        values, in_prime_field = _class_values_mod_p(table_A5(), [(1,), (1, 2)], 7)
+        assert in_prime_field.tolist() == [False, True] and values[1, 3:].tolist() == [1, 1]
 
     def test_cyc_value(self):
         # zeta_5 + zeta_5^4 + zeta_5^2 + zeta_5^3 = -1
@@ -237,10 +244,6 @@ def test_p_power_orbits_match_walk(tag, param):
 
 def test_values_of_different_fields_do_not_combine():
     # raised explicitly, so the checks also hold under python -O
-    root2, root3 = QuadValue(Fraction(0), Fraction(1), 2), QuadValue(Fraction(0), Fraction(1), 3)
-    for op in (QuadValue.__add__, QuadValue.__mul__):
-        with pytest.raises(ValueError, match="do not combine"):
-            op(root2, root3)
     for op in (CycValue.__add__, CycValue.__mul__):
         with pytest.raises(ValueError, match="do not combine"):
             op(CycValue(5, (0, 1, 0, 0, 0)), CycValue(7, (0, 1, 0, 0, 0, 0, 0)))

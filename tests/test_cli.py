@@ -75,6 +75,23 @@ def test_cyclotomic_report(capsys):
         "552c05ac280a1ed56e861ad9c92f9905724c8740c284dfc44f722f9ef4554862")
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+@pytest.mark.parametrize("argv, digest", [
+    (["--map", "tetrahedron", "--prime", "7", "--branch", "vertices,edges"],
+     "b485493a38abaeff5a2a1bd99823a2d2ec4653a31e399b81e8ee9928852384f4"),
+    (["--map", "icosahedron", "--prime", "29"],
+     "27237438c835af9e33d0546c2c73ea5a0e0326ebde5e81782c3292384943a421"),
+])
+def test_quadratic_labels_are_pinned(flags, argv, digest):
+    # the labels chi2 and chi3 of A4 and A5 follow sqrt(d) sent to its even
+    # root mod p; at these primes some primitive roots of unity send it to
+    # the odd one, which swaps the labels
+    proc = run_python([*flags, "-m", "platocover.cli", "classify", *argv, "--format", "json"],
+                      timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
 def test_exit_code_modular(capsys):
     code, _, err = run(["classify", "--map", "icosahedron", "--prime", "5"], capsys)
     assert code == 2
@@ -101,6 +118,26 @@ def test_exit_code_bad_map(capsys):
 def test_exit_code_missing_args(capsys):
     code, _, err = run(["classify"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("name, total", [("dodecahedron", 3), ("tetrahedron", 1), ("cube", 3)])
+def test_solid_census_past_the_int64_bound(name, total, capsys):
+    # 10^24 + 7: every value reduces as a Python int, and the root of unity
+    # is found without the factors of p^e - 1, which trial division cannot
+    # reach
+    code, out, _ = run(["classify", "--map", name, "--prime", str(10**24 + 7)], capsys)
+    assert code == 0
+    assert out.strip().splitlines()[-1].startswith(f"{total} coverings, {total} regular")
+
+
+def test_root_of_unity_needs_no_factors_of_the_field_order(capsys):
+    # the primitive element of F_(p^4), p = 10^9 + 7, would need the prime
+    # factors of p^4 - 1, one of them past the trial-division budget
+    start = time.perf_counter()
+    code, out, _ = run(["classify", "--map", "dodecahedron", "--prime", "1000000007"], capsys)
+    assert code == 0
+    assert out.strip().splitlines()[-1].startswith("3 coverings, 3 regular")
+    assert time.perf_counter() - start < 5
 
 
 def test_exit_code_factorization_budget(capsys):

@@ -1,8 +1,8 @@
 """Number theory and field arithmetic tests.
 
-Expected values here were frozen from independent computations: square roots
-by exhaustive scan, cyclotomic polynomials by hand for small index, factor
-degrees from the order of p in (Z/n)^*.
+Expected values here were frozen from independent computations: cyclotomic
+polynomials by hand for small index, factor degrees from the order of p in
+(Z/n)^*.
 """
 
 import math
@@ -18,6 +18,7 @@ from platocover.gf import (
     cyclotomic_polynomial,
     factor_xn_minus_1,
     factorize,
+    first_root_of_unity,
     frobenius_orbits,
     is_prime,
     multiplicative_order,
@@ -26,7 +27,6 @@ from platocover.gf import (
     poly_str,
     poly_trim,
     root_of_unity,
-    sqrt_mod_p,
 )
 from reference import first_irreducible_by_search, walked_orbits
 
@@ -115,37 +115,6 @@ class TestCyclotomic:
         for m in (7, 10, 36, 95):
             phi = sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
             assert len(cyclotomic_polynomial(m)) == phi + 1
-
-
-class TestSqrt:
-    def test_known_roots(self):
-        # exhaustive scan oracle: 4^2 = 16 = 5 mod 11; even representative
-        assert sqrt_mod_p(5, 11) == 4
-        assert sqrt_mod_p(5, 7) is None
-        assert sqrt_mod_p(0, 13) == 0
-        assert sqrt_mod_p(1, 13) == 12  # roots are 1 and 12; 12 is even
-
-    def test_against_scan(self):
-        for p in (3, 5, 7, 11, 13, 17, 29, 41, 97, 101):
-            squares = {x * x % p for x in range(p)}
-            for a in range(p):
-                r = sqrt_mod_p(a, p)
-                if a in squares:
-                    assert r is not None and r * r % p == a and (r == 0 or r % 2 == 0)
-                else:
-                    assert r is None
-
-    def test_residue_criteria(self):
-        # -3 is a QR mod p iff p = 1 mod 3; 5 is a QR mod p iff p = +-1 mod 5
-        for p in (7, 13, 19, 31):
-            assert sqrt_mod_p(-3, p) is not None
-        for p in (5 + 6, 17, 23, 29):
-            if p % 3 == 2:
-                assert sqrt_mod_p(-3, p) is None
-        for p in (11, 19, 29, 31):
-            assert sqrt_mod_p(5, p) is not None
-        for p in (3, 7, 13, 17, 23, 37):
-            assert sqrt_mod_p(5, p) is None
 
 
 class TestOrbits:
@@ -317,6 +286,47 @@ def test_canonical_root_is_pinned(n, p, defining, primitive, w):
                for i in range(n - 1))
 
 
+@pytest.mark.parametrize("n, p", [(1, 13), (3, 7), (3, 5), (3, 13), (5, 11), (5, 19), (5, 7),
+                                  (5, 13)])
+def test_first_root_is_the_first_in_counter_order(n, p):
+    # a walk over every element from counter 1 finds the same root: the
+    # first (p^e - 1)/n-th power of order n
+    field, powers = first_root_of_unity(n, p)
+    one = field.one()
+
+    def order(x):
+        k, y = 1, x
+        while y != one:
+            y, k = field_mul(field, y, x), k + 1
+        return k
+
+    elements = (field.element([(c // p**i) % p for i in range(field.e)])
+                for c in range(1, field.order))
+    roots = (field.pow(a, (field.order - 1) // n) for a in elements)
+    first = next(w for w in roots if order(w) == n)
+    assert tuple(powers[1 % n].tolist()) == first and powers[0].tolist() == list(one)
+    assert all(field_mul(field, powers[i].tolist(), first) == tuple(powers[i + 1].tolist())
+               for i in range(n - 1))
+
+
+def test_roots_at_a_prime_whose_field_orders_do_not_factor():
+    # p^e - 1 for p = 10^24 + 7 has prime factors past the trial-division
+    # budget, yet the first root only factors n, and the canonical root of
+    # order 1 is 1
+    p = 10**24 + 7
+    with pytest.raises(ValueError, match="trial divisors past the budget"):
+        factorize(p - 1)
+    start = time.perf_counter()
+    for n, e in ((3, 2), (5, 4)):
+        field, powers = first_root_of_unity(n, p)
+        assert field.e == e and powers.shape == (n, e)
+        w = tuple(powers[1].tolist())
+        assert field.pow(w, n) == field.one() and w != field.one()
+    field, powers = root_of_unity(1, p)
+    assert powers.tolist() == [[1]]
+    assert time.perf_counter() - start < 5
+
+
 def test_factorize_reaches_the_factors_of_the_largest_field_in_scope():
     # hosohedron:61 at p = 7 needs F_(7^60); trial division must get past
     # 6,568,801 to leave the prime 555,915,824,341
@@ -376,7 +386,6 @@ class TestFactorXnMinus1:
         (lambda: poly_divmod([1, 1], [0, 0]), "division by zero polynomial"),
         (lambda: poly_divmod([1, 1], [1, 2]), "needs a monic divisor"),
         (lambda: cyclotomic_polynomial(0), "no 0-th cyclotomic polynomial"),
-        (lambda: sqrt_mod_p(3, 9), "9 is not an odd prime"),
         (lambda: frobenius_orbits(6, 3), "3 is not a unit modulo 6"),
         (lambda: coset_orbits(10, 5), "5 is not a unit modulo 10"),
         (lambda: ExtField(4, 1), "no field of 4"),
