@@ -20,7 +20,7 @@ from platocover.chartab import CycValue, column_of_class
 from platocover.gf import _counter_residues, _irreducible, root_of_unity
 from platocover.homology import HomologyModule, Subspace
 from platocover.lattice import CoveringDescriptor, Lattice
-from platocover.linalg import as_matrix, dtype_for, mat_mul, rref, zeros
+from platocover.linalg import Labeller, as_matrix, dtype_for, mat_mul, rref, zeros
 from platocover.maps import DartMap, GroupData
 
 BRANCH_CLASSES = ("vertices", "edges", "faces")
@@ -223,6 +223,24 @@ def reference_derived_permutations(va):
         shifted += digit
     alpha_big = (alpha[:, None] * size + shifted).ravel()
     return sigma_big, alpha_big
+
+
+def reference_derived_counts(va):
+    """(V', E', F', (shortest, longest) face, orbits of <sigma', alpha'>) of
+    the derived map, every count by min-label doubling over all N darts of
+    the digit loop's permutations: the cycles of phi' = sigma' alpha',
+    alpha' and sigma' (linalg.Labeller.cycles), each face's length counted
+    at its least dart over N entries, and the face labels joined along
+    alpha' (Labeller.join)."""
+    sigma, alpha = (perm.astype(np.intp) for perm in reference_derived_permutations(va))
+    labeller = Labeller(len(sigma))
+    faces = labeller.cycles(sigma[alpha])
+    f_count = labeller.count(faces)
+    lengths = np.bincount(faces, minlength=len(sigma))[labeller.flags]
+    orbits = labeller.count(labeller.join([alpha]))
+    e_count = labeller.count(labeller.cycles(alpha))
+    v_count = labeller.count(labeller.cycles(sigma))
+    return v_count, e_count, f_count, (int(lengths.min()), int(lengths.max())), orbits
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from platocover.builder import (
     DART_BUDGET,
     VoltageAssignment,
+    _derived_counts,
     _lift,
     derived_permutations,
     euler_buffers,
@@ -23,7 +24,12 @@ from platocover.homology import Subspace, build_homology
 from platocover.lattice import census
 from platocover.linalg import Labeller, joint_orbit_count
 from platocover.maps import build_group, build_map, parse_family
-from reference import k_encoding, reference_derived_permutations, run_python
+from reference import (
+    k_encoding,
+    reference_derived_counts,
+    reference_derived_permutations,
+    run_python,
+)
 
 
 def _module(name, p):
@@ -359,3 +365,93 @@ def test_buffers_too_small_are_rejected():
     assert euler_verify(va, euler_buffers(darts)) == euler_verify(va)
     with pytest.raises(ValueError, match="buffers hold"):
         euler_verify(va, euler_buffers(darts - 1))
+    # a labeller smaller than a large enough permutation buffer
+    for held in (darts // 2, darts - 1):
+        with pytest.raises(ValueError, match=f"buffers hold {held}$"):
+            euler_verify(va, (Labeller(held), np.empty(darts, dtype=np.intp)))
+
+
+# ---------------------------------------------------------------------------
+# euler_verify counts each derived permutation's cycles by first return to
+# the fibres over the base cycles' least darts; tests/reference.py counts
+# them, the face lengths and the connectivity by doubling over all N darts
+
+
+@pytest.mark.parametrize("name, p", [("tetrahedron", 7), ("cube", 5), ("octahedron", 5),
+                                     ("hosohedron:6", 5), ("dihedron:5", 3), ("icosahedron", 11)])
+def test_euler_verify_matches_the_full_map_count(name, p):
+    cen = census(name, ("faces",), p)
+    dm = cen.module.group.map
+    checked = [cov for cov in cen.coverings if dm.n_darts * p**cov.c <= DART_BUDGET]
+    assert checked
+    for cov in checked:
+        va = solve_voltages(cen.module, cov.L)
+        counts = reference_derived_counts(va)
+        assert _derived_counts(va, *euler_buffers(dm.n_darts * p**cov.c)) == counts
+        v, e, f, lengths, orbits = counts
+        assert lengths == (dm.n * p, dm.n * p) and orbits == 1
+        assert euler_verify(va) == (v, e, f, cov.genus) and v - e + f == 2 - 2 * cov.genus
+
+
+@settings(max_examples=80, deadline=None)
+@given(voltage_assignments())
+def test_derived_counts_match_the_full_map_count_on_drawn_voltages(va):
+    # drawn voltages need not be antisymmetric nor meet any face sums, so
+    # the derived map may have short faces, edge cycles longer than 2 and
+    # several components; every lift still covers its base permutation
+    darts = va.dart_map.n_darts * va.p**va.c
+    assert _derived_counts(va, *euler_buffers(darts)) == reference_derived_counts(va)
+
+
+# breaks one derived permutation at a time in euler_verify on the cube at
+# p = 5 and reports what each raised: phi' with the targets of two darts
+# over different base darts swapped, so that a walk leaves the fibres over
+# its base face, and alpha' sending two darts of one fibre to one target,
+# so that some derived dart lies on no walk
+BROKEN_LIFTS = """
+from platocover import builder
+from platocover.errors import VerificationError
+from platocover.lattice import census
+
+cen = census("cube", ("faces",), 5)
+va = builder.solve_voltages(cen.module, max(cen.coverings, key=lambda cv: cv.c).L)
+size = 5**va.c
+lift = builder._lift
+print("asserts", "on" if __debug__ else "off")
+
+
+def swap_across_fibres(out):
+    out[[0, size]] = out[[size, 0]]
+
+
+def send_two_to_one(out):
+    out[1] = out[0]
+
+
+# euler_verify lifts phi', then alpha', then sigma'
+for broken, damage in ((1, swap_across_fibres), (2, send_two_to_one)):
+    lifts = []
+
+    def broken_lift(*args, **kwargs):
+        lifts.append(lift(*args, **kwargs))
+        if len(lifts) == broken:
+            damage(lifts[-1])
+        return lifts[-1]
+
+    builder._lift = broken_lift
+    try:
+        builder.euler_verify(va)
+    except VerificationError as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("flags, asserts", [((), "on"), (("-O",), "off")])
+def test_broken_lifts_are_rejected_under_optimize(flags, asserts):
+    proc = run_python([*flags, "-c", BROKEN_LIFTS])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"asserts {asserts}",
+        "VerificationError the derived permutation leaves the fibres over its base cycle",
+        "VerificationError some derived dart lies on no walk from the fibres over the least darts",
+    ]

@@ -185,6 +185,23 @@ def test_cross_check_flags(capsys):
     assert "oracle cross-check: 4 submodules confirmed" in out
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["--map", "icosahedron", "--prime", "11", "--verify-euler"],
+     "euler cross-check: 14 verified, 97 skipped (dart budget)"),
+    (["--map", "octahedron", "--prime", "5", "--verify-euler", "--oracle"],
+     "oracle cross-check: 8 submodules confirmed"),
+    (["--map", "hosohedron:8", "--prime", "5", "--verify-euler", "--oracle"],
+     "oracle cross-check: 8 submodules confirmed"),
+])
+def test_crosscheck_benchmark_lines(capsys, argv, line):
+    # the three commands of the crosscheck benchmark and the line each must
+    # print; the Euler recount verifies every icosahedron p=11 covering
+    # within builder.DART_BUDGET
+    code, out, _ = run(["classify", *argv], capsys)
+    assert code == 0
+    assert line in out.splitlines()
+
+
 def test_verify_euler_rejects_other_branching(capsys):
     code, _, err = run(["classify", "--map", "tetrahedron", "--prime", "5",
                         "--branch", "vertices,faces", "--verify-euler"], capsys)
