@@ -49,7 +49,6 @@ class VoltageAssignment:
     p: int
     c: int
     beta: np.ndarray  # (n_darts, c), with beta[alpha[d]] = -beta[d]
-    monodromy: np.ndarray  # (F, c), image of each face's puncture class in K
 
 
 def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
@@ -66,9 +65,8 @@ def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
 
     # face f's equation sums the edge values along its boundary, each dart
     # d the value of its edge with sign +1 where d is the edge's first dart
-    faces = np.array(dm.face_orbits)
-    edge_of = np.array(dm.edge_of)
-    sign = np.where(np.array(dm.edge_dart)[edge_of] == np.arange(dm.n_darts), 1, -1)
+    faces, edge_of = dm.face_orbits, dm.edge_of
+    sign = np.where(dm.edge_dart[edge_of] == np.arange(dm.n_darts), 1, -1)
     rows = zeros((len(faces), dm.E), p)
     np.add.at(rows, (np.arange(len(faces))[:, None], edge_of[faces]), sign[faces])
     # the right-hand sides: each face's puncture class in K = Q/L, its
@@ -90,7 +88,7 @@ def solve_voltages(module: HomologyModule, L: Subspace) -> VoltageAssignment:
     verify(np.array_equal(mod(beta[faces].sum(axis=1), p), rhs),
            "the voltages around a face miss its monodromy")
 
-    return VoltageAssignment(dart_map=dm, p=p, c=c, beta=beta, monodromy=rhs)
+    return VoltageAssignment(dart_map=dm, p=p, c=c, beta=beta)
 
 
 def _lift(base, voltages, p: int, c: int, out=None) -> np.ndarray:
@@ -115,17 +113,10 @@ def _lift(base, voltages, p: int, c: int, out=None) -> np.ndarray:
         return total
 
     low = c // 2
-    high_sum = digit_sum(np.asarray(base, dtype=np.intp)[:, None] * p**c, reversed(range(low, c)))
+    high_sum = digit_sum(base[:, None] * p**c, reversed(range(low, c)))
     low_sum = digit_sum(np.zeros((n, 1), dtype=np.intp), reversed(range(low)))
     np.add(high_sum[:, :, None], low_sum[:, None, :], out=out.reshape(n, p**(c - low), p**low))
     return out
-
-
-def derived_permutations(va: VoltageAssignment):
-    """sigma' and alpha' on the darts (d, k), indexed d * |K| + index(k):
-    sigma lifted with k kept, alpha lifted by the voltages."""
-    dm = va.dart_map
-    return _lift(dm.sigma, None, va.p, va.c), _lift(dm.alpha, va.beta, va.p, va.c)
 
 
 def euler_buffers(darts: int):
@@ -155,9 +146,8 @@ def _fibre_cycles(perm, base, starts, size: int, labeller, label: bool = False):
     steps = len(base) // cycles
     m = cycles * size
     walks = labeller.index.reshape(steps, cycles, size)
-    darts = np.asarray(starts, dtype=np.intp)
+    darts = starts
     np.take(perm.reshape(-1, size), darts, axis=0, out=walks[0], mode="clip")
-    base = np.asarray(base, dtype=np.intp)
     for t in range(steps):
         if t:
             np.take(perm, walks[t - 1], out=walks[t], mode="clip")
@@ -199,7 +189,7 @@ def _derived_counts(va: VoltageAssignment, labeller, perm):
     dm = va.dart_map
     p, c = va.p, va.c
     size = p**c
-    phi = np.asarray(dm.sigma)[np.asarray(dm.alpha)]
+    phi = dm.sigma[dm.alpha]
     faces, lengths = _fibre_cycles(_lift(phi, va.beta, p, c, out=perm), phi, dm.face_dart, size,
                                    labeller, label=True)
     orbits = labeller.count(labeller.join([_lift(dm.alpha, va.beta, p, c, out=perm)]))

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import verify
 from .gf import cyclotomic_polynomial, poly_divmod
-from .linalg import cycle_labels, label_orbits
+from .linalg import label_orbits, orbit_labels
 from .maps import GroupData, stabilizer_H
 
 
@@ -275,7 +275,7 @@ def p_power_orbits(table: CharacterTable, group: GroupData, matching: list[int],
     image = [row_of.get(tuple(row[col] for col in image_col)) for row in table.rows]
     verify(None not in image and len(set(image)) == len(image),
            f"the {p}-power map does not permute the rows of {table.name}")
-    return label_orbits(cycle_labels(np.array(image)))
+    return label_orbits(orbit_labels([np.array(image)]))
 
 
 def multiplicity_by_H_average(
@@ -308,7 +308,7 @@ def homology_character(
     mults["chi1"] -= 1
     verify(all(v >= 0 for v in mults.values()), "the homology character has a negative multiplicity")
     total_dim = sum(table.degree(i) * mults[name] for i, name in enumerate(table.row_names))
-    n_punctures = sum(group.class_perms(bc).shape[1] for bc in branch_classes)
+    n_punctures = sum(group.actions[bc].shape[1] for bc in branch_classes)
     verify(total_dim == n_punctures - 1,
            f"the homology character has degree {total_dim}, not {n_punctures - 1}")
     return {name: v for name, v in mults.items() if v}

@@ -350,7 +350,7 @@ def _finish_component(comp: IsotypicComponent, module: HomologyModule, seed: Sub
     verify(comp.endo_degree == len(comp.commutant),
            f"{comp.label}: endomorphism degree {len(comp.commutant)}, expected {comp.endo_degree}")
 
-    if comp.multiplicity == 1 and seed == comp.subspace:
+    if comp.multiplicity == 1:
         # what _hom_space gives, without its solve: hosohedron:95 p=7 runs 1.4x longer without it
         comp.hom_basis = [seed.basis]
     else:
@@ -386,9 +386,6 @@ def _find_seed(comp: IsotypicComponent, module: HomologyModule) -> Subspace:
     p, dim = module.p, module.dim
     if comp.multiplicity == 1:
         return comp.subspace
-    if comp.irreducible_dim == 1:
-        # scalar action on the whole isotypic: any vector spans a copy
-        return Subspace(comp.subspace.basis[:1], p, dim)
     for v in _seed_vectors(comp, module):
         images = mat_mul(v, module.matrices, p)[None]
         pivots = eliminate(images, p)[0]
@@ -406,7 +403,7 @@ def _seed_vectors(comp: IsotypicComponent, module: HomologyModule):
     for offset in offsets:
         yield comp.punctures[offset]
     for bc, offset in zip(module.branch_classes, offsets):
-        perms = group.class_perms(bc)
+        perms = group.actions[bc]
         seen = set()
         for other in range(1, perms.shape[1]):
             blocks = _minimal_blocks(group, perms, other)

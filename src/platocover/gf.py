@@ -18,8 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import verify
-from .linalg import (cycle_labels, dtype_for, eliminate, identity, label_orbits, mat_mul, mod,
-                     orbit_labels, zeros)
+from .linalg import dtype_for, eliminate, identity, label_orbits, mat_mul, mod, orbit_labels, zeros
 
 # the largest trial divisor factorize tries: the primitive element of
 # F_(7^60), which hosohedron:61 at p = 7 needs, takes divisors up to
@@ -51,9 +50,9 @@ def is_prime(n: int) -> bool:
     for b in _PRIME_BASES:
         if n % b == 0:
             return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
+    # n - 1 = 2^s * d with d odd, s the index of the lowest set bit
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
     for b in _PRIME_BASES:
         x = pow(b, d, n)
         if x in (1, n - 1):
@@ -224,7 +223,7 @@ def _check_unit(n: int, p: int) -> None:
 def frobenius_orbits(n: int, p: int) -> list[CosetOrbit]:
     """Orbits of multiplication by p on Z_n, sorted by least member."""
     _check_unit(n, p)
-    orbits = label_orbits(cycle_labels(np.arange(n) * (p % n) % n))
+    orbits = label_orbits(orbit_labels([np.arange(n) * (p % n) % n]))
     return [_annotate(n, p, o) for o in orbits]
 
 

@@ -162,7 +162,7 @@ class HomologyModule:
         self.p = p
         self.branch_classes = branch_classes
         self.punctures = [
-            (bc, i) for bc in branch_classes for i in range(group.class_perms(bc).shape[1])
+            (bc, i) for bc in branch_classes for i in range(group.actions[bc].shape[1])
         ]
         self.N = len(self.punctures)
         self.dim = self.N - 1
@@ -172,23 +172,23 @@ class HomologyModule:
         self.projection = np.vstack([np.eye(self.dim, dtype=self.dtype),
                                      np.full((1, self.dim), p - 1, dtype=self.dtype)])
 
-        perms = self._stacked(group.class_perms)
+        perms = self._stacked(group.actions)
         self.matrices = self._matrix(perms)
-        self.reflection_matrix = self._matrix(self._stacked(group.reflection_class_perm))
+        self.reflection_matrix = self._matrix(self._stacked(group.reflection))
         if group.central_reversing is not None:
-            self.central_matrix = self._matrix(self._stacked(group.central_reversing.get))
+            self.central_matrix = self._matrix(self._stacked(group.central_reversing))
         else:
             self.central_matrix = None
 
         self._verify_presentation(perms)
 
-    def _stacked(self, perms_of_class) -> np.ndarray:
-        """The permutation of all punctures made of perms_of_class(bc) on each
-        branch class's block, along the last axis: one permutation, or one
-        row per group element for a stack of them."""
+    def _stacked(self, perms) -> np.ndarray:
+        """The permutation of all punctures made of perms[bc] on each branch
+        class's block, along the last axis: one permutation, or one row per
+        group element for a stack of them."""
         blocks, offset = [], 0
         for bc in self.branch_classes:
-            block = np.asarray(perms_of_class(bc))
+            block = perms[bc]
             blocks.append(block + offset)
             offset += block.shape[-1]
         return np.concatenate(blocks, axis=-1)

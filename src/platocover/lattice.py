@@ -438,7 +438,7 @@ def describe_covering(lattice: Lattice, module: HomologyModule) -> CoveringColum
     pairs, kind_of = np.unique(np.column_stack([c, swallowed]), axis=0, return_inverse=True)
     for cc, mask in pairs.tolist():
         effective = tuple(bc for b, bc in enumerate(module.branch_classes) if not mask >> b & 1)
-        B = sum(group.class_perms(bc).shape[1] for bc in effective)
+        B = sum(group.actions[bc].shape[1] for bc in effective)
         genus = 1 - p**cc + (p - 1) * p ** (cc - 1) * B // 2
         verify(genus >= 0, f"a covering of codimension {cc} has negative genus {genus}")
         cover_type = (

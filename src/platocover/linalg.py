@@ -12,6 +12,11 @@ length k is exact in float64 (k*(p-1)^2 < 2^53) and is not a vector product,
 its factors go through float64 BLAS in chunks of at most _FLOAT_CHUNK
 entries and the result comes back as the same int64 integers; past that
 bound int64 is kept, and dtype=object is multiplied as it is.
+
+Array reductions go through mod (mat_mul's in-place % aside), and every
+elimination goes through eliminate.  Cycles and orbits of permutation arrays
+are least-point labels: a Labeller keeps its buffers across counts, and
+orbit_labels, on a copy of its input, is the one entry point for small callers.
 """
 
 from __future__ import annotations
@@ -387,30 +392,17 @@ class Labeller:
             roots = roots[labels[roots] == roots]
 
 
-def cycle_labels(perm: np.ndarray) -> np.ndarray:
-    """The least point of each point's cycle (Labeller.cycles), from a copy
-    of perm."""
-    return Labeller(perm.shape[0]).cycles(perm.astype(np.intp))
-
-
 def orbit_labels(perms) -> np.ndarray:
     """The least point of each point's orbit under the group generated by
     the given permutation arrays (Labeller.orbits), from a copy of the
-    first."""
+    first, which leaves every input unchanged; [perm] labels the cycles of
+    perm."""
     return Labeller(perms[0].shape[0]).orbits([perms[0].astype(np.intp), *perms[1:]])
-
-
-def joint_orbit_count(perm_a: np.ndarray, perm_b: np.ndarray) -> int:
-    """Number of orbits of the group generated by two permutations, from a
-    copy of the first."""
-    labeller = Labeller(perm_a.shape[0])
-    return labeller.count(labeller.orbits([perm_a.astype(np.intp), perm_b]))
 
 
 def label_orbits(labels: np.ndarray) -> list[tuple[int, ...]]:
     """The points of each orbit, ascending, from least-point labels (as
-    cycle_labels and orbit_labels give them), the orbits in order of their
-    least point."""
+    orbit_labels gives them), the orbits in order of their least point."""
     order = np.argsort(labels, kind="stable")
     bounds = np.flatnonzero(np.diff(labels[order])) + 1
     return [tuple(orbit.tolist()) for orbit in np.split(order, bounds)]

@@ -2,10 +2,13 @@
 
 A map is stored as a pair of permutations of its darts: sigma rotates a dart
 counterclockwise about its vertex, alpha reverses it.  Vertices, edges and
-faces are the orbits of sigma, alpha and sigma∘alpha.  The rotation group
-acts regularly on darts, so its elements are indexed by the image of dart 0,
-and all of them come from one vectorised propagation of the candidate images
-of dart 0 through the rotation system (one row per candidate).
+faces are the orbits of sigma, alpha and sigma∘alpha, each numbered in order
+of its least dart and each face walked from it.  build_map makes every table
+of a DartMap once, as a read-only intp array, and every layer reads them as
+they are.  The rotation group acts regularly on darts, so its elements are
+indexed by the image of dart 0, and all of them come from one vectorised
+propagation of the candidate images of dart 0 through the rotation system
+(one row per candidate); so does the reflection, with sigma inverted.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import verify
-from .linalg import cycle_labels, joint_orbit_count, label_orbits, orbit_labels
+from .linalg import label_orbits, orbit_labels
 
 # Counterclockwise vertex rotations viewed from outside the solid, computed
 # once from coordinate models and frozen.
@@ -94,19 +97,20 @@ def parse_family(text: str) -> MapFamily:
     return family(text)
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity, since its tables are arrays
+@dataclass(frozen=True, eq=False)
 class DartMap:
     family: MapFamily
-    sigma: tuple[int, ...]
-    alpha: tuple[int, ...]
-    vertex_of: tuple[int, ...]
-    edge_of: tuple[int, ...]
-    face_of: tuple[int, ...]
-    vertex_dart: tuple[int, ...]
-    edge_dart: tuple[int, ...]
-    face_dart: tuple[int, ...]
-    # each face's boundary from face_dart along phi
-    face_orbits: tuple[tuple[int, ...], ...]
+    sigma: np.ndarray
+    alpha: np.ndarray
+    vertex_of: np.ndarray
+    edge_of: np.ndarray
+    face_of: np.ndarray
+    vertex_dart: np.ndarray
+    edge_dart: np.ndarray
+    face_dart: np.ndarray
+    # (F, n): each face's boundary from face_dart along phi
+    face_orbits: np.ndarray
 
     @property
     def n_darts(self) -> int:
@@ -133,14 +137,13 @@ class DartMap:
         return self.family.m
 
 
-def _cycles(perm: list[int], length: int, message: str) -> tuple[np.ndarray, np.ndarray]:
+def _cycles(perm: np.ndarray, length: int, message: str) -> tuple[np.ndarray, np.ndarray]:
     """(index, walks): the index of each dart's cycle, cycles in order of
-    their least dart (linalg.cycle_labels), and each cycle walked along perm
+    their least dart (linalg.orbit_labels), and each cycle walked along perm
     from that dart, one row of the given length per cycle.  That every
     cycle closes after exactly that many steps is verified, with the given
     message."""
-    perm = np.asarray(perm, dtype=np.intp)
-    labels = cycle_labels(perm)
+    labels = orbit_labels([perm])
     least = np.flatnonzero(labels == np.arange(len(perm)))
     walks = [least]
     for _ in range(length - 1):
@@ -180,25 +183,19 @@ def build_map(fam: MapFamily) -> DartMap:
     else:
         raise ValueError(f"unknown map family {fam.tag!r}")
 
-    vertex_of, vertex_orbits = _cycles(sigma, fam.m, f"a vertex does not have degree {fam.m}")
+    sigma, alpha = np.array(sigma, dtype=np.intp), np.array(alpha, dtype=np.intp)
+    vertex_of, vertices = _cycles(sigma, fam.m, f"a vertex does not have degree {fam.m}")
     edge_of, edges = _cycles(alpha, 2, "alpha is not a fixed-point-free involution")
-    face_of, face_orbits = _cycles(np.asarray(sigma)[alpha], fam.n,
-                                   f"a face does not have {fam.n} sides")
-    verify(len(vertex_orbits) - len(edges) + len(face_orbits) == 2, "not a sphere")
-    verify(joint_orbit_count(np.asarray(sigma), np.asarray(alpha)) == 1, "the map is not connected")
+    face_of, faces = _cycles(sigma[alpha], fam.n, f"a face does not have {fam.n} sides")
+    verify(len(vertices) - len(edges) + len(faces) == 2, "not a sphere")
+    verify(not orbit_labels([sigma, alpha]).any(), "the map is not connected")
 
-    return DartMap(
-        family=fam,
-        sigma=tuple(sigma),
-        alpha=tuple(alpha),
-        vertex_of=tuple(vertex_of.tolist()),
-        edge_of=tuple(edge_of.tolist()),
-        face_of=tuple(face_of.tolist()),
-        vertex_dart=tuple(vertex_orbits[:, 0].tolist()),
-        edge_dart=tuple(edges[:, 0].tolist()),
-        face_dart=tuple(face_orbits[:, 0].tolist()),
-        face_orbits=tuple(map(tuple, face_orbits.tolist())),
-    )
+    tables = dict(sigma=sigma, alpha=alpha, vertex_of=vertex_of, edge_of=edge_of, face_of=face_of,
+                  vertex_dart=vertices[:, 0], edge_dart=edges[:, 0], face_dart=faces[:, 0],
+                  face_orbits=faces)
+    for table in tables.values():
+        table.flags.writeable = False
+    return DartMap(family=fam, **tables)
 
 
 def _automorphisms(sigma: np.ndarray, alpha: np.ndarray, sigma_img: np.ndarray) -> np.ndarray:
@@ -246,22 +243,21 @@ class GroupData:
     Elements are indexed by the image of dart 0: row t of dart_perms is the
     rotation taking dart 0 to t.  Composition is read left to right,
     (g*h)(d) = h(g(d)), so mult(i, j) = dart_perms[j, i].  The actions on
-    vertices, edges and faces are (|G|, count) arrays (class_perms), and the
-    reflection's and the central reversing element's are single rows.
+    vertices, edges and faces are (|G|, count) arrays (actions), and the
+    reflection's and the central reversing element's are single rows
+    (reflection and central_reversing, each keyed by branch class).
     """
 
     def __init__(self, dart_map: DartMap):
         self.map = dm = dart_map
-        sigma = np.asarray(dm.sigma, dtype=np.intp)
-        alpha = np.asarray(dm.alpha, dtype=np.intp)
         self.order = dm.n_darts
-        self.dart_perms = _automorphisms(sigma, alpha, sigma)
+        self.dart_perms = _automorphisms(dm.sigma, dm.alpha, dm.sigma)
         verify(len(self.dart_perms) == self.order, "rotation system is not orientably regular")
         # row i sends its inverse to dart 0, the least entry of the row
         self.inverse = self.dart_perms.argmin(axis=1)
 
-        self.gen_x = dm.sigma[0]
-        self.gen_y = dm.alpha[0]
+        self.gen_x = int(dm.sigma[0])
+        self.gen_y = int(dm.alpha[0])
         xy = self.mult(self.gen_x, self.gen_y)
         self.gen_z = self.inverse_of(xy)
         for gen, order, name in ((self.gen_x, dm.m, "x"), (self.gen_y, 2, "y"), (self.gen_z, dm.n, "z")):
@@ -284,7 +280,7 @@ class GroupData:
                                   rep_order=self.element_order(members[0]))
                         for members in label_orbits(labels)]
 
-        self._build_reflection(sigma, alpha)
+        self._build_reflection()
 
     # -- group arithmetic ---------------------------------------------------
 
@@ -318,26 +314,20 @@ class GroupData:
         face left of a dart maps to the face left of the reversed image dart,
         so a reversing permutation's face projection composes with alpha."""
         dm = self.map
-        face_images = np.asarray(dm.alpha)[perms] if reversing else perms
+        face_images = dm.alpha[perms] if reversing else perms
         out = {
-            "vertices": np.asarray(dm.vertex_of)[perms[..., dm.vertex_dart]],
-            "edges": np.asarray(dm.edge_of)[perms[..., dm.edge_dart]],
-            "faces": np.asarray(dm.face_of)[face_images[..., dm.face_dart]],
+            "vertices": dm.vertex_of[perms[..., dm.vertex_dart]],
+            "edges": dm.edge_of[perms[..., dm.edge_dart]],
+            "faces": dm.face_of[face_images[..., dm.face_dart]],
         }
         for bc, action in out.items():
             verify((np.sort(action, axis=-1) == np.arange(action.shape[-1])).all(),
                    f"a dart permutation does not permute the {bc}")
         return out
 
-    def class_perms(self, branch_class: str) -> np.ndarray:
-        return self.actions[branch_class]
-
-    def reflection_class_perm(self, branch_class: str) -> np.ndarray:
-        return self.reflection[branch_class]
-
     # -- the reflection coset -----------------------------------------------
 
-    def _build_reflection(self, sigma: np.ndarray, alpha: np.ndarray) -> None:
+    def _build_reflection(self) -> None:
         """The reflection fixing dart 0, its actions, and the
         orientation-reversing element commuting with all of G, if any."""
         dm = self.map
@@ -351,7 +341,7 @@ class GroupData:
                                "faces": np.array([1, 0])}
             self.central_reversing = {**self.reflection, "darts": None}
             return
-        reversing = _automorphisms(sigma, alpha, np.argsort(sigma))
+        reversing = _automorphisms(dm.sigma, dm.alpha, np.argsort(dm.sigma))
         verify(len(reversing) > 0, "map is not reflexible")
         refl = self.reflection_dart = reversing[0]
         self.reflection = self._project(refl, reversing=True)

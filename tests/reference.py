@@ -484,7 +484,7 @@ def summed_values_mod_p(table, rows, p: int) -> list:
 def permutation_character(group: GroupData, branch_class: str) -> list[int]:
     """Fixed-point count of each conjugacy class acting on the given
     puncture class, indexed by group class id."""
-    perms = group.class_perms(branch_class)
+    perms = group.actions[branch_class]
     out = []
     for cls in group.classes:
         perm = perms[cls.rep]
@@ -612,7 +612,7 @@ def reference_descriptors(lattice: Lattice, module: HomologyModule) -> list[Cove
         assert c > 0
         effective = tuple(bc for b, bc in enumerate(module.branch_classes)
                           if not all(ch.swallowed >> b & 1 for ch in choices))
-        B = sum(group.class_perms(bc).shape[1] for bc in effective)
+        B = sum(group.actions[bc].shape[1] for bc in effective)
         genus = 1 - p**c + (p - 1) * p ** (c - 1) * B // 2
         assert genus >= 0
         cover_type = (

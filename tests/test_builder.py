@@ -14,7 +14,6 @@ from platocover.builder import (
     VoltageAssignment,
     _derived_counts,
     _lift,
-    derived_permutations,
     euler_buffers,
     euler_verify,
     solve_voltages,
@@ -22,7 +21,7 @@ from platocover.builder import (
 from platocover.errors import VerificationError
 from platocover.homology import Subspace, build_homology
 from platocover.lattice import census
-from platocover.linalg import Labeller, joint_orbit_count
+from platocover.linalg import Labeller
 from platocover.maps import build_group, build_map, parse_family
 from reference import (
     k_encoding,
@@ -81,15 +80,17 @@ def test_voltage_shape_and_antisymmetry():
     for d in range(dm.n_darts):
         back = (-va.beta[d]) % va.p
         assert va.beta[dm.alpha[d]].tolist() == back.tolist()
-    total = va.monodromy.sum(axis=0) % va.p
-    assert not total.any()
+    # each face's voltages sum to its puncture class, and those sum to 0
+    monodromy = va.beta[dm.face_orbits].sum(axis=1) % va.p
+    assert not (monodromy.sum(axis=0) % va.p).any()
 
 
 def test_translation_action_commutes_with_derived_map():
     cen = census("tetrahedron", ("faces",), 5)
     cov = cen.coverings[0]
     va = solve_voltages(cen.module, cov.L)
-    sigma_big, alpha_big = derived_permutations(va)
+    dm = va.dart_map
+    sigma_big, alpha_big = _lift(dm.sigma, None, va.p, va.c), _lift(dm.alpha, va.beta, va.p, va.c)
 
     k_vectors, powers = k_encoding(va.p, va.c)
     size = va.p**va.c
@@ -170,13 +171,13 @@ def test_disconnected_derived_map_is_rejected():
         return np.concatenate([a] + [np.zeros_like(a)] * zeros, axis=1)
 
     for zeros in (1, 2):
-        split = VoltageAssignment(dart_map=va.dart_map, p=va.p, c=1 + zeros,
-                                  beta=pad(va.beta, zeros), monodromy=pad(va.monodromy, zeros))
-        sigma_big, alpha_big = derived_permutations(split)
+        split = VoltageAssignment(dart_map=va.dart_map, p=va.p, c=1 + zeros, beta=pad(va.beta, zeros))
+        sigma_big = _lift(split.dart_map.sigma, None, split.p, split.c)
+        alpha_big = _lift(split.dart_map.alpha, split.beta, split.p, split.c)
         labeller = Labeller(sigma_big.size)
         labeller.cycles(sigma_big[alpha_big])
         assert labeller.count(labeller.join([alpha_big])) == va.p**zeros
-        assert joint_orbit_count(sigma_big, alpha_big) == va.p**zeros
+        assert labeller.count(labeller.orbits([sigma_big, alpha_big])) == va.p**zeros
         with pytest.raises(VerificationError, match="connected"):
             euler_verify(split)
 
@@ -196,12 +197,12 @@ def test_coboundary_leaves_the_counts(name, p):
         if dm.n_darts * p**va.c > DART_BUDGET:
             continue
         f = rng.integers(0, p, size=(dm.V, va.c))
-        tail = np.array(dm.vertex_of)
-        shifted = VoltageAssignment(dart_map=dm, p=p, c=va.c, monodromy=va.monodromy,
-                                    beta=(va.beta + f[tail[np.array(dm.alpha)]] - f[tail]) % p)
+        tail = dm.vertex_of
+        shifted = VoltageAssignment(dart_map=dm, p=p, c=va.c,
+                                    beta=(va.beta + f[tail[dm.alpha]] - f[tail]) % p)
         assert (shifted.beta != va.beta).any()
-        faces = np.array(dm.face_orbits)
-        assert np.array_equal(shifted.beta[faces].sum(axis=1) % p, va.monodromy)
+        faces = dm.face_orbits
+        assert np.array_equal(shifted.beta[faces].sum(axis=1) % p, va.beta[faces].sum(axis=1) % p)
         counts = euler_verify(va)
         assert counts[3] == cov.genus and euler_verify(shifted) == counts
 
@@ -213,6 +214,7 @@ def test_coboundary_leaves_the_counts(name, p):
 # linalg.as_matrix
 BROKEN_CONSTRUCTION = """
 import dataclasses
+import numpy as np
 from platocover.builder import solve_voltages
 from platocover.errors import VerificationError
 from platocover.homology import Subspace, build_homology
@@ -222,7 +224,7 @@ from platocover.maps import build_group, build_map, parse_family
 dm = build_map(parse_family("cube"))
 module = build_homology(build_group(dm), ("faces",), 5)
 print("asserts", "on" if __debug__ else "off")
-module.group.map = dataclasses.replace(dm, face_dart=dm.face_dart + (0,))
+module.group.map = dataclasses.replace(dm, face_dart=np.append(dm.face_dart, 0))
 try:
     solve_voltages(module, Subspace.zero(5, module.dim))
 except VerificationError as exc:
@@ -254,18 +256,18 @@ def test_construction_checks_survive_optimize(flags, asserts):
 
 
 # ---------------------------------------------------------------------------
-# derived_permutations lifts sigma and alpha in one broadcast pass each; the
+# _lift lifts sigma and alpha in one broadcast pass each; the
 # digit-by-digit loop in tests/reference.py must give the same arrays, and
 # alpha's voltages lifted onto sigma alpha must give phi' = sigma' alpha'
 
 
 def assert_matches_digit_loop(va):
-    sigma_big, alpha_big = derived_permutations(va)
+    dm = va.dart_map
+    sigma_big, alpha_big = _lift(dm.sigma, None, va.p, va.c), _lift(dm.alpha, va.beta, va.p, va.c)
     expected_sigma, expected_alpha = reference_derived_permutations(va)
     assert np.array_equal(sigma_big, expected_sigma)
     assert np.array_equal(alpha_big, expected_alpha)
-    phi = np.asarray(va.dart_map.sigma)[np.asarray(va.dart_map.alpha)]
-    assert np.array_equal(_lift(phi, va.beta, va.p, va.c), sigma_big[alpha_big])
+    assert np.array_equal(_lift(dm.sigma[dm.alpha], va.beta, va.p, va.c), sigma_big[alpha_big])
 
 
 @pytest.mark.parametrize("name, p", [("tetrahedron", 5), ("tetrahedron", 7), ("octahedron", 5)])
@@ -303,8 +305,7 @@ def voltage_assignments(draw):
     p = draw(st.sampled_from([2, 3, 5, 7]))
     c = draw(st.integers(1, 3))
     beta = draw(arrays(np.int64, (dm.n_darts, c), elements=st.integers(0, p - 1)))
-    return VoltageAssignment(dart_map=dm, p=p, c=c, beta=beta,
-                             monodromy=np.zeros((dm.F, c), dtype=np.int64))
+    return VoltageAssignment(dart_map=dm, p=p, c=c, beta=beta)
 
 
 @settings(max_examples=80, deadline=None)

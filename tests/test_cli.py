@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import json
 import re
 import resource
@@ -254,21 +255,22 @@ def test_fixture_mismatch_exits_1_with_a_diff(capsys, monkeypatch):
     assert "18/19 fixtures match" in out
 
 
-# composes the reflection with a swap of two punctures, which then no longer
-# normalizes the rotation group, so the census's mirror lookup must fail
+# composes the reflection's action on each branch class with a swap of two
+# punctures, which then no longer normalizes the rotation group, so the
+# census's mirror lookup must fail
 CORRUPT_REFLECTION = """
 import sys
-from platocover import cli, lattice, linalg
+from platocover import cli
 from platocover.maps import GroupData
 
-reflect = GroupData.reflection_class_perm
+build_reflection = GroupData._build_reflection
 
-def swapped(self, branch_class):
-    perm = list(reflect(self, branch_class))
-    perm[0], perm[1] = perm[1], perm[0]
-    return perm
+def swapped(self):
+    build_reflection(self)
+    for perm in self.reflection.values():
+        perm[[0, 1]] = perm[[1, 0]]
 
-GroupData.reflection_class_perm = swapped
+GroupData._build_reflection = swapped
 print("asserts", "on" if __debug__ else "off", file=sys.stderr)
 sys.exit(cli.main(["classify", "--map", "cube", "--prime", "5"]))
 """
@@ -653,3 +655,26 @@ def test_readme_names_every_budget():
     assert {"_FIELD_CAP", "_LATTICE_CAP", "VECTOR_BUDGET"} <= set(names)
     readme = (src.parents[1] / "README.md").read_text()
     assert [name for name in names if not re.search(rf"(?<!\w){name}(?!\w)", readme)] == []
+
+
+def test_readme_names_resolve():
+    # the converse: every backticked module.name in the README whose module
+    # is one of the package's resolves to an attribute of it, so a name the
+    # code drops cannot stay in the README
+    src = Path(cli.__file__).resolve().parent
+    modules = {path.stem for path in src.glob("*.py")}
+    readme = (src.parents[1] / "README.md").read_text()
+    cited = {(module, name) for span in re.findall(r"`([^`\n]+)`", readme)
+             for module, name in re.findall(r"(?<![\w.])(\w+)\.(\w+(?:\.\w+)*)", span)
+             if module in modules}
+    assert {("linalg", "Labeller"), ("builder", "DART_BUDGET")} <= cited
+
+    def resolves(module, name):
+        value = importlib.import_module(f"platocover.{module}")
+        for part in name.split("."):
+            if not hasattr(value, part):
+                return False
+            value = getattr(value, part)
+        return True
+
+    assert sorted(f"{m}.{n}" for m, n in cited if not resolves(m, n)) == []

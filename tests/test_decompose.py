@@ -250,7 +250,7 @@ def test_minimal_blocks_are_the_orbital_graph_components():
     for spec in GROUP_LAYER_MAPS:
         group = build_group(build_map(family(*spec)))
         for bc in ("vertices", "edges", "faces"):
-            perms = group.class_perms(bc)
+            perms = group.actions[bc]
             gens = perms[[group.gen_x, group.gen_z]].tolist()
             for j in range(1, perms.shape[1]):
                 blocks = _minimal_blocks(group, perms, j)
@@ -559,9 +559,9 @@ def test_stacked_matrices_match_row_by_row_construction(tag, param, branch, p):
     mod, group = module_for(tag, branch, p, param)
     assert mod.matrices.shape == (group.order, mod.dim, mod.dim)
     for g in range(group.order):
-        expected = _row_by_row(mod, lambda bc: group.class_perms(bc)[g])
+        expected = _row_by_row(mod, lambda bc: group.actions[bc][g])
         assert mod.matrices[g].tolist() == expected.tolist()
-    expected = _row_by_row(mod, group.reflection_class_perm)
+    expected = _row_by_row(mod, lambda bc: group.reflection[bc])
     assert mod.reflection_matrix.tolist() == expected.tolist()
     expected = _row_by_row(mod, lambda bc: group.central_reversing[bc])
     assert mod.central_matrix.tolist() == expected.tolist()

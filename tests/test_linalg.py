@@ -26,11 +26,9 @@ from platocover.homology import Subspace
 from platocover.linalg import (
     Labeller,
     _label_dtype,
-    cycle_labels,
     dtype_for,
     echelon,
     eliminate,
-    joint_orbit_count,
     mat_mul,
     merge_direct_sums,
     orbit_labels,
@@ -471,10 +469,10 @@ def test_merge_direct_sums_rejects_a_block_meeting_the_prefix(p):
 
 
 # ---------------------------------------------------------------------------
-# orbit labels: cycle_labels stops its doubling early, and orbit_labels joins
-# the cycles of its first permutation along the rest, jumping only the roots;
-# both must still give the least point of each cycle or orbit, which a plain
-# walk and a union-find compute directly.
+# orbit labels: Labeller.cycles stops its doubling early, and orbit_labels
+# joins the cycles of its first permutation along the rest, jumping only the
+# roots; both must still give the least point of each cycle or orbit, which a
+# plain walk and a union-find compute directly.
 
 def walked_cycle_labels(perm):
     labels = [None] * len(perm)
@@ -538,7 +536,7 @@ def as_perm(perm):
 def test_cycle_labels_match_a_cycle_walk(case):
     n, (perm,) = case
     expected = walked_cycle_labels(perm)
-    assert cycle_labels(as_perm(perm)).tolist() == expected
+    assert orbit_labels([as_perm(perm)]).tolist() == expected
     labeller = Labeller(n)
     assert labeller.count(labeller.cycles(as_perm(perm))) == len(set(expected))
 
@@ -550,8 +548,8 @@ def test_orbit_labels_match_union_find(case):
     arrays = [as_perm(perm) for perm in perms]
     expected = union_find_labels(perms, n)
     assert orbit_labels(arrays).tolist() == expected
-    if len(perms) == 2:
-        assert joint_orbit_count(*arrays) == len(set(expected))
+    labeller = Labeller(n)
+    assert labeller.count(labeller.orbits(arrays)) == len(set(expected))
 
 
 @pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 1000, 1025])
@@ -562,13 +560,13 @@ def test_long_cycles_and_paths(n):
     order = rng.permutation(n)
     cycle = np.empty(n, dtype=np.int64)
     cycle[order] = np.roll(order, -1)
-    assert cycle_labels(cycle).tolist() == [int(order.min())] * n
+    assert orbit_labels([cycle]).tolist() == [int(order.min())] * n
     labeller = Labeller(n)
     assert labeller.count(labeller.cycles(cycle)) == 1
 
     flips = flips_along([order], n)
     assert orbit_labels(flips).tolist() == [int(order.min())] * n
-    assert joint_orbit_count(*flips) == 1
+    assert labeller.count(labeller.orbits(flips)) == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -689,7 +687,7 @@ def test_labels_are_int32_and_leave_their_inputs_unchanged(dtype):
     rng = np.random.default_rng(5)
     perms = [rng.permutation(700).astype(dtype) for _ in range(3)]
     copies = [perm.copy() for perm in perms]
-    labels = cycle_labels(perms[0])
+    labels = orbit_labels(perms[:1])
     assert labels.dtype == np.int32
     assert labels.tolist() == walked_cycle_labels(perms[0].tolist())
     labels = orbit_labels(perms)

@@ -1,5 +1,7 @@
 """Map construction and rotation group tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,22 @@ ALL_FAMILIES = [
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.name)
+def test_tables_are_read_only_intp_arrays(fam):
+    # build_map makes every table of the map once, and no caller may write
+    # to one
+    dm = build_map(fam)
+    tables = [field.name for field in dataclasses.fields(dm) if field.name != "family"]
+    assert len(tables) == 9
+    for name in tables:
+        table = getattr(dm, name)
+        assert isinstance(table, np.ndarray) and table.dtype == np.intp, name
+        assert not table.flags.writeable, name
+    assert dm.face_orbits.shape == (dm.F, dm.n)
+    with pytest.raises(ValueError):
+        dm.sigma[0] = dm.sigma[1]
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.name)
 def test_group_structure(fam):
     dm = build_map(fam)
     g = build_group(dm)
@@ -72,7 +90,7 @@ def test_group_structure(fam):
     # transitivity with multiplying stabilizer orders
     for cls, stab_order in (("vertices", dm.m), ("edges", 2), ("faces", dm.n)):
         assert len(stabilizer_H(g, cls)) == stab_order
-        images = {g.class_perms(cls)[e][0] for e in range(g.order)}
+        images = {g.actions[cls][e][0] for e in range(g.order)}
         assert len(images) == g.order // stab_order
 
 
@@ -102,8 +120,8 @@ def test_dihedral_class_count():
 def test_dihedron_reflection():
     g = build_group(build_map(family("dihedron", 5)))
     assert g.reflection_dart is None
-    assert g.reflection_class_perm("vertices").tolist() == list(range(5))
-    assert g.reflection_class_perm("faces").tolist() == [1, 0]
+    assert g.reflection["vertices"].tolist() == list(range(5))
+    assert g.reflection["faces"].tolist() == [1, 0]
     assert g.central_reversing is not None
 
 
@@ -159,9 +177,9 @@ def test_duality_exchanges_vertices_and_faces():
     # swapped; compare fixed-point count multisets
     def profile(tag):
         g = build_group(build_map(family(tag)))
-        vfix = sorted(sum(p[i] == i for i in range(len(p))) for p in g.class_perms("vertices"))
-        ffix = sorted(sum(p[i] == i for i in range(len(p))) for p in g.class_perms("faces"))
-        efix = sorted(sum(p[i] == i for i in range(len(p))) for p in g.class_perms("edges"))
+        vfix = sorted(sum(p[i] == i for i in range(len(p))) for p in g.actions["vertices"])
+        ffix = sorted(sum(p[i] == i for i in range(len(p))) for p in g.actions["faces"])
+        efix = sorted(sum(p[i] == i for i in range(len(p))) for p in g.actions["edges"])
         return vfix, efix, ffix
 
     for pair in (("cube", "octahedron"), ("dodecahedron", "icosahedron")):
@@ -176,21 +194,22 @@ def test_cycles_walk_from_their_least_dart():
     # against a walk from each unvisited dart
     for spec in GROUP_LAYER_MAPS:
         dm = build_map(family(*spec))
-        phi = [dm.sigma[a] for a in dm.alpha]
-        for perm, of, first, walks in ((dm.sigma, dm.vertex_of, dm.vertex_dart, None),
-                                       (dm.alpha, dm.edge_of, dm.edge_dart, None),
+        sigma, alpha = dm.sigma.tolist(), dm.alpha.tolist()
+        phi = [sigma[a] for a in alpha]
+        for perm, of, first, walks in ((sigma, dm.vertex_of, dm.vertex_dart, None),
+                                       (alpha, dm.edge_of, dm.edge_dart, None),
                                        (phi, dm.face_of, dm.face_dart, dm.face_orbits)):
             orbits = walked_orbits(dm.n_darts, [perm.__getitem__])
             index = {d: i for i, orbit in enumerate(orbits) for d in orbit}
-            assert first == tuple(orbit[0] for orbit in orbits), dm.family.name
-            assert of == tuple(index[d] for d in range(dm.n_darts)), dm.family.name
+            assert first.tolist() == [orbit[0] for orbit in orbits], dm.family.name
+            assert of.tolist() == [index[d] for d in range(dm.n_darts)], dm.family.name
             expected = []
-            for d in first:
+            for d in first.tolist():
                 walk = [d]
                 while perm[walk[-1]] != d:
                     walk.append(perm[walk[-1]])
-                expected.append(tuple(walk))
-            assert walks in (None, tuple(expected)), dm.family.name
+                expected.append(walk)
+            assert walks is None or walks.tolist() == expected, dm.family.name
 
 
 REFERENCE_FAMILIES = ALL_FAMILIES + [
@@ -212,8 +231,8 @@ def test_group_matches_per_target_reference(fam):
     assert g.class_of.tolist() == ref.class_of
     assert [(c.members, c.rep, c.rep_order) for c in g.classes] == ref.classes
     for bc in ("vertices", "edges", "faces"):
-        assert g.class_perms(bc).tolist() == [list(a) for a in ref.actions[bc]]
-        assert g.reflection_class_perm(bc).tolist() == list(ref.reflection[bc])
+        assert g.actions[bc].tolist() == [list(a) for a in ref.actions[bc]]
+        assert g.reflection[bc].tolist() == list(ref.reflection[bc])
     if ref.reflection_dart is None:
         assert g.reflection_dart is None
     else:
@@ -250,10 +269,10 @@ from platocover.errors import VerificationError
 from platocover.maps import build_group, build_map, family
 
 dm = build_map(family("cube"))
-sigma = list(dm.sigma)
-sigma[0], sigma[1], sigma[2] = 2, 0, 1
+sigma = dm.sigma.copy()
+sigma[:3] = 2, 0, 1
 cases = {
-    "not orientably regular": dataclasses.replace(dm, sigma=tuple(sigma)),
+    "not orientably regular": dataclasses.replace(dm, sigma=sigma),
     "x does not have order 4": dataclasses.replace(dm, family=family("octahedron")),
 }
 print("asserts", "on" if __debug__ else "off")
