@@ -222,12 +222,10 @@ def run_fixtures(out=None) -> int:
     out = out or sys.stdout
     failures = 0
     root = resources.files("platocover").joinpath("fixtures")
-    entries = sorted(root.iterdir(), key=lambda e: e.name)
+    entries = sorted((e for e in root.iterdir() if e.name.endswith(".json")), key=lambda e: e.name)
     if not entries:
         raise ValueError("no fixtures installed")
     for entry in entries:
-        if not entry.name.endswith(".json"):
-            continue
         fixture = json.loads(entry.read_text())
         spec = fixture["args"]
         cen = census(spec["map"], tuple(spec["branch"]), spec["prime"])
@@ -238,8 +236,7 @@ def run_fixtures(out=None) -> int:
             failures += 1
             print(f"fixture {entry.name}: MISMATCH", file=out)
             _print_diff(fixture["expected"], got, out)
-    total = len([e for e in entries if e.name.endswith('.json')])
-    print(f"{total - failures}/{total} fixtures match", file=out)
+    print(f"{len(entries) - failures}/{len(entries)} fixtures match", file=out)
     return 0 if failures == 0 else 1
 
 

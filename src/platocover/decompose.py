@@ -63,7 +63,7 @@ from . import chartab
 from .chartab import CharacterTable, match_classes, table_for_group
 from .errors import VerificationError, verify
 from .homology import HomologyModule, Subspace
-from .gf import first_root_of_unity, root_of_unity
+from .gf import root_of_unity
 from .linalg import (as_matrix, echelon, eliminate, identity, label_orbits, mat_mul, mod,
                      orbit_labels, rref)
 from .maps import GroupData
@@ -100,14 +100,13 @@ def _class_values_mod_p(table: CharacterTable, orbits, p: int):
     which one product with the (n, e) powers of a primitive n-th root of
     unity w sends to F_{p^e}; a value lies in F_p when its image has no
     coordinate past the first.  A table with a Gauss sum sqrt(d) takes the
-    first root gf finds and, where that sends sqrt(d) to an odd root in
-    F_p, its square: zeta -> zeta^2 negates sqrt(d), as 2 is not a square
-    mod 3 or mod 5.  The others take the w of gf.root_of_unity."""
+    first root in counter order (gf.root_of_unity with canonical=False)
+    and, where that sends sqrt(d) to an odd root in F_p, its square: zeta
+    -> zeta^2 negates sqrt(d), as 2 is not a square mod 3 or mod 5.  The
+    others take the canonical w."""
     n = table.rows[0][0].n
-    if table.gauss_sum is None:
-        field, powers = root_of_unity(n, p)
-    else:
-        field, powers = first_root_of_unity(n, p)
+    field, powers = root_of_unity(n, p, canonical=table.gauss_sum is None)
+    if table.gauss_sum is not None:
         root = mat_mul(as_matrix(table.gauss_sum.coeffs, p), powers, p)[0]
         if not (root[1:] != 0).any() and root[0] % 2:
             powers = powers[2 * np.arange(n) % n]

@@ -5,8 +5,21 @@ plain Python ints; polynomials over F_p keep coefficients in [0, p).  The
 extension field machinery only fixes a primitive n-th root of unity w, which
 splits x^n - 1 into its irreducible factors over F_p and reduces cyclotomic
 character values mod p, so it stays deliberately small: residue arithmetic
-modulo a deterministically chosen irreducible, plus a primitive element
-search.
+modulo a deterministically chosen irreducible, plus one element search.
+
+That search, ExtField._first, walks the elements in counter order and keeps
+the first c whose (p^e - 1)/q-th power is not 1 for any q of a set of
+primes; root_of_unity(n, p) takes w = c^((p^e - 1)/n), e = ord_n(p), and
+its n powers by doubling.  The canonical w, which labels the dihedral
+censuses and the factors of x^n - 1 alike, takes the primes of p^e - 1, so
+c is the primitive element (for e = 1 the least primitive root mod p, the
+scalar of the oracle's sweep), and is 1 for n = 1, which factors nothing.
+With canonical=False, for the tables whose values mod p do not depend on
+the root, the set is the primes of n alone.  Neither that root nor the
+canonical one for n = 1 factors p^e - 1, so the A4, S4 and A5 censuses run
+at any prime is_prime proves, such as 10^24 + 7, where p^e - 1 has factors
+past TRIAL_DIVISION_BUDGET.  The checks are verifies that survive python
+-O, and a bad argument is a ValueError.
 """
 
 from __future__ import annotations
@@ -206,11 +219,11 @@ class CosetOrbit:
 
 def _annotate(n: int, p: int, members: tuple[int, ...]) -> CosetOrbit:
     r = members[0]
-    m = n // math.gcd(r, n) if r else 1
+    m = n // math.gcd(r, n)
     for other in members:
-        verify(n // math.gcd(other, n) == (m if other else 1),
+        verify(n // math.gcd(other, n) == m,
                f"the orbit of {r} in Z_{n} mixes elements of different orders")
-    e = multiplicative_order(p, m) if m > 1 else 1
+    e = multiplicative_order(p, m)
     paired = set((-i) % n for i in members) == set(members)
     return CosetOrbit(n=n, members=members, m=m, e=e, self_paired=paired)
 
@@ -316,17 +329,11 @@ def _pow(a: np.ndarray, k: int, table: np.ndarray, p: int) -> np.ndarray:
 def _powers(a: np.ndarray, count: int, table: np.ndarray, p: int) -> np.ndarray:
     """a^0, ..., a^(count-1) along the residue axis of a (..., 1, e), by
     doubling: the first m powers times a^m are the next m."""
-    e = table.shape[-1]
-    out = zeros(a.shape[:-2] + (count, e), p)
-    out[..., 0, 0] = 1
-    m, base = 1, a
-    while m < count:
-        take = min(m, count - m)
-        out[..., m:m + take, :] = _mul(out[..., :take, :], base, table, p)
-        m *= 2
-        if m < count:
-            base = _mul(base, base, table, p)
-    return out
+    out, base = _pow(a, 0, table, p), a
+    while out.shape[-2] < count:
+        out = np.concatenate([out, _mul(out, base, table, p)], axis=-2)
+        base = _mul(base, base, table, p)
+    return out[..., :count, :]
 
 
 def _counter_residues(counters: range, p: int, e: int) -> np.ndarray:
@@ -420,10 +427,6 @@ class ExtField:
     def pow(self, a, k: int):
         return tuple(_pow(self._array(a), k, self._table, self.p)[0].tolist())
 
-    def powers(self, a, count: int) -> np.ndarray:
-        """The (count, e) array of a^0, ..., a^(count-1)."""
-        return _powers(self._array(a), count, self._table, self.p)
-
     def _candidates(self):
         """The elements in counter order as (1, e) arrays, from counter p on
         for e >= 2: the prime field constants have orders dividing p - 1."""
@@ -431,75 +434,50 @@ class ExtField:
         for counter in range(start, self.order):
             yield _counter_residues(range(counter, counter + 1), self.p, self.e)
 
-    def primitive_element(self) -> tuple[int, ...]:
-        """First element (in counter order) of multiplicative order p^e - 1:
-        the first whose (p^e - 1)/q-th power is not 1 for any prime q
-        dividing p^e - 1.  Each candidate is squared once, and each of those
-        powers is a product of its squares."""
+    def _first(self, primes) -> tuple[np.ndarray, np.ndarray]:
+        """The first candidate c in counter order whose (p^e - 1)/q-th power
+        is not 1 for any q in primes, as (1, e), and its squares.  Each
+        candidate is squared once, and each of those powers is a product of
+        its squares."""
         n = self.order - 1
-        prime_divisors = sorted(factorize(n))
         one = self._array(self.one())
         for candidate in self._candidates():
             squares = _squares(candidate, n.bit_length(), self._table, self.p)
             if all((_power(squares, n // q, self._table, self.p) != one).any()
-                   for q in prime_divisors):
-                return tuple(candidate[0].tolist())
-        raise AssertionError("no primitive element found")
+                   for q in primes):
+                return candidate, squares
+        raise AssertionError(f"no element passes the power test for the primes {sorted(primes)}")
 
-    def _root_from(self, a, n: int):
-        """a^((p^e - 1)/n), checked to be an n-th root of unity, when it is a
-        primitive one, else None.  Only n is factored."""
+    def primitive_element(self) -> tuple[int, ...]:
+        """First element (in counter order) of multiplicative order p^e - 1."""
+        return tuple(self._first(factorize(self.order - 1))[0][0].tolist())
+
+    def _root(self, n: int, primes) -> np.ndarray:
+        """c^((p^e - 1)/n), (1, e), for the first c of _first(primes),
+        checked to be an n-th root of unity."""
         verify((self.order - 1) % n == 0, f"F_{self.order} has no primitive {n}-th root of unity")
-        w = self.pow(a, (self.order - 1) // n)
-        verify(self.pow(w, n) == self.one(), f"w^{n} is not 1")
-        return w if all(self.pow(w, n // q) != self.one() for q in factorize(n)) else None
-
-    def nth_root_of_unity(self, n: int) -> tuple[int, ...]:
-        """The canonical primitive n-th root of unity: the (p^e - 1)/n-th
-        power of the primitive element, or 1 for n = 1, which needs none."""
-        w = self._root_from(self.primitive_element() if n > 1 else self.one(), n)
-        verify(w is not None, f"w is not a primitive {n}-th root of unity")
+        _, squares = self._first(primes)
+        w = _power(squares, (self.order - 1) // n, self._table, self.p)
+        verify(self.pow(w[0].tolist(), n) == self.one(), f"w^{n} is not 1")
         return w
-
-    def first_nth_root_of_unity(self, n: int) -> tuple[int, ...]:
-        """The first primitive n-th root of unity among the (p^e - 1)/n-th
-        powers of the elements in counter order.  Unlike the canonical root
-        it needs no factors of p^e - 1, so it is found at any prime."""
-        for candidate in self._candidates():
-            w = self._root_from(tuple(candidate[0].tolist()), n)
-            if w is not None:
-                return w
-        raise AssertionError(f"no primitive {n}-th root of unity found")
 
 
 @lru_cache(maxsize=None)
-def _root_powers(n: int, p: int, find) -> tuple[ExtField, np.ndarray]:
-    """The field F_{p^e'}, e' = ord_n(p), and the (n, e') array of the powers
-    w^0, ..., w^(n-1), read-only, of the primitive n-th root of unity w that
-    find(field, n) picks."""
+def root_of_unity(n: int, p: int, canonical: bool = True) -> tuple[ExtField, np.ndarray]:
+    """The field F_{p^e}, e = ord_n(p), and the (n, e) array of the powers
+    w^0, ..., w^(n-1), read-only, of the canonical or the first primitive
+    n-th root of unity w (module docstring).  The cache keys on the call
+    form, so each convention has one: canonical=True or False, by keyword."""
     verify(is_prime(p) and math.gcd(n, p) == 1, f"no {n}-th roots of unity over F_{p}")
     e = multiplicative_order(p, n, limit=ROOT_POWERS_BUDGET // n)
     if n * e > ROOT_POWERS_BUDGET:
         raise ValueError(f"the {n}-th roots of unity over F_{p} need {n} * ord_{n}({p}) >= {n * e} "
                          f"powers, past the budget of {ROOT_POWERS_BUDGET}")
     field = ExtField(p, e)
-    powers = field.powers(find(field, n), n)
+    w = field._root(n, factorize(field.order - 1 if canonical and n > 1 else n))
+    powers = _powers(w, n, field._table, p)
     powers.flags.writeable = False
     return field, powers
-
-
-def root_of_unity(n: int, p: int) -> tuple[ExtField, np.ndarray]:
-    """The field and powers of the canonical w, ExtField.nth_root_of_unity.
-    The factors of x^n - 1 and the reduction of the dihedral character
-    values mod p both use this one w, so the labels of the census and of
-    the cyclotomic report agree."""
-    return _root_powers(n, p, ExtField.nth_root_of_unity)
-
-
-def first_root_of_unity(n: int, p: int) -> tuple[ExtField, np.ndarray]:
-    """The field and powers of ExtField.first_nth_root_of_unity, for values
-    whose images mod p do not depend on the primitive root chosen."""
-    return _root_powers(n, p, ExtField.first_nth_root_of_unity)
 
 
 def factor_xn_minus_1(n: int, p: int) -> list[tuple[CosetOrbit, list[int]]]:
@@ -509,7 +487,7 @@ def factor_xn_minus_1(n: int, p: int) -> list[tuple[CosetOrbit, list[int]]]:
     exponents, with w the root of unity fixed by root_of_unity; the
     coefficients are checked to land in the prime field.
     """
-    field, w_powers = root_of_unity(n, p)
+    field, w_powers = root_of_unity(n, p, canonical=True)
     out = []
     for orbit in frobenius_orbits(n, p):
         # polynomial over the extension field, one coefficient row per degree

@@ -198,17 +198,19 @@ def build_map(fam: MapFamily) -> DartMap:
     return DartMap(family=fam, **tables)
 
 
-def _automorphisms(sigma: np.ndarray, alpha: np.ndarray, sigma_img: np.ndarray) -> np.ndarray:
-    """Every dart permutation psi with psi∘sigma = sigma_img∘psi and
+def _automorphisms(sigma: np.ndarray, alpha: np.ndarray, sigma_img: np.ndarray,
+                   message: str) -> np.ndarray:
+    """The n dart permutations psi with psi∘sigma = sigma_img∘psi and
     psi∘alpha = alpha∘psi, one row each, in the order of the image of dart
     0: the rotations for sigma_img = sigma, the reversing automorphisms for
     its inverse.
 
     Such a psi is fixed by psi(0), so one walk along a spanning tree of the
-    dart graph from dart 0 extends all n candidates 0 ↦ t at once, and each
-    row is then checked on every dart.  A row that passes is a permutation:
-    its image is closed under sigma_img and alpha, which act transitively
-    because the map is connected."""
+    dart graph from dart 0 extends all n candidates 0 ↦ t at once.  A
+    regular map has all n, so every row is verified on every dart, with the
+    given message.  A row that passes is a permutation: its image is closed
+    under sigma_img and alpha, which act transitively because the map is
+    connected."""
     n = len(sigma)
     images = np.empty((n, n), dtype=np.intp)  # images[d, t]: where row t sends d
     images[0] = np.arange(n)
@@ -222,8 +224,8 @@ def _automorphisms(sigma: np.ndarray, alpha: np.ndarray, sigma_img: np.ndarray) 
                 seen[src] = True
                 images[src] = img[images[d]]
                 stack.append(src)
-    ok = (images[sigma] == sigma_img[images]).all(axis=0) & (images[alpha] == alpha[images]).all(axis=0)
-    return np.ascontiguousarray(images[:, ok].T)
+    verify((images[sigma] == sigma_img[images]).all() and (images[alpha] == alpha[images]).all(), message)
+    return np.ascontiguousarray(images.T)
 
 
 @dataclass(frozen=True)
@@ -251,8 +253,8 @@ class GroupData:
     def __init__(self, dart_map: DartMap):
         self.map = dm = dart_map
         self.order = dm.n_darts
-        self.dart_perms = _automorphisms(dm.sigma, dm.alpha, dm.sigma)
-        verify(len(self.dart_perms) == self.order, "rotation system is not orientably regular")
+        self.dart_perms = _automorphisms(dm.sigma, dm.alpha, dm.sigma,
+                                         "rotation system is not orientably regular")
         # row i sends its inverse to dart 0, the least entry of the row
         self.inverse = self.dart_perms.argmin(axis=1)
 
@@ -329,20 +331,12 @@ class GroupData:
 
     def _build_reflection(self) -> None:
         """The reflection fixing dart 0, its actions, and the
-        orientation-reversing element commuting with all of G, if any."""
+        orientation-reversing element commuting with all of G, if any.  On
+        the dihedron sigma is an involution, so the reflection's darts are
+        the identity, read as reversing: it fixes every vertex and edge,
+        swaps the two faces and is central."""
         dm = self.map
-        if dm.m == 2:
-            # dihedron: sigma is an involution, so dart permutations cannot
-            # distinguish orientation; use the equatorial reflection, which
-            # fixes every vertex and edge, swaps the two faces, and is
-            # central in the full automorphism group
-            self.reflection_dart = None
-            self.reflection = {"vertices": np.arange(dm.V), "edges": np.arange(dm.E),
-                               "faces": np.array([1, 0])}
-            self.central_reversing = {**self.reflection, "darts": None}
-            return
-        reversing = _automorphisms(dm.sigma, dm.alpha, np.argsort(dm.sigma))
-        verify(len(reversing) > 0, "map is not reflexible")
+        reversing = _automorphisms(dm.sigma, dm.alpha, np.argsort(dm.sigma), "map is not reflexible")
         refl = self.reflection_dart = reversing[0]
         self.reflection = self._project(refl, reversing=True)
         # reflection squared is orientation-preserving, hence an element of G

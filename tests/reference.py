@@ -168,10 +168,11 @@ def reference_group(dm: DartMap) -> SimpleNamespace:
             actions[bc].append(action)
 
     if dm.m == 2:
+        identity = tuple(range(n))
         reflection = {"vertices": tuple(range(dm.V)), "edges": tuple(range(dm.E)), "faces": (1, 0)}
         return SimpleNamespace(dart_perms=perms, inverse=inverse, class_of=class_of,
-                               classes=classes, actions=actions, reflection_dart=None,
-                               reflection=reflection, central={**reflection, "darts": None})
+                               classes=classes, actions=actions, reflection_dart=identity,
+                               reflection=reflection, central={**reflection, "darts": identity})
 
     refl = next(psi for t in range(n)
                 if (psi := propagate(dm.sigma, dm.alpha, t, reverse=True)) is not None)

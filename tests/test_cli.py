@@ -255,6 +255,17 @@ def test_fixture_mismatch_exits_1_with_a_diff(capsys, monkeypatch):
     assert "18/19 fixtures match" in out
 
 
+def test_fixture_suite_without_fixtures_exits_2(capsys, monkeypatch, tmp_path):
+    # a fixtures directory without a .json file is a missing suite, not a
+    # passing one
+    (tmp_path / "fixtures").mkdir()
+    (tmp_path / "fixtures" / "README.txt").write_text("no fixtures here\n")
+    monkeypatch.setattr(cli.resources, "files", lambda package: tmp_path)
+    code, out, err = run(["classify", "--fixtures"], capsys)
+    assert code == 2
+    assert "no fixtures installed" in err and "fixtures match" not in out
+
+
 # composes the reflection's action on each branch class with a swap of two
 # punctures, which then no longer normalizes the rotation group, so the
 # census's mirror lookup must fail

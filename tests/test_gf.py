@@ -18,7 +18,6 @@ from platocover.gf import (
     cyclotomic_polynomial,
     factor_xn_minus_1,
     factorize,
-    first_root_of_unity,
     frobenius_orbits,
     is_prime,
     multiplicative_order,
@@ -214,8 +213,8 @@ class TestExtField:
         assert f.primitive_element() == first
 
     def test_nth_root_of_unity(self):
-        f = ExtField(7, 4)  # ord_5(7) = 4
-        w = f.nth_root_of_unity(5)
+        f, roots = root_of_unity(5, 7)  # ord_5(7) = 4
+        w = tuple(roots[1].tolist())
         powers = {w}
         x = w
         for _ in range(4):
@@ -291,7 +290,7 @@ def test_canonical_root_is_pinned(n, p, defining, primitive, w):
 def test_first_root_is_the_first_in_counter_order(n, p):
     # a walk over every element from counter 1 finds the same root: the
     # first (p^e - 1)/n-th power of order n
-    field, powers = first_root_of_unity(n, p)
+    field, powers = root_of_unity(n, p, canonical=False)
     one = field.one()
 
     def order(x):
@@ -309,6 +308,18 @@ def test_first_root_is_the_first_in_counter_order(n, p):
                for i in range(n - 1))
 
 
+def test_canonical_root_is_the_power_of_the_primitive_element():
+    # w = g^((p^e - 1)/n) for the primitive element g, on every n up to 30
+    # whose n * ord_n(p) powers stay small
+    cases = [(n, p) for p in (3, 5, 7, 11, 13) for n in range(2, 31)
+             if math.gcd(n, p) == 1 and n * multiplicative_order(p, n) <= 200]
+    assert len(cases) == 95
+    for n, p in cases:
+        field, powers = root_of_unity(n, p)
+        g = field.primitive_element()
+        assert tuple(powers[1].tolist()) == field.pow(g, (field.order - 1) // n), (n, p)
+
+
 def test_roots_at_a_prime_whose_field_orders_do_not_factor():
     # p^e - 1 for p = 10^24 + 7 has prime factors past the trial-division
     # budget, yet the first root only factors n, and the canonical root of
@@ -318,7 +329,7 @@ def test_roots_at_a_prime_whose_field_orders_do_not_factor():
         factorize(p - 1)
     start = time.perf_counter()
     for n, e in ((3, 2), (5, 4)):
-        field, powers = first_root_of_unity(n, p)
+        field, powers = root_of_unity(n, p, canonical=False)
         assert field.e == e and powers.shape == (n, e)
         w = tuple(powers[1].tolist())
         assert field.pow(w, n) == field.one() and w != field.one()

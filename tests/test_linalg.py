@@ -734,6 +734,16 @@ def test_every_product_goes_through_linalg():
             for site in _product_sites(path)] == []
 
 
+def test_one_element_search_in_gf():
+    # ExtField._first is the one walk over the field's elements, so the
+    # primitive element and both roots of unity share its power test
+    tree = ast.parse((Path(linalg.__file__).parent / "gf.py").read_text())
+    walkers = [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+               for node in ast.walk(func)
+               if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_candidates"]
+    assert walkers == ["_first"]
+
+
 def test_no_module_asserts():
     # every check in the package is a verify or an explicit raise, so none
     # is stripped by python -O

@@ -119,7 +119,7 @@ def test_dihedral_class_count():
 
 def test_dihedron_reflection():
     g = build_group(build_map(family("dihedron", 5)))
-    assert g.reflection_dart is None
+    assert g.reflection_dart.tolist() == list(range(10))
     assert g.reflection["vertices"].tolist() == list(range(5))
     assert g.reflection["faces"].tolist() == [1, 0]
     assert g.central_reversing is not None
